@@ -8,8 +8,8 @@ in [0, 1] derived from the Sobel gradient along that boundary.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,34 +171,6 @@ def save_mask_pgm(mask: np.ndarray, path) -> None:
     save_image(img, path)
 
 
-def save_superpixel_map(smap: SuperpixelMap, path) -> None:
-    """Debug export: labels-mod-256 PGM plus an exact-label text sidecar."""
-    img = Image(
-        smap.width,
-        smap.height,
-        1,
-        ((smap.labels % 256) / 255.0).reshape(smap.height, smap.width, 1),
-    )
-    save_image(img, path)
-    with open(str(path) + ".labels.txt", "w") as fh:
-        fh.write(f"{smap.width} {smap.height} {smap.n}\n")
-        for row in smap.labels:
-            fh.write(" ".join(str(v) for v in row) + "\n")
-
-
-def load_superpixel_map(sidecar_path) -> SuperpixelMap:
-    """Read the exact-label sidecar written by save_superpixel_map."""
-    with open(sidecar_path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise DataError("superpixel sidecar header must be 'width height n'")
-        width, height, n = (int(v) for v in header)
-        labels = np.loadtxt(fh, dtype=np.int32, ndmin=2)
-    if labels.shape != (height, width):
-        raise DataError("superpixel sidecar body does not match header dimensions")
-    return SuperpixelMap(width, height, labels, n)
-
-
 # ---------------------------------------------------------------------------
 # Superpixel decomposition
 # ---------------------------------------------------------------------------
@@ -215,8 +187,21 @@ def compute_superpixels(img: Image, target_count: int) -> SuperpixelMap:
     w, h = img.width, img.height
     if not 1 <= target_count <= w * h:
         raise ValueError(f"target_count must be in [1, {w * h}]")
+    assign = _kmeans_assign(img.intensity(), target_count)
+    min_size = max(1, (w * h) // (4 * target_count))
+    labels, n = _enforce_connectivity(assign, min_size, 4 * target_count)
+    return SuperpixelMap(w, h, labels, n)
 
-    intensity = img.intensity()
+
+def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
+    """Centre index of every pixel after the k-means iterations.
+
+    Each centre scans a window of +-2 grid intervals around itself; a
+    pixel takes the centre with the smallest distance, the lower index
+    winning ties. Pixels outside every window take the globally nearest
+    centre.
+    """
+    h, w = intensity.shape
     interval = math.sqrt(w * h / target_count)
     rows = max(1, round(h / interval))
     cols = max(1, round(w / interval))
@@ -227,142 +212,186 @@ def compute_superpixels(img: Image, target_count: int) -> SuperpixelMap:
     iy = np.clip(np.rint(centers_y).astype(int), 0, h - 1)
     ix = np.clip(np.rint(centers_x).astype(int), 0, w - 1)
     centers_i = intensity[iy, ix]
+    n_centers = len(centers_x)
 
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    col_x = np.arange(w, dtype=np.float64)
+    row_y = np.arange(h, dtype=np.float64)[:, None]
+    pixel_x = np.tile(col_x, h)
+    pixel_y = np.repeat(row_y.ravel(), w)
+    pixel_i = intensity.ravel()
     reach = max(1, int(math.ceil(2 * interval)))
-    assign = np.zeros((h, w), dtype=np.int32)
+    assign = np.empty((h, w), dtype=np.int32)
+    flat = assign.ravel()
+    dist = np.empty((h, w))
 
     for _ in range(_KMEANS_ITERS):
-        dist = np.full((h, w), np.inf)
+        dist.fill(np.inf)
         assign.fill(-1)
-        for k in range(len(centers_x)):
-            x0 = max(0, int(centers_x[k]) - reach)
-            x1 = min(w, int(centers_x[k]) + reach + 1)
-            y0 = max(0, int(centers_y[k]) - reach)
-            y1 = min(h, int(centers_y[k]) + reach + 1)
+        # windows are anchored at the centre truncated toward zero
+        base_x = centers_x.astype(int)
+        base_y = centers_y.astype(int)
+        x0s = np.maximum(0, base_x - reach).tolist()
+        x1s = np.minimum(w, base_x + reach + 1).tolist()
+        y0s = np.maximum(0, base_y - reach).tolist()
+        y1s = np.minimum(h, base_y + reach + 1).tolist()
+        for k, (ckx, cky, cki) in enumerate(
+            zip(centers_x.tolist(), centers_y.tolist(), centers_i.tolist())
+        ):
+            x0, x1, y0, y1 = x0s[k], x1s[k], y0s[k], y1s[k]
             if x0 >= x1 or y0 >= y1:
                 continue
-            dx = xs[y0:y1, x0:x1] - centers_x[k]
-            dy = ys[y0:y1, x0:x1] - centers_y[k]
-            di = (intensity[y0:y1, x0:x1] - centers_i[k]) / _INTENSITY_SCALE
-            d2 = (dx * dx + dy * dy) / (interval * interval) + di * di
-            closer = d2 < dist[y0:y1, x0:x1]
-            dist[y0:y1, x0:x1][closer] = d2[closer]
-            assign[y0:y1, x0:x1][closer] = k
+            dx = col_x[x0:x1] - ckx
+            dy = row_y[y0:y1] - cky
+            d2 = dx * dx + dy * dy
+            d2 /= interval * interval
+            di = intensity[y0:y1, x0:x1] - cki
+            di /= _INTENSITY_SCALE
+            di *= di
+            d2 += di
+            dist_win = dist[y0:y1, x0:x1]
+            closer = d2 < dist_win
+            np.copyto(dist_win, d2, where=closer)
+            np.copyto(assign[y0:y1, x0:x1], k, where=closer)
         # pixels outside every search window: assign to globally nearest seed
-        missing = assign < 0
-        if missing.any():
-            mx, my, mi = xs[missing], ys[missing], intensity[missing]
+        missing = np.flatnonzero(flat < 0)
+        if missing.size:
+            mx, my, mi = pixel_x[missing], pixel_y[missing], pixel_i[missing]
             d2 = (
                 (mx[:, None] - centers_x) ** 2 + (my[:, None] - centers_y) ** 2
             ) / (interval * interval) + (
                 (mi[:, None] - centers_i) / _INTENSITY_SCALE
             ) ** 2
-            assign[missing] = np.argmin(d2, axis=1)
-        for k in range(len(centers_x)):
-            sel = assign == k
-            if sel.any():
-                centers_x[k] = xs[sel].mean()
-                centers_y[k] = ys[sel].mean()
-                centers_i[k] = intensity[sel].mean()
-
-    min_size = max(1, (w * h) // (4 * target_count))
-    labels, n = _enforce_connectivity(assign, min_size, 4 * target_count)
-    return SuperpixelMap(w, h, labels, n)
+            flat[missing] = np.argmin(d2, axis=1)
+        # x/y sums are sums of integers, hence exact; the intensity sums
+        # run in raster order, so means may differ from a pairwise sum in
+        # the last ulp
+        counts = np.bincount(flat, minlength=n_centers)
+        used = counts > 0
+        for centers, values in ((centers_x, pixel_x), (centers_y, pixel_y), (centers_i, pixel_i)):
+            sums = np.bincount(flat, weights=values, minlength=n_centers)
+            centers[used] = sums[used] / counts[used]
+    return assign
 
 
 def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
     """Split the assignment into 4-connected components, then merge
     undersized components (and any surplus beyond max_count) into the
-    adjacent component sharing the longest boundary."""
-    h, w = assign.shape
-    comp = np.full((h, w), -1, dtype=np.int32)
-    sizes = []
-    ncomp = 0
-    for sy in range(h):
-        for sx in range(w):
-            if comp[sy, sx] >= 0:
+    adjacent component sharing the longest boundary.
+
+    Components are numbered in raster order of their first pixel; a merged
+    component keeps the number of the one it merged into. The merges
+    follow this order, which fixes the result:
+
+    - first the components smaller than min_size, then, while more than
+      max_count components remain, any component (the surplus);
+    - within a phase the next component merged is the smallest by
+      (size, number) among the eligible ones that have a neighbour;
+    - it merges into the neighbour with the longest shared boundary,
+      ties going to the lower number;
+    - a phase stops when no eligible component has a neighbour left.
+
+    Returns (labels, n): int32 ids 0..n-1 in raster order of first
+    appearance.
+    """
+    comp, ncomp = _label_components(assign)
+    sizes = np.bincount(comp.ravel(), minlength=ncomp).tolist()
+    contact = _boundary_lengths(comp, ncomp)
+    parent = np.arange(ncomp)
+    alive = ncomp
+
+    def merge_phase(heap, eligible, limit):
+        """Merge by the contract while `heap` holds entries and more
+        than `limit` components remain. Entries are (size, id); one goes
+        stale when its component grows or is merged away (size 0)."""
+        nonlocal alive
+        heapq.heapify(heap)
+        while heap and alive > limit:
+            size, src = heapq.heappop(heap)
+            nbrs = contact[src]
+            if size != sizes[src] or not nbrs:
                 continue
-            val = assign[sy, sx]
-            queue = deque([(sy, sx)])
-            comp[sy, sx] = ncomp
-            count = 0
-            while queue:
-                y, x = queue.popleft()
-                count += 1
-                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= ny < h and 0 <= nx < w and comp[ny, nx] < 0 and assign[ny, nx] == val:
-                        comp[ny, nx] = ncomp
-                        queue.append((ny, nx))
-            sizes.append(count)
-            ncomp += 1
+            dst = max(nbrs, key=lambda c: (nbrs[c], -c))
+            parent[src] = dst
+            sizes[dst] += size
+            sizes[src] = 0
+            contact[src] = {}
+            alive -= 1
+            into = contact[dst]
+            del into[src]
+            for nbr, length in nbrs.items():
+                if nbr != dst:
+                    into[nbr] = into.get(nbr, 0) + length
+                    other = contact[nbr]
+                    del other[src]
+                    other[dst] = other.get(dst, 0) + length
+            if eligible(sizes[dst]):
+                heapq.heappush(heap, (sizes[dst], dst))
 
-    # boundary lengths between components
-    contact: dict[int, Counter] = {c: Counter() for c in range(ncomp)}
-    a, b = comp[:, :-1].ravel(), comp[:, 1:].ravel()
-    for pa, pb in zip(a[a != b], b[a != b]):
-        contact[pa][pb] += 1
-        contact[pb][pa] += 1
-    a, b = comp[:-1, :].ravel(), comp[1:, :].ravel()
-    for pa, pb in zip(a[a != b], b[a != b]):
-        contact[pa][pb] += 1
-        contact[pb][pa] += 1
+    merge_phase([(s, c) for c, s in enumerate(sizes) if s < min_size],
+                lambda size: size < min_size, 1)
+    merge_phase([(s, c) for c, s in enumerate(sizes) if s],
+                lambda size: True, max_count)
 
-    parent = list(range(ncomp))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    size_of = dict(enumerate(sizes))
-
-    def merge(src, dst):
-        parent[src] = dst
-        size_of[dst] += size_of.pop(src)
-        for nbr, length in contact.pop(src).items():
-            nbr = find(nbr)
-            if nbr == dst:
-                continue
-            contact[dst][nbr] += length
-            contact[nbr][dst] += length
-            contact[nbr].pop(src, None)
-        contact[dst].pop(src, None)
-
-    def merge_one(candidates) -> bool:
-        """Merge the smallest candidate into its longest-boundary neighbor."""
-        mergeable = [c for c in candidates if contact[c]]
-        if not mergeable:
-            return False
-        src = min(mergeable, key=lambda c: (size_of[c], c))
-        neighbors = {find(n): l for n, l in contact[src].items() if find(n) != src}
-        if not neighbors:
-            return False
-        dst = max(neighbors, key=lambda n: (neighbors[n], -n))
-        merge(src, dst)
-        return True
-
+    # resolve merge chains, then renumber groups by their first pixel:
+    # component ids are already in raster order, so a group's first
+    # appearance is that of its lowest member id
     while True:
-        small = [c for c, s in size_of.items() if s < min_size]
-        if not small or not merge_one(small):
+        root = parent[parent]
+        if np.array_equal(root, parent):
             break
-    while len(size_of) > max_count:
-        if not merge_one(list(size_of)):
-            break
+        parent = root
+    _, first = np.unique(parent, return_index=True)
+    new_id = np.empty(ncomp, dtype=np.int32)
+    new_id[parent[np.sort(first)]] = np.arange(len(first), dtype=np.int32)
+    return new_id[parent][comp], len(first)
 
-    roots = np.array([find(c) for c in range(ncomp)], dtype=np.int32)
-    comp = roots[comp]
-    # contiguous ids in raster order of first appearance
-    order = {}
-    flat = comp.ravel()
-    for v in flat:
-        if v not in order:
-            order[v] = len(order)
-    remap = np.zeros(ncomp, dtype=np.int32)
-    for old, new in order.items():
-        remap[old] = new
-    return remap[comp], len(order)
+
+def _label_components(assign: np.ndarray):
+    """4-connected regions of equal value, numbered 0..n-1 in raster order
+    of their first pixel (the order a raster-scan flood fill finds them).
+
+    Every pixel starts with its own raster index; taking the minimum
+    across equal-valued neighbours and jumping to the label's own label
+    repeats until nothing changes, which leaves each region labelled with
+    its first pixel. Labels only decrease, so an unchanged sum means a
+    fixed point.
+    """
+    h, w = assign.shape
+    flat = np.arange(h * w, dtype=np.int32)
+    lab = flat.reshape(h, w)
+    same_x = assign[:, 1:] == assign[:, :-1]
+    same_y = assign[1:] == assign[:-1]
+    total = -1
+    while True:
+        np.minimum(lab[:, 1:], lab[:, :-1], out=lab[:, 1:], where=same_x)
+        np.minimum(lab[:, :-1], lab[:, 1:], out=lab[:, :-1], where=same_x)
+        np.minimum(lab[1:], lab[:-1], out=lab[1:], where=same_y)
+        np.minimum(lab[:-1], lab[1:], out=lab[:-1], where=same_y)
+        np.take(flat, flat, out=flat, mode="clip")
+        new_total = int(flat.sum(dtype=np.int64))
+        if new_total == total:
+            break
+        total = new_total
+    first = flat == np.arange(h * w, dtype=np.int32)
+    ids = np.cumsum(first, dtype=np.int32)
+    ids -= 1
+    return ids[lab], int(ids[-1]) + 1
+
+
+def _boundary_lengths(comp: np.ndarray, ncomp: int) -> list[dict[int, int]]:
+    """Per component, the number of 4-adjacent pixel pairs it shares with
+    each neighbouring component."""
+    keys = []
+    for a, b in ((comp[:, :-1], comp[:, 1:]), (comp[:-1], comp[1:])):
+        diff = a != b
+        a, b = a[diff], b[diff]
+        keys.append(np.minimum(a, b).astype(np.int64) * ncomp + np.maximum(a, b))
+    pairs, lengths = np.unique(np.concatenate(keys), return_counts=True)
+    contact: list[dict[int, int]] = [{} for _ in range(ncomp)]
+    for lo, hi, length in zip((pairs // ncomp).tolist(), (pairs % ncomp).tolist(), lengths.tolist()):
+        contact[lo][hi] = length
+        contact[hi][lo] = length
+    return contact
 
 
 # ---------------------------------------------------------------------------

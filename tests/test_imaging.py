@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from segphrase import imaging
+from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import (
     Image,
     MalformedHeaderError,
     SuperpixelMap,
     TruncatedDataError,
     UnsupportedMagicError,
+    _enforce_connectivity,
     compute_superpixels,
     extract_features,
     labels_to_mask,
     load_image,
-    load_superpixel_map,
     save_image,
-    save_superpixel_map,
 )
+from superpixel_oracle import _enforce_connectivity as oracle_connectivity
+from superpixel_oracle import compute_superpixels as oracle_superpixels
 
 
 def write_pgm(path, magic, w, h, payload, maxval=255):
@@ -171,6 +173,68 @@ def test_deterministic_for_fixed_inputs():
     assert np.array_equal(a.labels, b.labels)
 
 
+def _first_appearance_increasing(labels):
+    return bool(np.all(np.diff(np.unique(labels.ravel(), return_index=True)[1]) > 0))
+
+
+def _assert_same_as_oracle(img, target):
+    got = compute_superpixels(img, target)
+    want = oracle_superpixels(img, target)
+    assert got.n == want.n
+    assert got.labels.dtype == want.labels.dtype
+    assert np.array_equal(got.labels, want.labels)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_oracle_on_random_images(seed):
+    rng = np.random.default_rng(100 + seed)
+    w, h = (int(v) for v in 2 * rng.integers(1, 12, size=2) + 1)
+    channels = 3 if seed % 2 else 1
+    img = Image(w, h, channels, rng.random((h, w, channels)))
+    targets = {1, w * h, *(int(t) for t in rng.integers(1, w * h + 1, size=4))}
+    for target in sorted(targets):
+        _assert_same_as_oracle(img, target)
+
+
+@pytest.mark.parametrize("w,h,target", [(9, 7, 3), (15, 11, 10), (13, 13, 169), (31, 5, 6)])
+def test_matches_oracle_on_uniform_images(w, h, target):
+    _assert_same_as_oracle(uniform_image(w, h, 0.3), target)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_matches_oracle_on_fragmented_scene(seed):
+    # noise 0.16 leaves thousands of stray fragments for the merge phase
+    scene = make_scene(SceneConfig(size=96, noise=0.16, seed=seed))
+    sm = _assert_same_as_oracle(scene.image, 400)
+    assert _first_appearance_increasing(sm.labels)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_connectivity_matches_oracle_on_label_grids(seed):
+    rng = np.random.default_rng(200 + seed)
+    h, w = (int(v) for v in rng.integers(1, 24, size=2))
+    grid = rng.integers(0, 1 + seed % 5, size=(h, w)).astype(np.int32)
+    for min_size in range(1, 6):
+        for max_count in (h * w, 12, 3, 1):
+            labels, n = _enforce_connectivity(grid, min_size, max_count)
+            want_labels, want_n = oracle_connectivity(grid, min_size, max_count)
+            assert n == want_n
+            assert np.array_equal(labels, want_labels)
+            assert n <= max(max_count, 1)
+
+
+@pytest.mark.parametrize("seed,target", [(0, 12), (1, 30), (2, 7), (3, 200)])
+def test_ids_in_raster_order_of_first_appearance(seed, target):
+    rng = np.random.default_rng(seed)
+    img = Image(24, 18, 1, rng.random((18, 24, 1)))
+    sm = compute_superpixels(img, target)
+    assert _first_appearance_increasing(sm.labels)
+    grid = rng.integers(0, 3, size=(18, 24)).astype(np.int32)
+    labels, _ = _enforce_connectivity(grid, 3, 20)
+    assert _first_appearance_increasing(labels)
+
+
 # -- extract_features ---------------------------------------------------------
 
 def test_constant_image_features_identical_boundary_zero():
@@ -257,13 +321,3 @@ def test_labels_to_mask_lifts_ids():
     sm = SuperpixelMap(2, 2, labels, 4)
     mask = labels_to_mask(np.array([1, 0, 0, 1]), sm)
     assert np.array_equal(mask, [[1, 0], [0, 1]])
-
-
-def test_superpixel_map_sidecar_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    img = Image(9, 7, 1, rng.random((7, 9, 1)))
-    sm = compute_superpixels(img, 5)
-    save_superpixel_map(sm, tmp_path / "sp.pgm")
-    back = load_superpixel_map(tmp_path / "sp.pgm.labels.txt")
-    assert back.n == sm.n
-    assert np.array_equal(back.labels, sm.labels)
