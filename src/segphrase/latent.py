@@ -3,14 +3,17 @@
 Superpixel labels inside the box are unobserved, so training alternates:
 refit the foreground mixture on currently-foreground superpixels pooled
 over all instances (background likewise), then relabel every instance by
-exact graph cut with superpixels outside the box clamped to background.
-Refits resume from the previous round's mixtures, which makes the pooled
-energy provably non-increasing across rounds; that is checked each round.
+exact graph cut with superpixels outside the box fixed to background.
+Fixed superpixels are eliminated exactly rather than penalised: they drop
+out of the graph and the Potts weight of each edge to a free neighbour
+moves into that neighbour's foreground cost, so every cut runs on the
+in-box superpixels only. Refits resume from the previous round's
+mixtures, which makes the pooled energy provably non-increasing across
+rounds; that is checked each round.
 """
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +23,6 @@ from .errors import DataError, NumericalError
 from .imaging import SuperpixelGraph
 from .mrf import MrfProblem, energy, min_cut_infer
 
-CLAMP_COST = 1e6
 DEFAULT_SEED_SHRINK = 0.6
 _MONOTONE_TOL = 1e-6
 
@@ -74,18 +76,24 @@ class SegmentationModel:
         return self.theta_fg.dim
 
 
+def box_overlap(graph: SuperpixelGraph, box) -> np.ndarray:
+    """Fraction of each superpixel's area inside the half-open pixel box.
+
+    The box is clipped to the image; an empty, inverted or wholly outside
+    box overlaps nothing.
+    """
+    x0, y0, x1, y1 = (max(int(v), 0) for v in box)
+    inside = graph.smap.labels[y0:y1, x0:x1].ravel()
+    return np.bincount(inside, minlength=graph.n) / graph.areas
+
+
 def make_instance(graph: SuperpixelGraph, box) -> TrainingInstance:
     """Build a TrainingInstance, computing per-superpixel box overlap."""
     x0, y0, x1, y1 = (int(v) for v in box)
     smap = graph.smap
     if not (0 <= x0 < x1 <= smap.width and 0 <= y0 < y1 <= smap.height):
         raise DegenerateBoxError(f"box {box} invalid for {smap.width}x{smap.height} image")
-    inside = np.zeros((smap.height, smap.width))
-    inside[y0:y1, x0:x1] = 1.0
-    frac = np.bincount(
-        smap.labels.ravel(), weights=inside.ravel(), minlength=smap.n
-    ) / graph.areas
-    return TrainingInstance(graph, (x0, y0, x1, y1), frac)
+    return TrainingInstance(graph, (x0, y0, x1, y1), box_overlap(graph, box))
 
 
 def init_labels(inst: TrainingInstance, seed_shrink: float = DEFAULT_SEED_SHRINK) -> np.ndarray:
@@ -114,15 +122,62 @@ def init_labels(inst: TrainingInstance, seed_shrink: float = DEFAULT_SEED_SHRINK
     return labels
 
 
-def _build_problem(model_fg, model_bg, lam, graph, clamp_bg=None) -> MrfProblem:
-    """One instance's MRF: negative log-densities as label costs."""
-    unary = np.empty((graph.n, 2))
-    unary[:, 1] = -gmm.log_density_many(model_fg, graph.features)
-    unary[:, 0] = -gmm.log_density_many(model_bg, graph.features)
-    if clamp_bg is not None and clamp_bg.any():
-        unary[clamp_bg, 1] += CLAMP_COST
-    weights = np.exp(-lam * graph.boundary_prob)
-    return MrfProblem(graph.n, unary, graph.edges, weights)
+def pairwise_weights(graph: SuperpixelGraph, lam: float) -> np.ndarray:
+    """Potts disagreement penalty per edge: high across weak boundaries."""
+    return np.exp(-lam * graph.boundary_prob)
+
+
+def _unary(theta_fg, theta_bg, features) -> np.ndarray:
+    """Negative log-densities as (cost-of-0, cost-of-1) rows."""
+    unary = np.empty((len(features), 2))
+    unary[:, 1] = -gmm.log_density_many(theta_fg, features)
+    unary[:, 0] = -gmm.log_density_many(theta_bg, features)
+    return unary
+
+
+def _cut_free(unary, edges, weights, fixed) -> np.ndarray:
+    """Exact min cut with the `fixed` nodes held at label 0.
+
+    `unary` has rows for the free nodes only, in node order. Fixed nodes
+    drop out of the graph: a free-fixed edge disagrees exactly when its
+    free end takes label 1, so its weight moves into that end's label-1
+    cost; a fixed-fixed edge always agrees and is dropped. The reduced
+    problem's minimisers are the constrained problem's, ties included.
+    """
+    labels = np.zeros(len(fixed), dtype=np.int8)
+    free = np.flatnonzero(~fixed)
+    if not free.size:
+        return labels
+    pos = np.full(len(fixed), -1)
+    pos[free] = np.arange(free.size)
+    a, b = pos[edges[:, 0]], pos[edges[:, 1]]
+    kept = (a >= 0) & (b >= 0)
+    folded = (a >= 0) != (b >= 0)
+    unary = unary.copy()
+    unary[:, 1] += np.bincount(
+        np.maximum(a, b)[folded], weights=weights[folded], minlength=free.size
+    )
+    problem = MrfProblem(
+        free.size, unary, np.column_stack([a[kept], b[kept]]), weights[kept]
+    )
+    labels[free] = min_cut_infer(problem)
+    return labels
+
+
+def cut(model: SegmentationModel, graph: SuperpixelGraph, clamp_bg=None) -> np.ndarray:
+    """Exact MAP labeling under the model, `clamp_bg` superpixels fixed to 0.
+
+    Mixture densities are evaluated for the free superpixels only; with
+    every superpixel fixed the result is all background and no cut runs.
+    """
+    if graph.features.shape[1] != model.dim:
+        raise ValueError("graph feature dimension does not match model")
+    if clamp_bg is None:
+        fixed = np.zeros(graph.n, dtype=bool)
+    else:
+        fixed = np.asarray(clamp_bg, dtype=bool)
+    unary = _unary(model.theta_fg, model.theta_bg, graph.features[~fixed])
+    return _cut_free(unary, graph.edges, pairwise_weights(graph, model.lam), fixed)
 
 
 def _pools(instances, labelings):
@@ -166,7 +221,7 @@ def _check_pools(labelings):
 def _em_run(instances, config, shrink) -> SegmentationModel:
     labelings = [init_labels(inst, shrink) for inst in instances]
     _check_pools(labelings)
-    clamp_masks = [inst.sp_in_box == 0.0 for inst in instances]
+    fixed_masks = [inst.sp_in_box == 0.0 for inst in instances]
 
     theta_fg = theta_bg = None
     history: list[float] = []
@@ -180,11 +235,15 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
 
         total = 0.0
         new_labelings = []
-        for inst, clamp in zip(instances, clamp_masks):
-            problem = _build_problem(theta_fg, theta_bg, config.lam, inst.graph, clamp)
-            labeling = min_cut_infer(problem)
+        for inst, fixed in zip(instances, fixed_masks):
+            graph = inst.graph
+            unary = _unary(theta_fg, theta_bg, graph.features)
+            weights = pairwise_weights(graph, config.lam)
+            labeling = _cut_free(unary[~fixed], graph.edges, weights, fixed)
             new_labelings.append(labeling)
-            total += energy(problem, labeling)
+            # the full problem: fixed nodes are labelled 0, so this is
+            # also the energy of the constrained problem
+            total += energy(MrfProblem(graph.n, unary, graph.edges, weights), labeling)
         if history and total > history[-1] + _MONOTONE_TOL:
             raise NumericalError(
                 f"pooled energy increased across EM rounds: {history[-1]} -> {total}"
@@ -210,36 +269,9 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
 
 def segment_with_model(model: SegmentationModel, graph: SuperpixelGraph) -> np.ndarray:
     """One relabeling pass on a fresh graph, no box clamp."""
-    if graph.features.shape[1] != model.dim:
-        raise ValueError("graph feature dimension does not match model")
-    problem = _build_problem(model.theta_fg, model.theta_bg, model.lam, graph)
-    return min_cut_infer(problem)
+    return cut(model, graph)
 
 
 def segment_instance(model: SegmentationModel, inst: TrainingInstance) -> np.ndarray:
-    """Relabeling pass with the instance's outside-box background clamp."""
-    if inst.graph.features.shape[1] != model.dim:
-        raise ValueError("graph feature dimension does not match model")
-    problem = _build_problem(
-        model.theta_fg, model.theta_bg, model.lam, inst.graph, inst.sp_in_box == 0.0
-    )
-    return min_cut_infer(problem)
-
-
-def parse_manifest(path) -> list[tuple[str, tuple[int, int, int, int]]]:
-    """Plain training manifest: one 'image-path x0 y0 x1 y1' line per instance."""
-    out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = shlex.split(line)
-            if len(parts) != 5:
-                raise DataError(f"{path}:{lineno}: expected 'image-path x0 y0 x1 y1'")
-            try:
-                box = tuple(int(v) for v in parts[1:])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer box field") from exc
-            out.append((parts[0], box))
-    return out
+    """Relabeling pass with the instance's outside-box superpixels fixed to 0."""
+    return cut(model, inst.graph, inst.sp_in_box == 0.0)

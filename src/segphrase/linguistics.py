@@ -23,7 +23,7 @@ from .imaging import (
     extract_features,
     labels_to_mask,
 )
-from .latent import SegmentationModel, _build_problem
+from .latent import box_overlap, cut, pairwise_weights
 from .mrf import MrfProblem, min_cut_infer
 from .spt import SegmentPhraseTable, normalize_phrase
 
@@ -226,7 +226,7 @@ def fuse_and_cut(masks: list[WeightedMask], graph: SuperpixelGraph, lam: float) 
     else:
         norm = (pooled > 0).astype(np.float64)
     unary = np.column_stack([norm, 1.0 - norm])
-    weights = np.exp(-lam * graph.boundary_prob)
+    weights = pairwise_weights(graph, lam)
     return min_cut_infer(MrfProblem(graph.n, unary, graph.edges, weights))
 
 
@@ -314,7 +314,7 @@ def semantic_segment(
         if not hits:
             raise UnknownPhraseError(f"phrase {det.phrase!r} not in table")
         model = hits[0][1]  # lowest component id
-        labeling = _cut_restricted(model, graph, det.box)
+        labeling = cut(model, graph, box_overlap(graph, det.box) == 0.0)
         masks.append(
             WeightedMask(det.phrase, labels_to_mask(labeling, smap), det.score)
         )
@@ -326,18 +326,3 @@ def semantic_segment(
         for m, r in zip(masks, rescored)
     ]
     return SemanticSegmentation(labels, labels_to_mask(labels, smap), report, graph)
-
-
-def _cut_restricted(model: SegmentationModel, graph: SuperpixelGraph, box) -> np.ndarray:
-    """Model-driven cut with superpixels outside the box clamped to background."""
-    x0, y0, x1, y1 = box
-    smap = graph.smap
-    inside = np.zeros((smap.height, smap.width))
-    inside[max(y0, 0) : max(y1, 0), max(x0, 0) : max(x1, 0)] = 1.0
-    frac = np.bincount(
-        smap.labels.ravel(), weights=inside.ravel(), minlength=smap.n
-    ) / graph.areas
-    problem = _build_problem(
-        model.theta_fg, model.theta_bg, model.lam, graph, frac == 0.0
-    )
-    return min_cut_infer(problem)

@@ -5,7 +5,9 @@ edge whose endpoints disagree (Potts form). Inference reduces to an s/t
 min cut: node costs become terminal capacities after subtracting the
 per-node minimum (so capacities stay nonnegative even for negative
 costs), disagreement penalties become symmetric inter-node capacities.
-A brute-force enumerator doubles as the testing oracle.
+The residual network is built with numpy in one pass, as CSR arc arrays,
+and handed to the Dinic loops as plain lists. A brute-force enumerator
+doubles as the testing oracle.
 """
 
 from __future__ import annotations
@@ -62,90 +64,108 @@ def energy(problem: MrfProblem, labeling: np.ndarray) -> float:
     return total
 
 
-class _FlowNetwork:
-    """Adjacency-list residual network for Dinic's algorithm."""
+def _residual_network(problem: MrfProblem):
+    """The s/t residual network in CSR form: (start, adj, to, cap) lists.
 
-    def __init__(self, n_nodes: int):
-        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
+    Arcs come in pairs: pair p is arc 2p (u -> v) and its reverse 2p + 1,
+    so eid ^ 1 is the reverse of eid. Pairs are numbered node by node (the
+    source arc, then the sink arc, each only if its capacity is positive),
+    then by edge over the positive-weight edges. Node u's arcs are
+    adj[start[u]:start[u + 1]] in increasing arc id; the Dinic loops scan
+    them in that order, which fixes the flows bit for bit.
+    """
+    n = problem.n
+    source, sink = n, n + 1
+    terminal = problem.unary - problem.unary.min(axis=1)[:, None]
+    has = terminal > 0.0  # (n, 2): source arc (cost of 0), sink arc (cost of 1)
+    node = np.broadcast_to(np.arange(n)[:, None], (n, 2))[has]
+    to_sink = np.broadcast_to(np.array([False, True]), (n, 2))[has]
+    live = problem.weights > 0.0
+    u = np.concatenate([np.where(to_sink, node, source), problem.edges[live, 0]])
+    v = np.concatenate([np.where(to_sink, sink, node), problem.edges[live, 1]])
+    forward = np.concatenate([terminal[has], problem.weights[live]])
+    backward = np.concatenate([np.zeros(len(node)), problem.weights[live]])
+    tail = np.column_stack([u, v]).ravel()
+    start = np.zeros(n + 3, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n + 2), out=start[1:])
+    return (
+        start.tolist(),
+        np.argsort(tail, kind="stable").tolist(),
+        np.column_stack([v, u]).ravel().tolist(),
+        np.column_stack([forward, backward]).ravel().tolist(),
+    )
 
-    def add_edge(self, u: int, v: int, cap_uv: float, cap_vu: float = 0.0):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap_uv)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(cap_vu)
 
-    def _bfs_levels(self, source: int, sink: int):
-        level = [-1] * len(self.head)
+def _max_flow(start, adj, to, cap, source, sink) -> float:
+    """Dinic's algorithm; pushes flow into cap in place."""
+    n_nodes = len(start) - 1
+    total = 0.0
+    while True:
+        level = [-1] * n_nodes
         level[source] = 0
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if level[v] < 0 and self.cap[eid] > _EPS:
-                    level[v] = level[u] + 1
+            next_level = level[u] + 1
+            for k in range(start[u], start[u + 1]):
+                eid = adj[k]
+                v = to[eid]
+                if level[v] < 0 and cap[eid] > _EPS:
+                    level[v] = next_level
                     queue.append(v)
-        return level if level[sink] >= 0 else None
-
-    def _augment(self, source, sink, level, it):
-        """Push flow along one source-sink path of the level graph."""
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                flow = min(self.cap[eid] for eid in path)
-                for eid in path:
-                    self.cap[eid] -= flow
-                    self.cap[eid ^ 1] += flow
-                return flow
-            advanced = False
-            while it[u] < len(self.head[u]):
-                eid = self.head[u][it[u]]
-                v = self.to[eid]
-                if self.cap[eid] > _EPS and level[v] == level[u] + 1:
+        if level[sink] < 0:
+            return total
+        it = start[:-1]
+        while True:  # one augmenting path of the level graph per pass
+            path: list[int] = []
+            u = source
+            while True:
+                if u == sink:
+                    pushed = min(cap[eid] for eid in path)
+                    for eid in path:
+                        cap[eid] -= pushed
+                        cap[eid ^ 1] += pushed
+                    break
+                end = start[u + 1]
+                next_level = level[u] + 1
+                k = it[u]
+                while k < end:
+                    eid = adj[k]
+                    v = to[eid]
+                    if cap[eid] > _EPS and level[v] == next_level:
+                        break
+                    k += 1
+                it[u] = k
+                if k < end:
                     path.append(eid)
                     u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
+                    continue
                 if u == source:
-                    return 0.0
+                    pushed = 0.0
+                    break
                 level[u] = -1  # dead end for this phase
                 last = path.pop()
-                u = self.to[last ^ 1]
+                u = to[last ^ 1]
                 it[u] += 1
+            if pushed <= 0.0:
+                break
+            total += pushed
 
-    def max_flow(self, source: int, sink: int) -> float:
-        total = 0.0
-        while True:
-            level = self._bfs_levels(source, sink)
-            if level is None:
-                return total
-            it = [0] * len(self.head)
-            while True:
-                pushed = self._augment(source, sink, level, it)
-                if pushed <= 0.0:
-                    break
-                total += pushed
 
-    def source_side(self, source: int) -> np.ndarray:
-        """Nodes reachable from source in the residual graph (minimal cut side)."""
-        seen = np.zeros(len(self.head), dtype=bool)
-        seen[source] = True
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if not seen[v] and self.cap[eid] > _EPS:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+def _source_side(start, adj, to, cap, source) -> list[bool]:
+    """Nodes reachable from source in the residual graph (minimal cut side)."""
+    seen = [False] * (len(start) - 1)
+    seen[source] = True
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for k in range(start[u], start[u + 1]):
+            eid = adj[k]
+            v = to[eid]
+            if not seen[v] and cap[eid] > _EPS:
+                seen[v] = True
+                queue.append(v)
+    return seen
 
 
 def solve_max_flow(problem: MrfProblem):
@@ -159,21 +179,10 @@ def solve_max_flow(problem: MrfProblem):
         raise SubmodularityError("pairwise weights must be nonnegative")
     n = problem.n
     source, sink = n, n + 1
-    net = _FlowNetwork(n + 2)
-    base = problem.unary.min(axis=1)
-    for i in range(n):
-        cost0 = problem.unary[i, 0] - base[i]
-        cost1 = problem.unary[i, 1] - base[i]
-        if cost0 > 0.0:
-            net.add_edge(source, i, cost0)
-        if cost1 > 0.0:
-            net.add_edge(i, sink, cost1)
-    for (i, j), w in zip(problem.edges, problem.weights):
-        if w > 0.0:
-            net.add_edge(int(i), int(j), w, w)
-    flow = net.max_flow(source, sink)
-    labeling = net.source_side(source)[:n].astype(np.int8)
-    return labeling, flow
+    start, adj, to, cap = _residual_network(problem)
+    flow = _max_flow(start, adj, to, cap, source, sink)
+    seen = _source_side(start, adj, to, cap, source)
+    return np.array(seen[:n], dtype=np.int8), flow
 
 
 def min_cut_infer(problem: MrfProblem) -> np.ndarray:
@@ -208,31 +217,3 @@ def brute_force_infer(problem: MrfProblem) -> np.ndarray:
             best_energy = float(energies[idx])
             best_labeling = labels[idx].copy()
     return best_labeling
-
-
-def dump_problem(problem: MrfProblem) -> str:
-    """Round-trippable text form: n, n unary lines, then 'i j w' edge lines."""
-    lines = [str(problem.n)]
-    for c0, c1 in problem.unary:
-        lines.append(f"{float(c0)!r} {float(c1)!r}")
-    for (i, j), w in zip(problem.edges, problem.weights):
-        lines.append(f"{i} {j} {float(w)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_problem(text: str) -> MrfProblem:
-    """Inverse of dump_problem."""
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    n = int(rows[0])
-    unary = np.array([[float(t) for t in rows[1 + i].split()] for i in range(n)])
-    edges, weights = [], []
-    for ln in rows[1 + n:]:
-        i, j, w = ln.split()
-        edges.append((int(i), int(j)))
-        weights.append(float(w))
-    return MrfProblem(
-        n,
-        unary.reshape(n, 2),
-        np.array(edges, dtype=np.int32).reshape(-1, 2),
-        np.array(weights),
-    )

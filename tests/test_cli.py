@@ -234,3 +234,45 @@ def test_bad_detections_file_exits_2(tmp_path, workspace, capsys):
         str(table_path), str(emb), str(tmp_path / "m.pgm"),
     ])
     assert rc == 2
+
+
+def test_degenerate_detection_boxes_give_background(tmp_path, workspace, capsys, monkeypatch):
+    # zero-area, inverted and wholly outside boxes leave no superpixel free,
+    # so only the fused cut runs and the mask is all background
+    import segphrase.latent
+    import segphrase.linguistics
+    from segphrase.mrf import min_cut_infer
+
+    table_path = tmp_path / "t.spt"
+    assert main(["train", str(workspace / "manifest.txt"), str(table_path), "--k", "1"]) == 0
+    capsys.readouterr()
+    sizes = []
+
+    def recording_cut(problem):
+        sizes.append(problem.n)
+        return min_cut_infer(problem)
+
+    for module in (segphrase.latent, segphrase.linguistics):
+        monkeypatch.setattr(module, "min_cut_infer", recording_cut)
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text(
+        '"round object" 10 10 10 30 0.9\n'
+        '"round object" 30 30 10 10 0.8\n'
+        '"round object" 60 60 90 90 0.7\n'
+        '"round object" -20 -20 -5 -5 0.6\n'
+    )
+    emb = tmp_path / "e.txt"
+    write_embeddings_file(emb)
+    mask_path = tmp_path / "m.pgm"
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(det_path),
+        str(table_path), str(emb), str(mask_path),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 4
+    assert len(sizes) == 1 and sizes[0] > 0
+    mask = load_image(mask_path)
+    assert (mask.width, mask.height) == (48, 48)
+    assert not mask.data.any()

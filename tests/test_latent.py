@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segphrase import gmm
+from segphrase import gmm, latent
 from segphrase.errors import NumericalError
 from segphrase.evaluation import SceneConfig, make_scene, seg_metrics
 from segphrase.imaging import (
@@ -15,13 +15,16 @@ from segphrase.latent import (
     DegenerateBoxError,
     SegmentationModel,
     TrainConfig,
+    _cut_free,
+    box_overlap,
+    cut,
     em_learn,
     init_labels,
     make_instance,
-    parse_manifest,
     segment_instance,
     segment_with_model,
 )
+from segphrase.mrf import MrfProblem, energy, min_cut_infer
 
 
 def grid_instance(box, w=8, h=8, value=0.5, target=4):
@@ -225,10 +228,110 @@ def test_held_out_two_texture_recovery():
     assert seg_metrics(mask, test.gt_mask).jaccard >= 0.9
 
 
-def test_parse_manifest(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("# comment\nimg1.pgm 1 2 3 4\n\nimg2.pgm 0 0 8 8\n")
-    assert parse_manifest(path) == [
-        ("img1.pgm", (1, 2, 3, 4)),
-        ("img2.pgm", (0, 0, 8, 8)),
-    ]
+# -- cut: exact elimination of fixed superpixels ---------------------------------------
+
+def _constrained_brute_force(p, fixed):
+    """Lexicographically smallest minimiser among labelings with `fixed` at 0."""
+    free = np.flatnonzero(~fixed)
+    ks = np.arange(1 << free.size)
+    labels = np.zeros((len(ks), p.n), dtype=np.int64)
+    labels[:, free] = (ks[:, None] >> np.arange(free.size - 1, -1, -1)) & 1
+    energies = labels @ p.unary[:, 1] + (1 - labels) @ p.unary[:, 0]
+    if len(p.edges):
+        energies += (labels[:, p.edges[:, 0]] != labels[:, p.edges[:, 1]]) @ p.weights
+    best = int(np.argmin(energies))
+    return labels[best], float(energies[best])
+
+
+def _clamped_problem(rng, scale, ties):
+    n = int(rng.integers(1, 13))
+    if ties:
+        unary = rng.integers(-2, 3, size=(n, 2)) * scale
+    else:
+        unary = rng.uniform(-5, 5, size=(n, 2)) * scale
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+    if ties:
+        weights = rng.integers(0, 3, size=len(pairs)) * scale
+    else:
+        weights = rng.uniform(0, 3, size=len(pairs)) * scale
+    p = MrfProblem(
+        n, unary.astype(float), np.array(pairs, dtype=np.int32).reshape(-1, 2), weights
+    )
+    return p, rng.random(n) < rng.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+@pytest.mark.parametrize("ties", [False, True])
+def test_elimination_matches_constrained_brute_force(scale, ties):
+    rng = np.random.default_rng(int(scale) + ties)
+    for _ in range(40):
+        p, fixed = _clamped_problem(rng, scale, ties)
+        labels = _cut_free(p.unary[~fixed], p.edges, p.weights, fixed)
+        want, best = _constrained_brute_force(p, fixed)
+        assert not labels[fixed].any()
+        assert energy(p, labels) == pytest.approx(best, rel=0, abs=1e-9 * scale)
+        if ties:  # exact arithmetic: the cut is the smallest minimiser
+            assert np.array_equal(labels, want)
+
+
+def _far_background_model(graph):
+    """Foreground fit to the graph; background so far away that every
+    superpixel's cost of 0 exceeds its cost of 1 by far more than 1e6."""
+    fg = gmm.fit(graph.features, 1, seed=0)
+    bg = gmm.GaussianMixture(
+        np.array([1.0]), fg.means + 100.0, np.full_like(fg.variances, 1e-4)
+    )
+    return SegmentationModel(fg, bg, lam=0.05)
+
+
+def _soft_clamped_cut(model, graph, fixed):
+    """The old clamp: a 1e6 penalty on label 1 of the fixed superpixels."""
+    unary = np.column_stack([
+        -gmm.log_density_many(model.theta_bg, graph.features),
+        -gmm.log_density_many(model.theta_fg, graph.features),
+    ])
+    unary[fixed, 1] += 1e6
+    weights = np.exp(-model.lam * graph.boundary_prob)
+    return min_cut_infer(MrfProblem(graph.n, unary, graph.edges, weights))
+
+
+def test_fixed_node_stays_background_against_huge_costs():
+    rng = np.random.default_rng(1)
+    img = Image(16, 16, 1, rng.random((16, 16, 1)))
+    graph = extract_features(img, compute_superpixels(img, 12))
+    model = _far_background_model(graph)
+    fixed = box_overlap(graph, (0, 0, 8, 16)) == 0.0
+    assert fixed.any() and not fixed.all()
+    assert np.array_equal(cut(model, graph, fixed), ~fixed)
+    assert _soft_clamped_cut(model, graph, fixed)[fixed].any()
+
+
+def test_every_node_fixed_skips_the_cut(monkeypatch):
+    img = Image(16, 16, 1, np.random.default_rng(2).random((16, 16, 1)))
+    graph = extract_features(img, compute_superpixels(img, 12))
+
+    def no_cut(problem):
+        raise AssertionError(f"cut of size {problem.n} built")
+
+    monkeypatch.setattr(latent, "min_cut_infer", no_cut)
+    labels = cut(_far_background_model(graph), graph, np.ones(graph.n, dtype=bool))
+    assert labels.dtype == np.int8 and not labels.any()
+
+
+@pytest.mark.parametrize("seed", [30, 31])
+def test_cut_matches_box_clamped_full_problem(seed):
+    # with costs far below 1e6 the old clamp fixes the outside-box
+    # superpixels exactly, so both cuts give the same labels
+    inst = scene_instance(make_scene(SceneConfig(seed=seed)))
+    model = em_learn([inst], TrainConfig(k=2, seed=seed))
+    soft = _soft_clamped_cut(model, inst.graph, inst.sp_in_box == 0.0)
+    assert np.array_equal(segment_instance(model, inst), soft)
+
+
+@pytest.mark.parametrize(
+    "box", [(2, 2, 2, 6), (6, 6, 2, 2), (9, 0, 12, 4), (-5, -5, -1, -1)]
+)
+def test_box_overlap_of_degenerate_boxes_is_empty(box):
+    graph = grid_instance((0, 0, 8, 8)).graph
+    assert not box_overlap(graph, box).any()
+

@@ -12,7 +12,7 @@ from segphrase.imaging import (
     extract_features,
     labels_to_mask,
 )
-from segphrase.latent import TrainConfig, em_learn, make_instance
+from segphrase.latent import TrainConfig, box_overlap, cut, em_learn, make_instance
 from segphrase.linguistics import (
     Detection,
     DuplicateWordError,
@@ -23,7 +23,6 @@ from segphrase.linguistics import (
     UndefinedCosineError,
     UnknownPhraseError,
     WeightedMask,
-    _cut_restricted,
     fuse_and_cut,
     load_embeddings,
     message_pass,
@@ -302,7 +301,8 @@ def test_single_detection_equals_restricted_cut(trained_setup):
     scene, table, emb = trained_setup
     det = Detection("round object", scene.box, 1.0)
     res = semantic_segment(scene.image, [det], table, emb, Config())
-    direct = _cut_restricted(table.query("round object")[0][1], res.graph, scene.box)
+    model = table.query("round object")[0][1]
+    direct = cut(model, res.graph, box_overlap(res.graph, scene.box) == 0.0)
     assert np.array_equal(res.labels, direct)
     assert len(res.report) == 1
     assert seg_metrics(res.mask, scene.gt_mask).jaccard >= 0.9

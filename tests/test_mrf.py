@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxflow_oracle import solve_max_flow as oracle_solve_max_flow
+from segphrase import gmm
+from segphrase.evaluation import SceneConfig, make_scene
+from segphrase.imaging import compute_superpixels, extract_features
+from segphrase.latent import TrainConfig, em_learn, make_instance
 from segphrase.mrf import (
     MrfProblem,
     SubmodularityError,
     brute_force_infer,
-    dump_problem,
     energy,
     min_cut_infer,
-    parse_problem,
     solve_max_flow,
 )
 
@@ -143,11 +146,52 @@ def test_cut_equals_brute_force_property(seed):
     )
 
 
-def test_dump_parse_round_trip():
-    rng = np.random.default_rng(5)
-    p = random_problem(rng, max_n=7)
-    q = parse_problem(dump_problem(p))
-    assert q.n == p.n
-    assert np.array_equal(q.unary, p.unary)
-    assert np.array_equal(q.edges, p.edges)
-    assert np.array_equal(q.weights, p.weights)
+# -- array-built network against the per-edge reference -------------------------
+
+def _assert_same_as_oracle(p):
+    labeling, flow = solve_max_flow(p)
+    want_labeling, want_flow = oracle_solve_max_flow(p)
+    assert np.array_equal(labeling, want_labeling)
+    assert flow == want_flow
+
+
+def tie_heavy_problem(rng, max_n=12):
+    """Small-integer costs and weights: exact ties, zero weights, zero-cost
+    nodes (equal costs) and isolated nodes are all common."""
+    n = int(rng.integers(1, max_n + 1))
+    unary = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    weights = rng.integers(0, 3, size=len(pairs)).astype(float)
+    return make(n, unary, pairs, weights)
+
+
+def test_matches_oracle_on_random_problems():
+    rng = np.random.default_rng(21)
+    for _ in range(150):
+        _assert_same_as_oracle(random_problem(rng, max_n=14))
+        _assert_same_as_oracle(tie_heavy_problem(rng))
+
+
+def test_matches_oracle_on_edge_cases():
+    _assert_same_as_oracle(make(1, [[0.0, 0.0]]))
+    _assert_same_as_oracle(make(1, [[3.0, -1.0]]))
+    _assert_same_as_oracle(make(3, np.zeros((3, 2))))
+    _assert_same_as_oracle(make(3, [[1, 2], [2, 1], [0, 0]], [(0, 1), (1, 2)], [0.0, 0.0]))
+    _assert_same_as_oracle(make(4, [[1, 0], [0, 1], [1, 0], [0, 1]], [(0, 1), (2, 3)], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_matches_oracle_on_scene_graphs(seed):
+    scene = make_scene(SceneConfig(size=256, seed=seed))
+    graph = extract_features(scene.image, compute_superpixels(scene.image, 800))
+    model = em_learn([make_instance(graph, scene.box)], TrainConfig(k=2, seed=seed))
+    unary = np.column_stack([
+        -gmm.log_density_many(model.theta_bg, graph.features),
+        -gmm.log_density_many(model.theta_fg, graph.features),
+    ])
+    weights = np.exp(-model.lam * graph.boundary_prob)
+    _assert_same_as_oracle(make(graph.n, unary, graph.edges, weights))
+    # mixed magnitudes: outside-box label-1 costs raised by 1e6
+    outside = make_instance(graph, scene.box).sp_in_box == 0.0
+    unary[outside, 1] += 1e6
+    _assert_same_as_oracle(make(graph.n, unary, graph.edges, weights))
