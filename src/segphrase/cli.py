@@ -12,7 +12,6 @@ import dataclasses
 import json
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import evaluation, relations
 from .config import Config, load_config
@@ -59,7 +58,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, help="master RNG seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
     parser.add_argument("--lambda", dest="lam", type=float, help="pairwise scale")
     parser.add_argument("--k", type=int, help="mixture components per model side")
 
@@ -185,15 +183,12 @@ def cmd_train(args) -> int:
     groups = parse_train_manifest(args.manifest)
     table = SegmentPhraseTable(k_exemplars=config.k_exemplars)
 
-    def load_group(entry):
-        (_phrase, _component), items = entry
-        return [
-            _load_instance(path, box, config.superpixel_target)
-            for path, box in items
-        ]
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        loaded = list(pool.map(load_group, groups))
+    # every image loads before any group trains, so a bad image fails
+    # before anything reaches stdout
+    loaded = [
+        [_load_instance(path, box, config.superpixel_target) for path, box in items]
+        for _key, items in groups
+    ]
 
     for group_index, ((phrase, component), items) in enumerate(groups):
         pairs = loaded[group_index]
@@ -319,18 +314,14 @@ def cmd_relations(args) -> int:
                 for j in range(len(universe))
                 if i != j
             }
-        for p in sorted({normalize_phrase(p) for x, y, _g in pairs for p in (x, y)}):
-            phrase_exemplars(p)  # warm the cache so pair scoring is read-only
-
-        def score_pair(pair):
-            x, y, gold = pair
+        for x, y, gold in pairs:
             ex, ey = phrase_exemplars(x), phrase_exemplars(y)
-            score = relations.entail_score(ex, ey)
             if args.mode == "paraphrase":
-                margin = config.paraphrase_tau - abs(
-                    score - relations.entail_score(ey, ex)
-                )
-                return (x, y, margin, int(margin >= 0)), (margin, gold == "paraphrase")
+                margin = relations.paraphrase_margin(ex, ey, config.paraphrase_tau)
+                rows.append((x, y, margin, int(margin >= 0)))
+                scored.append((margin, gold == "paraphrase"))
+                continue
+            score = relations.entail_score(ex, ey)
             if graph_decisions is not None:
                 # diagonal decisions are fixed at 0 (a phrase never entails
                 # itself in the decision matrix), so self-pairs bypass lookup
@@ -339,12 +330,8 @@ def cmd_relations(args) -> int:
                 )
             else:
                 decision = int(score > 0)
-            return (x, y, score, decision), (score, gold == "entails")
-
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            for row, tally in pool.map(score_pair, pairs):
-                rows.append(row)
-                scored.append(tally)
+            rows.append((x, y, score, decision))
+            scored.append((score, gold == "entails"))
         header = "x,y,score,decision\n"
         lines = [f"{x},{y},{s!r},{d}\n" for x, y, s, d in rows]
 

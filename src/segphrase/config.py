@@ -1,7 +1,7 @@
 """Run configuration shared by the CLI and the pipeline entry points.
 
-Serialized as a key=value text file that round-trips losslessly (floats
-are written with repr, which Python parses back to the identical value).
+Read from a key=value text file; a float written with repr parses back to
+the identical value.
 """
 
 from __future__ import annotations
@@ -66,8 +66,3 @@ def load_config(path) -> Config:
                 raise DataError(f"{path}:{lineno}: bad value for {key}") from exc
     return Config(**values)
 
-
-def save_config(config: Config, path) -> None:
-    with open(path, "w") as fh:
-        for f in dataclasses.fields(Config):
-            fh.write(f"{f.name} = {getattr(config, f.name)!r}\n")

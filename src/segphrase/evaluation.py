@@ -64,14 +64,6 @@ def declaration_curve(scored, grid=None) -> list[tuple[float, int]]:
     return out
 
 
-def write_metrics_csv(rows, path) -> None:
-    """rows of (name, SegMetrics) to 'name,precision,jaccard' lines."""
-    with open(path, "w") as fh:
-        fh.write("name,precision,jaccard\n")
-        for name, m in rows:
-            fh.write(f"{name},{m.precision!r},{m.jaccard!r}\n")
-
-
 def write_curve_csv(curve, path) -> None:
     with open(path, "w") as fh:
         fh.write("fraction,correct\n")

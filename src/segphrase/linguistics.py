@@ -160,40 +160,33 @@ def phrase_vector(table: EmbeddingTable, phrase: str) -> tuple[np.ndarray, int]:
     return total, missing
 
 
-def phrase_similarity(table: EmbeddingTable, p: str, q: str) -> float:
-    """Cosine between the composite vectors of two phrases, in [-1, 1]."""
-    u, _ = phrase_vector(table, p)
-    v, _ = phrase_vector(table, q)
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise UndefinedCosineError(f"zero-norm composite vector for {p!r} or {q!r}")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def message_pass(masks: list[WeightedMask], table: EmbeddingTable) -> list[WeightedMask]:
     """One simultaneous rescoring round over the fully-connected mask pool.
 
     Each mask's new score is the similarity-weighted sum of all old scores,
-    including its own (self similarity 1). Negative similarities are
-    clamped to zero so out-of-context phrases dampen rather than flip.
+    including its own (self similarity 1). Similarity is the cosine of the
+    phrases' composite vectors; negative similarities are clamped to zero so
+    out-of-context phrases dampen rather than flip. Raises
+    UndefinedCosineError when a pool of two or more masks has a zero-norm
+    composite vector, and NumericalError when a rescored score overflows.
     """
     if not masks:
         raise ValueError("message_pass needs at least one mask")
-    vecs = {m.phrase: phrase_vector(table, m.phrase)[0] for m in masks}
+    vecs = np.array([phrase_vector(table, m.phrase)[0] for m in masks])
     n = len(masks)
     sim = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = vecs[masks[i].phrase], vecs[masks[j].phrase]
-            nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-            if nu == 0.0 or nv == 0.0:
-                raise UndefinedCosineError(
-                    f"zero-norm composite vector for {masks[i].phrase!r} "
-                    f"or {masks[j].phrase!r}"
-                )
-            sim[i, j] = sim[j, i] = max(float(np.dot(u, v) / (nu * nv)), 0.0)
-    old = np.array([m.score for m in masks])
-    new = sim @ old
+    if n > 1:
+        norms = np.linalg.norm(vecs, axis=1)
+        if (norms == 0.0).any():
+            phrase = masks[int(np.argmin(norms))].phrase
+            raise UndefinedCosineError(f"zero-norm composite vector for {phrase!r}")
+        unit = vecs / norms[:, None]
+        sim = np.maximum(unit @ unit.T, 0.0)
+        np.fill_diagonal(sim, 1.0)
+    with np.errstate(over="ignore"):
+        new = sim @ np.array([m.score for m in masks])
+    if not np.isfinite(new).all():
+        raise NumericalError("rescored mask scores overflow")
     return [WeightedMask(m.phrase, m.mask, float(s)) for m, s in zip(masks, new)]
 
 
@@ -218,8 +211,11 @@ def fuse_and_cut(masks: list[WeightedMask], graph: SuperpixelGraph, lam: float) 
     if not masks:
         raise ValueError("fuse_and_cut needs at least one mask")
     pooled = np.zeros(graph.n)
-    for m in masks:
-        pooled += m.score * _superpixel_weights(m.mask, graph)
+    with np.errstate(over="ignore"):
+        for m in masks:
+            pooled += m.score * _superpixel_weights(m.mask, graph)
+    if not np.isfinite(pooled).all():
+        raise NumericalError("pooled mask weights overflow")
     lo, hi = float(pooled.min()), float(pooled.max())
     if hi > lo:
         norm = (pooled - lo) / (hi - lo)
@@ -248,6 +244,8 @@ def parse_detections(path) -> list[Detection]:
                 score = float(parts[5])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad numeric field") from exc
+            if not np.isfinite(score):
+                raise DataError(f"{path}:{lineno}: detection score must be finite")
             out.append(Detection(parts[0], box, score))
     return out
 

@@ -117,11 +117,19 @@ def entail_score(x: PhraseExemplars, y: PhraseExemplars) -> float:
     return directed_similarity(x, y) - directed_similarity(y, x)
 
 
-def is_paraphrase(x: PhraseExemplars, y: PhraseExemplars, tau: float) -> bool:
-    """Both directions entail about equally: score gap within tau (inclusive)."""
+def paraphrase_margin(x: PhraseExemplars, y: PhraseExemplars, tau: float) -> float:
+    """tau minus the gap between the two directions' entailment scores.
+
+    Nonnegative exactly when x and y are paraphrases at threshold tau.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return abs(entail_score(x, y) - entail_score(y, x)) <= tau
+    return tau - abs(entail_score(x, y) - entail_score(y, x))
+
+
+def is_paraphrase(x: PhraseExemplars, y: PhraseExemplars, tau: float) -> bool:
+    """Both directions entail about equally: score gap within tau (inclusive)."""
+    return paraphrase_margin(x, y, tau) >= 0
 
 
 def relative_similarity(x, y, z) -> tuple[PhraseExemplars, float, float]:

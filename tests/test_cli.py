@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from segphrase import relations
 from segphrase.cli import main, parse_train_manifest
-from segphrase.config import Config, load_config, save_config
+from segphrase.config import Config, load_config
 from segphrase.errors import DataError
 from segphrase.imaging import load_image
 from segphrase.spt import load_table
@@ -13,9 +14,26 @@ from segphrase.spt import load_table
 # -- config round trip -------------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
-    cfg = Config(lam=0.07, gmm_k=3, seed=5, paraphrase_tau=0.25)
-    save_config(cfg, tmp_path / "c.cfg")
-    assert load_config(tmp_path / "c.cfg") == cfg
+    # every key, floats written with repr, ints as plain integers
+    (tmp_path / "c.cfg").write_text(
+        "lam = 0.07\n"
+        "gmm_k = 3\n"
+        "em_max_iters = 10\n"
+        "superpixel_target = 200\n"
+        "k_exemplars = 10\n"
+        "ilp_lambda = 0.30000000000000004\n"
+        "nms_iou = 0.5\n"
+        "paraphrase_tau = 0.25\n"
+        "seed = 5\n"
+        "seed_shrink = 0.6\n"
+        "detection_threshold = 1e-07\n"
+    )
+    cfg = load_config(tmp_path / "c.cfg")
+    assert cfg == Config(
+        lam=0.07, gmm_k=3, seed=5, paraphrase_tau=0.25,
+        ilp_lambda=0.1 + 0.2, detection_threshold=1e-7,
+    )
+    assert type(cfg.gmm_k) is int and type(cfg.seed) is int
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -34,7 +52,7 @@ def test_config_file_loaded_and_flags_override(tmp_path):
     from segphrase.cli import _resolve_config, build_parser
 
     cfg_path = tmp_path / "c.cfg"
-    save_config(Config(lam=0.2, gmm_k=4, paraphrase_tau=0.3), cfg_path)
+    cfg_path.write_text("lam = 0.2\ngmm_k = 4\nparaphrase_tau = 0.3\n")
     args = build_parser().parse_args(
         ["train", "m.txt", "out.spt", "--config", str(cfg_path), "--k", "2"]
     )
@@ -99,7 +117,7 @@ def test_train_segment_relations_pipeline(workspace, tmp_path, capsys):
     table_path = tmp_path / "models.spt"
     rc = main([
         "train", str(workspace / "manifest.txt"), str(table_path),
-        "--seed", "3", "--k", "1", "--jobs", "2",
+        "--seed", "3", "--k", "1",
     ])
     captured = capsys.readouterr()
     assert rc == 0
@@ -151,6 +169,13 @@ def test_train_segment_relations_pipeline(workspace, tmp_path, capsys):
         "--table", str(table_path), "--tau", "0.5",
     ])
     assert rc == 0
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "x,y,score,decision" and len(lines) == 4
+    for line in lines[1:]:
+        x, y, score, decision = line.split(",")
+        ex, ey = (relations.exemplars_from_table(table, p) for p in (x, y))
+        assert float(score) == relations.paraphrase_margin(ex, ey, 0.5)
+        assert int(decision) == int(relations.is_paraphrase(ex, ey, 0.5))
 
     simrel = tmp_path / "sim.tsv"
     simrel.write_text("round object\tsquare object\tround object\tsquare object\n")
@@ -188,6 +213,22 @@ def test_missing_image_exits_2(tmp_path, capsys):
     assert "img.pgm" in capsys.readouterr().err
 
 
+def test_training_input_is_all_or_nothing(tmp_path, workspace, capsys):
+    # the second group names a missing image: nothing trains, nothing is written
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(
+        (workspace / "round" / "manifest.txt").read_text()
+        + '"square object" 0 /nonexistent/img.pgm 0 0 4 4\n'
+    )
+    out_table = tmp_path / "out.spt"
+    rc = main(["train", str(manifest), str(out_table), "--k", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "img.pgm" in captured.err
+    assert not out_table.exists()
+
+
 def test_collapse_exits_3(tmp_path, capsys):
     # uniform images: ties relabel everything background -> collapse
     from segphrase.imaging import Image, save_image
@@ -202,9 +243,13 @@ def test_collapse_exits_3(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", "somewhere", "--frobnicate"])
-    assert exc.value.code == 1
+    for argv in (
+        ["synth", "somewhere", "--frobnicate"],
+        ["train", "m.txt", "out.spt", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 def test_usage_error_exits_1(capsys):
@@ -276,3 +321,46 @@ def test_degenerate_detection_boxes_give_background(tmp_path, workspace, capsys,
     mask = load_image(mask_path)
     assert (mask.width, mask.height) == (48, 48)
     assert not mask.data.any()
+
+
+@pytest.fixture(scope="module")
+def twin_table(workspace, tmp_path_factory):
+    """Phrases 'round' and 'ball' trained on the same scenes, with
+    orthogonal word vectors: their masks overlap but never reinforce."""
+    root = tmp_path_factory.mktemp("twin")
+    lines = (workspace / "round" / "manifest.txt").read_text()
+    manifest = root / "m.txt"
+    manifest.write_text(
+        lines.replace('"round object"', '"round"')
+        + lines.replace('"round object"', '"ball"')
+    )
+    table_path = root / "t.spt"
+    assert main(["train", str(manifest), str(table_path), "--k", "1"]) == 0
+    emb = root / "e.txt"
+    emb.write_text("2 2\nround 1.0 0.0\nball 0.0 1.0\n")
+    return table_path, emb
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("detections, code", [
+    ('"round" 8 8 40 40 inf\n', 2),
+    ('"round" 8 8 40 40 nan\n', 2),
+    # one phrase twice: message passing sums the two scores past the float range
+    ('"round" 0 0 24 24 1e308\n"round" 24 24 48 48 1e308\n', 3),
+    # orthogonal phrases keep their scores, but the pooled map overflows
+    ('"round" 8 8 40 40 1e308\n"ball" 8 8 40 40 1e308\n', 3),
+], ids=["inf", "nan", "rescore-overflow", "pooled-overflow"])
+def test_bad_detection_scores_exit_cleanly(detections, code, twin_table, workspace, tmp_path, capsys):
+    table_path, emb = twin_table
+    capsys.readouterr()
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text(detections)
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(det_path),
+        str(table_path), str(emb), str(tmp_path / "m.pgm"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    assert captured.err.startswith("segphrase: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -7,7 +7,6 @@ from segphrase.evaluation import (
     make_scene,
     seg_metrics,
     write_curve_csv,
-    write_metrics_csv,
 )
 
 
@@ -157,8 +156,5 @@ def test_unknown_shape_rejected():
 # -- CSV writers ------------------------------------------------------------------------
 
 def test_csv_writers(tmp_path):
-    m = seg_metrics(np.ones((2, 2)), np.ones((2, 2)))
-    write_metrics_csv([("case", m)], tmp_path / "m.csv")
-    assert (tmp_path / "m.csv").read_text() == "name,precision,jaccard\ncase,1.0,1.0\n"
     write_curve_csv([(0.5, 3)], tmp_path / "c.csv")
     assert (tmp_path / "c.csv").read_text() == "fraction,correct\n0.5,3\n"

@@ -28,7 +28,6 @@ from segphrase.linguistics import (
     message_pass,
     nms,
     parse_detections,
-    phrase_similarity,
     phrase_vector,
     semantic_segment,
 )
@@ -110,26 +109,39 @@ def test_phrase_vector_order_insensitive():
     assert np.allclose(v1, v2, atol=1e-12)
 
 
+def cosine_from_neighbour(t, p, q):
+    # a score-0 mask on p takes cos(p, q) * 1 from a score-1 neighbour on q
+    out = message_pass([mask_of(p, 0.0), mask_of(q, 1.0)], t)
+    return out[0].score
+
+
 def test_similarity_identity_orthogonal_and_hand_value():
-    t = table_of(a=[1.0, 1.0], b=[1.0, 0.0], c=[0.0, 1.0])
-    assert phrase_similarity(t, "a", "a") == pytest.approx(1.0, abs=1e-12)
-    assert phrase_similarity(t, "b", "c") == pytest.approx(0.0, abs=1e-12)
-    assert phrase_similarity(t, "a", "b") == pytest.approx(1 / math.sqrt(2))
+    t = table_of(a=[1.0, 1.0], b=[1.0, 0.0], c=[0.0, 1.0], d=[-1.0, 0.0])
+    assert cosine_from_neighbour(t, "a", "a") == pytest.approx(1.0, abs=1e-12)
+    assert cosine_from_neighbour(t, "b", "c") == pytest.approx(0.0, abs=1e-12)
+    assert cosine_from_neighbour(t, "a", "b") == pytest.approx(1 / math.sqrt(2))
+    assert cosine_from_neighbour(t, "b", "d") == 0.0  # cosine -1, clamped
 
 
 def test_similarity_symmetric():
     rng = np.random.default_rng(0)
     t = EmbeddingTable(5, {w: rng.normal(size=5) for w in "abcdef"})
     for p, q in (("a b", "c"), ("d e f", "a"), ("b", "f e")):
-        assert phrase_similarity(t, p, q) == pytest.approx(
-            phrase_similarity(t, q, p), abs=1e-12
+        assert cosine_from_neighbour(t, p, q) == pytest.approx(
+            cosine_from_neighbour(t, q, p), abs=1e-12
         )
 
 
 def test_zero_norm_cosine_rejected():
     t = table_of(a=[0.0, 0.0], b=[1.0, 0.0])
     with pytest.raises(UndefinedCosineError):
-        phrase_similarity(t, "a", "b")
+        message_pass([mask_of("a", 1.0), mask_of("b", 1.0)], t)
+
+
+def test_single_zero_norm_mask_passes_through():
+    t = table_of(a=[0.0, 0.0])
+    out = message_pass([mask_of("a", 2.5)], t)
+    assert out[0].score == 2.5
 
 
 # -- message_pass ------------------------------------------------------------------
