@@ -263,6 +263,13 @@ def _curve_path(out_csv: str) -> str:
     return f"{stem}.curve.{ext}" if dot else f"{out_csv}.curve"
 
 
+def _solve_graph(scores, lam):
+    """Edge selection, exact up to relations.EXACT_NODE_LIMIT phrases and
+    greedy beyond."""
+    mode = "exact" if len(scores) <= relations.EXACT_NODE_LIMIT else "greedy"
+    return relations.solve_entailment_graph(scores, lam, mode)
+
+
 def cmd_relations(args) -> int:
     config = _resolve_config(args)
     if args.scores:
@@ -272,68 +279,52 @@ def cmd_relations(args) -> int:
     if not args.table:
         raise DataError("relations needs --table (or --scores with --graph)")
     table = load_table(args.table)
-    cache: dict[str, relations.PhraseExemplars] = {}
+    dataset = relations.parse_relations_dataset(
+        args.dataset, "simrel" if args.mode == "simrel" else "pairs"
+    )
+    # phrases in order of first appearance; each row becomes its phrase
+    # indices (x, y) or (x, y, z)
+    universe: dict[str, int] = {}
+    rows = [
+        tuple(universe.setdefault(normalize_phrase(p), len(universe)) for p in row[:-1])
+        for row in dataset
+    ]
+    phrases = list(universe)
+    exemplars = [relations.exemplars_from_table(table, p) for p in phrases]
+    graph = args.mode == "entail" and args.graph
+    n = len(phrases)
+    pairs = (
+        [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if graph
+        else [(row[0], other) for row in rows for other in row[1:]]
+    )
+    scores = relations.score_matrix(exemplars, pairs)
+    decisions = _solve_graph(scores, config.ilp_lambda) if graph else None
+    s = scores.tolist()  # Python floats: repr prints them as before
 
-    def phrase_exemplars(phrase):
-        key = normalize_phrase(phrase)
-        if key not in cache:
-            cache[key] = relations.exemplars_from_table(table, phrase)
-        return cache[key]
-
-    rows = []
+    lines = []
     scored = []
     if args.mode == "simrel":
-        for x, y, z, gold in relations.parse_relations_dataset(args.dataset, "simrel"):
-            ex, ey, ez = (phrase_exemplars(p) for p in (x, y, z))
-            choice, s_y, s_z = relations.relative_similarity(ex, ey, ez)
-            rows.append((x, y, z, s_y, s_z, choice.phrase))
-            # declaration: positive margin declares y, gold says which is right
-            scored.append((s_y - s_z, normalize_phrase(gold) == normalize_phrase(y)))
         header = "x,y,z,score_xy,score_xz,choice\n"
-        lines = [
-            f"{x},{y},{z},{sy!r},{sz!r},{c}\n" for x, y, z, sy, sz, c in rows
-        ]
+        for (x, y, z, gold), (i, j, k) in zip(dataset, rows):
+            s_y, s_z = s[i][j], s[i][k]
+            choice = phrases[j] if s_y >= s_z else phrases[k]
+            lines.append(f"{x},{y},{z},{s_y!r},{s_z!r},{choice}\n")
+            # declaration: positive margin declares y, gold says which is right
+            scored.append((s_y - s_z, normalize_phrase(gold) == phrases[j]))
     else:
-        graph_decisions = None
-        pairs = relations.parse_relations_dataset(args.dataset)
-        if args.mode == "entail" and args.graph:
-            universe = []
-            for x, y, _gold in pairs:
-                for p in (x, y):
-                    p = normalize_phrase(p)
-                    if p not in universe:
-                        universe.append(p)
-            exemplars = [phrase_exemplars(p) for p in universe]
-            mode = "exact" if len(universe) <= relations.EXACT_NODE_LIMIT else "greedy"
-            graph = relations.build_entailment_graph(
-                exemplars, config.ilp_lambda, mode
-            )
-            graph_decisions = {
-                (graph.phrases[i], graph.phrases[j]): int(graph.decisions[i, j])
-                for i in range(len(universe))
-                for j in range(len(universe))
-                if i != j
-            }
-        for x, y, gold in pairs:
-            ex, ey = phrase_exemplars(x), phrase_exemplars(y)
-            if args.mode == "paraphrase":
-                margin = relations.paraphrase_margin(ex, ey, config.paraphrase_tau)
-                rows.append((x, y, margin, int(margin >= 0)))
-                scored.append((margin, gold == "paraphrase"))
-                continue
-            score = relations.entail_score(ex, ey)
-            if graph_decisions is not None:
-                # diagonal decisions are fixed at 0 (a phrase never entails
-                # itself in the decision matrix), so self-pairs bypass lookup
-                decision = graph_decisions.get(
-                    (normalize_phrase(x), normalize_phrase(y)), 0
-                )
-            else:
-                decision = int(score > 0)
-            rows.append((x, y, score, decision))
-            scored.append((score, gold == "entails"))
         header = "x,y,score,decision\n"
-        lines = [f"{x},{y},{s!r},{d}\n" for x, y, s, d in rows]
+        for (x, y, gold), (i, j) in zip(dataset, rows):
+            if args.mode == "paraphrase":
+                score = relations.paraphrase_margin(s[i][j], config.paraphrase_tau)
+                decision, truth = score >= 0, gold == "paraphrase"
+            else:
+                score = s[i][j]
+                # the solver's diagonal is 0: a phrase never entails itself
+                decision = decisions[i, j] if graph else score > 0
+                truth = gold == "entails"
+            lines.append(f"{x},{y},{score!r},{int(decision)}\n")
+            scored.append((score, truth))
 
     with open(args.out_csv, "w") as fh:
         fh.write(header)
@@ -346,9 +337,8 @@ def cmd_relations(args) -> int:
 
 def _relations_from_scores(args, config: Config) -> int:
     scores = relations.load_score_matrix(args.scores)
+    decisions = _solve_graph(scores, config.ilp_lambda)
     n = len(scores)
-    mode = "exact" if n <= relations.EXACT_NODE_LIMIT else "greedy"
-    decisions = relations.solve_entailment_graph(scores, config.ilp_lambda, mode)
     with open(args.out_csv, "w") as fh:
         fh.write("x,y,score,decision\n")
         for i in range(n):
@@ -381,7 +371,10 @@ def cmd_synth(args) -> int:
                 noise=args.noise,
                 seed=config.seed + offset + i,
             )
-            scene = evaluation.make_scene(scene_cfg)
+            try:
+                scene = evaluation.make_scene(scene_cfg)
+            except ValueError as exc:
+                raise DataError(f"bad synth parameters: {exc}") from exc
             img_path = os.path.join(args.out_dir, f"{split}_{i:03d}.pgm")
             gt_path = os.path.join(args.out_dir, f"{split}_{i:03d}_gt.pgm")
             save_image(scene.image, img_path)

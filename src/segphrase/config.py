@@ -7,6 +7,7 @@ the identical value.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -36,12 +37,13 @@ class Config:
             "paraphrase_tau",
             "seed_shrink",
         )
+        # written so that nan fails every test
         for name in positive:
-            if getattr(self, name) <= 0:
-                raise DataError(f"config field {name} must be positive")
+            if not (0 < getattr(self, name) < math.inf):
+                raise DataError(f"config field {name} must be positive and finite")
         for name in ("em_max_iters", "seed", "ilp_lambda", "detection_threshold"):
-            if getattr(self, name) < 0:
-                raise DataError(f"config field {name} must be nonnegative")
+            if not (0 <= getattr(self, name) < math.inf):
+                raise DataError(f"config field {name} must be nonnegative and finite")
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(Config)}

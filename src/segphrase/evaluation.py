@@ -100,6 +100,12 @@ def _ellipse_mask(size, cx, cy, rx, ry):
 
 def make_scene(config: SceneConfig) -> SyntheticScene:
     """Deterministic shape-on-background scene with exact ground truth."""
+    if not config.size >= 3:
+        raise ValueError("scene size must be at least 3 pixels")
+    if not (0 <= config.noise < math.inf):
+        raise ValueError("noise must be nonnegative and finite")
+    if not (math.isfinite(config.fg_texture) and math.isfinite(config.bg_texture)):
+        raise ValueError("textures must be finite")
     if abs(config.fg_texture - config.bg_texture) < 3.0 * config.noise:
         raise ValueError("textures must be separated by at least 3x the noise")
     size = config.size

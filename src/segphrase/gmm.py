@@ -138,18 +138,8 @@ def fit(
     return GaussianMixture(weights, means, variances)
 
 
-def log_density(mixture: GaussianMixture, point) -> float:
-    """log of the mixture density at one point; always finite."""
-    point = np.asarray(point, dtype=np.float64).reshape(1, -1)
-    if point.shape[1] != mixture.dim:
-        raise ValueError(
-            f"point dimension {point.shape[1]} != mixture dimension {mixture.dim}"
-        )
-    return float(log_density_many(mixture, point)[0])
-
-
 def log_density_many(mixture: GaussianMixture, points) -> np.ndarray:
-    """Vectorized log_density over the rows of points."""
+    """log of the mixture density at each row of points; always finite."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != mixture.dim:
         raise ValueError("points must be (N, dim) with matching dimension")

@@ -459,9 +459,9 @@ def extract_features(img: Image, smap: SuperpixelMap, bins: int = HIST_BINS) -> 
         pair_lo.append(lo)
         pair_hi.append(hi)
         pair_val.append(0.5 * (ga[diff] + gb[diff]))
-    lo = np.concatenate(pair_lo) if pair_lo else np.empty(0, dtype=np.int64)
-    hi = np.concatenate(pair_hi) if pair_hi else np.empty(0, dtype=np.int64)
-    val = np.concatenate(pair_val) if pair_val else np.empty(0)
+    lo = np.concatenate(pair_lo)
+    hi = np.concatenate(pair_hi)
+    val = np.concatenate(pair_val)
 
     if lo.size:
         key = lo.astype(np.int64) * n + hi

@@ -42,13 +42,6 @@ class PhraseExemplars:
             raise ValueError("exemplar set must be non-empty")
 
 
-@dataclass
-class EntailmentGraph:
-    phrases: list[str]
-    scores: np.ndarray     # (N, N), zero diagonal, antisymmetric
-    decisions: np.ndarray  # (N, N) 0/1, transitivity-feasible
-
-
 def exemplar_descriptor(image: Image, pixel_mask: np.ndarray) -> np.ndarray:
     """Appearance histogram of the masked pixels plus a radial shape profile.
 
@@ -117,30 +110,39 @@ def entail_score(x: PhraseExemplars, y: PhraseExemplars) -> float:
     return directed_similarity(x, y) - directed_similarity(y, x)
 
 
-def paraphrase_margin(x: PhraseExemplars, y: PhraseExemplars, tau: float) -> float:
+def score_matrix(exemplars: list[PhraseExemplars], pairs) -> np.ndarray:
+    """Entailment scores of the phrase-index pairs an op reads.
+
+    Each unordered pair is scored once; its mirror entry is stored as
+    0.0 - s, which is bitwise entail_score of the reversed pair (and +0.0,
+    not -0.0, when s is zero). The diagonal is 0.0; entries no pair asks
+    for are nan.
+    """
+    n = len(exemplars)
+    scores = np.full((n, n), np.nan)
+    np.fill_diagonal(scores, 0.0)
+    for i, j in pairs:
+        if np.isnan(scores[i, j]):
+            s = entail_score(exemplars[i], exemplars[j])
+            scores[i, j] = s
+            scores[j, i] = 0.0 - s
+    return scores
+
+
+def paraphrase_margin(score: float, tau: float) -> float:
     """tau minus the gap between the two directions' entailment scores.
 
-    Nonnegative exactly when x and y are paraphrases at threshold tau.
+    The gap |s_xy - s_yx| is 2|score| because s_yx is exactly -s_xy.
+    Nonnegative exactly when the pair are paraphrases at threshold tau.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
-    return tau - abs(entail_score(x, y) - entail_score(y, x))
+    return tau - 2.0 * abs(score)
 
 
 def is_paraphrase(x: PhraseExemplars, y: PhraseExemplars, tau: float) -> bool:
     """Both directions entail about equally: score gap within tau (inclusive)."""
-    return paraphrase_margin(x, y, tau) >= 0
-
-
-def relative_similarity(x, y, z) -> tuple[PhraseExemplars, float, float]:
-    """Which of y, z is semantically closer to x; ties pick y.
-
-    Returns (choice, score_xy, score_xz) with entailment scores as the
-    similarity measure.
-    """
-    s_y = entail_score(x, y)
-    s_z = entail_score(x, z)
-    return (y if s_y >= s_z else z), s_y, s_z
+    return paraphrase_margin(entail_score(x, y), tau) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,35 +300,25 @@ def graph_objective(scores, decisions, lam: float) -> float:
     return float(np.asarray(scores)[sel].sum() - lam * sel.sum())
 
 
-def build_entailment_graph(
-    exemplars: list[PhraseExemplars], lam: float, mode: str = "exact"
-) -> EntailmentGraph:
-    """Score every ordered phrase pair, then solve for the decisions."""
-    n = len(exemplars)
-    scores = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = entail_score(exemplars[i], exemplars[j])
-            scores[i, j] = s
-            scores[j, i] = -s
-    decisions = solve_entailment_graph(scores, lam, mode)
-    return EntailmentGraph([e.phrase for e in exemplars], scores, decisions)
-
-
 def load_score_matrix(path) -> np.ndarray:
-    """Score-matrix file: N on the first line, then N whitespace rows."""
+    """Score-matrix file: N >= 0 on the first line, then N whitespace rows
+    of finite values."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
         raise DataError("empty score-matrix file")
     try:
         n = int(tokens[0])
-        values = [float(t) for t in tokens[1:]]
+        values = np.array([float(t) for t in tokens[1:]])
     except ValueError as exc:
         raise DataError(f"bad token in score matrix: {exc}") from exc
+    if n < 0:
+        raise DataError(f"score-matrix size must be nonnegative, got {n}")
     if len(values) != n * n:
         raise DataError(f"expected {n * n} matrix entries, found {len(values)}")
-    return np.array(values).reshape(n, n)
+    if not np.isfinite(values).all():
+        raise DataError("score matrix entries must be finite")
+    return values.reshape(n, n)
 
 
 def parse_relations_dataset(path, kind: str = "pairs"):

@@ -277,7 +277,11 @@ def load_table(path) -> SegmentPhraseTable:
         index = json.loads(blob[index_start:payload_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ChecksumError(f"index is not valid JSON: {exc}") from exc
-    expected = payload_start + index["payload_len"] + 4
+    # the CRC check below needs payload_len, so it is checked first
+    payload_len = index.get("payload_len") if isinstance(index, dict) else None
+    if type(payload_len) is not int or payload_len < 0:
+        raise ChecksumError("index has no valid payload_len")
+    expected = payload_start + payload_len + 4
     if len(blob) < expected:
         raise TruncationError(
             f"file is {len(blob)} bytes, header promises {expected}"

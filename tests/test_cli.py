@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from segphrase.cli import main, parse_train_manifest
 from segphrase.config import Config, load_config
 from segphrase.errors import DataError
 from segphrase.imaging import load_image
-from segphrase.spt import load_table
+from segphrase.spt import ExemplarMask, SegmentPhraseTable, load_table, save_table
 
 
 # -- config round trip -------------------------------------------------------------
@@ -46,6 +47,19 @@ def test_config_rejects_nonpositive(tmp_path):
     (tmp_path / "c.cfg").write_text("lam = -0.5\n")
     with pytest.raises(DataError):
         load_config(tmp_path / "c.cfg")
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(Config) if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite(name, value, tmp_path):
+    (tmp_path / "c.cfg").write_text(f"{name} = {value}\n")
+    with pytest.raises(DataError, match=name):
+        load_config(tmp_path / "c.cfg")
+    with pytest.raises(DataError, match=name):
+        Config(**{name: float(value)})
 
 
 def test_config_file_loaded_and_flags_override(tmp_path):
@@ -174,7 +188,9 @@ def test_train_segment_relations_pipeline(workspace, tmp_path, capsys):
     for line in lines[1:]:
         x, y, score, decision = line.split(",")
         ex, ey = (relations.exemplars_from_table(table, p) for p in (x, y))
-        assert float(score) == relations.paraphrase_margin(ex, ey, 0.5)
+        assert float(score) == relations.paraphrase_margin(
+            relations.entail_score(ex, ey), 0.5
+        )
         assert int(decision) == int(relations.is_paraphrase(ex, ey, 0.5))
 
     simrel = tmp_path / "sim.tsv"
@@ -363,4 +379,55 @@ def test_bad_detection_scores_exit_cleanly(detections, code, twin_table, workspa
     assert rc == code
     assert captured.out == ""
     assert captured.err.startswith("segphrase: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def write_two_phrase_table(path):
+    """Table with one exemplar descriptor each for phrases 'a' and 'b'."""
+    table = SegmentPhraseTable()
+    for phrase, vector in (("a", [1.0, 0.0]), ("b", [0.6, 0.8])):
+        table.add_exemplar(phrase, ExemplarMask(phrase, 1.0, np.array([1]), np.array(vector)))
+    save_table(table, path)
+
+
+@pytest.mark.parametrize("mode", ["entail", "paraphrase", "simrel"])
+@pytest.mark.parametrize("graph", [[], ["--graph"]], ids=["plain", "graph"])
+def test_first_missing_phrase_in_dataset_order_exits_2(mode, graph, tmp_path, capsys):
+    write_two_phrase_table(tmp_path / "t.spt")
+    rows = [("a", "Zebra  Crossing", "b"), ("aardvark", "b", "a")]
+    gold = {"entail": "entails", "paraphrase": "paraphrase"}
+    (tmp_path / "d.tsv").write_text("".join(
+        "\t".join((*row, row[1]) if mode == "simrel" else (*row[:2], gold[mode])) + "\n"
+        for row in rows
+    ))
+    rc = main(["relations", mode, str(tmp_path / "d.tsv"), str(tmp_path / "o.csv"),
+               "--table", str(tmp_path / "t.spt"), *graph])
+    captured = capsys.readouterr()
+    assert rc == 2 and not (tmp_path / "o.csv").exists()
+    assert captured.err == (
+        "segphrase: data error: no exemplars with descriptors for phrase 'zebra crossing'\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, score_file, reason", [
+    (["relations", "paraphrase", "{d}/p.tsv", "{d}/o.csv", "--table", "{d}/t.spt",
+      "--tau", "nan"], None, "paraphrase_tau"),
+    (["relations", "entail", "{d}/p.tsv", "{d}/o.csv", "--graph", "--scores",
+      "{d}/s.txt"], "-1\n5\n", "nonnegative"),
+    (["relations", "entail", "{d}/p.tsv", "{d}/o.csv", "--graph", "--scores",
+      "{d}/s.txt"], "2\n0 nan\n0.5 0\n", "finite"),
+    (["synth", "{d}/out", "--noise", "0.5"], None, "noise"),
+    (["synth", "{d}/out", "--size", "2"], None, "size"),
+], ids=["tau-nan", "scores-negative-n", "scores-nan", "synth-noise", "synth-size"])
+def test_bad_parameters_exit_2(argv, score_file, reason, tmp_path, capsys):
+    write_two_phrase_table(tmp_path / "t.spt")
+    (tmp_path / "p.tsv").write_text("a\tb\tparaphrase\n")
+    if score_file is not None:
+        (tmp_path / "s.txt").write_text(score_file)
+    rc = main([a.format(d=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and not (tmp_path / "o.csv").exists()
+    assert captured.err.startswith("segphrase: data error: ") and reason in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

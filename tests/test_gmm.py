@@ -8,7 +8,6 @@ from segphrase.gmm import (
     GaussianMixture,
     TooFewSamplesError,
     fit,
-    log_density,
     log_density_many,
 )
 
@@ -74,12 +73,12 @@ def standard_normal_1d():
 
 def test_log_density_standard_normal_peak():
     g = standard_normal_1d()
-    assert log_density(g, [0.0]) == pytest.approx(math.log(1 / math.sqrt(2 * math.pi)))
+    assert log_density_many(g, [[0.0]])[0] == pytest.approx(math.log(1 / math.sqrt(2 * math.pi)))
 
 
 def test_log_density_quadratic_form():
     g = standard_normal_1d()
-    assert log_density(g, [2.0]) == pytest.approx(
+    assert log_density_many(g, [[2.0]])[0] == pytest.approx(
         math.log(1 / math.sqrt(2 * math.pi)) - 2.0
     )
 
@@ -94,12 +93,12 @@ def test_log_density_matches_extended_precision_sum():
             direct += np.longdouble(w) * np.exp(
                 np.longdouble(-0.5) * (x - m) ** 2 / v
             ) / np.sqrt(np.longdouble(2 * np.pi) * v)
-        assert log_density(g, [x]) == pytest.approx(float(np.log(direct)), abs=1e-12)
+        assert log_density_many(g, [[x]])[0] == pytest.approx(float(np.log(direct)), abs=1e-12)
 
 
 def test_log_density_dimension_mismatch():
     with pytest.raises(ValueError):
-        log_density(standard_normal_1d(), [0.0, 0.0])
+        log_density_many(standard_normal_1d(), [[0.0, 0.0]])
 
 
 def test_density_integrates_to_one_monte_carlo():
@@ -117,7 +116,7 @@ def test_log_density_continuity():
     g = standard_normal_1d()
     eps = 1e-6
     for x in (-3.0, 0.0, 1.5):
-        delta = abs(log_density(g, [x + eps]) - log_density(g, [x]))
+        delta = abs(log_density_many(g, [[x + eps]])[0] - log_density_many(g, [[x]])[0])
         # |d/dx log N| = |x| locally; allow a small cushion
         assert delta <= (abs(x) + 1.0) * eps * 10
 

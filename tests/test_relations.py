@@ -1,24 +1,31 @@
+import struct
+
 import numpy as np
 import pytest
 
+from segphrase import relations
+from segphrase.cli import main
+from segphrase.errors import DataError
 from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import Image
 from segphrase.relations import (
     EXACT_NODE_LIMIT,
     PhraseExemplars,
     ZeroNormDescriptorError,
-    build_entailment_graph,
     directed_similarity,
     entail_score,
     exemplar_descriptor,
+    exemplars_from_table,
     graph_objective,
     is_paraphrase,
     load_score_matrix,
+    paraphrase_margin,
     parse_relations_dataset,
-    relative_similarity,
+    score_matrix,
     solve_entailment_graph,
     transitivity_violations,
 )
+from segphrase.spt import ExemplarMask, SegmentPhraseTable, load_table, save_table
 
 
 def unit(angle):
@@ -27,6 +34,10 @@ def unit(angle):
 
 def exemplars(phrase, vectors):
     return PhraseExemplars(phrase, np.vstack(vectors))
+
+
+def bits(value):
+    return struct.pack("<d", value)
 
 
 def random_exemplars(rng, phrase="p", m=None, dim=6):
@@ -227,32 +238,72 @@ def test_paraphrase_symmetric():
         assert is_paraphrase(x, y, tau) == is_paraphrase(y, x, tau)
 
 
-def test_relative_similarity_prefers_higher_score():
-    x = exemplars("x", [unit(0.0)])
-    y = exemplars("y", [unit(0.1), unit(-0.5)])
-    z = exemplars("z", [unit(0.0)])  # z == x: score 0
-    choice, s_y, s_z = relative_similarity(x, y, z)
+def test_paraphrase_margin_is_tau_minus_twice_the_score():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x, y = random_exemplars(rng, "x"), random_exemplars(rng, "y")
+        s_xy, s_yx = entail_score(x, y), entail_score(y, x)
+        tau = float(rng.uniform(0.01, 0.5))
+        assert bits(paraphrase_margin(s_xy, tau)) == bits(tau - abs(s_xy - s_yx))
+    with pytest.raises(ValueError):
+        paraphrase_margin(0.1, 0.0)
+
+
+# -- relative similarity, through the CLI -------------------------------------------
+
+def simrel(tmp_path, descriptors, triples):
+    """Run `relations simrel` over a table whose phrases have the given
+    exemplar descriptors; returns (table, [(score_xy, score_xz, choice)])."""
+    table = SegmentPhraseTable()
+    for phrase, vectors in descriptors.items():
+        for i, vector in enumerate(vectors):
+            table.add_exemplar(
+                phrase, ExemplarMask(f"{phrase}-{i}", 1.0, np.array([1, 0]), vector)
+            )
+    save_table(table, tmp_path / "t.spt")
+    (tmp_path / "s.tsv").write_text("".join("\t".join(t) + "\n" for t in triples))
+    out = tmp_path / "s.csv"
+    rc = main(["relations", "simrel", str(tmp_path / "s.tsv"), str(out),
+               "--table", str(tmp_path / "t.spt")])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,y,z,score_xy,score_xz,choice"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [tuple(r[:3]) for r in rows] == [tuple(t[:3]) for t in triples]
+    return load_table(tmp_path / "t.spt"), [
+        (float(s_y), float(s_z), choice) for *_, s_y, s_z, choice in rows
+    ]
+
+
+def test_relative_similarity_prefers_higher_score(tmp_path):
+    table, [(s_y, s_z, choice)] = simrel(tmp_path, {
+        "x": [unit(0.0)],
+        "y": [unit(0.1), unit(-0.5)],
+        "z": [unit(0.0)],  # z == x: score 0
+    }, [("x", "y", "z", "y")])
+    ex, ey = (exemplars_from_table(table, p) for p in "xy")
     assert s_z == 0.0
-    if s_y > 0:
-        assert choice is y
-    expected = entail_score(x, y)
-    assert s_y == pytest.approx(expected)
+    assert bits(s_y) == bits(entail_score(ex, ey))
+    assert s_y != s_z and choice == ("y" if s_y > s_z else "z")
 
 
-def test_relative_similarity_tie_picks_first():
+def test_relative_similarity_tie_picks_first(tmp_path):
     rng = np.random.default_rng(9)
-    x = random_exemplars(rng, "x")
-    y = random_exemplars(rng, "y")
-    choice, s_y, s_z = relative_similarity(x, y, y)
-    assert choice is y and s_y == s_z
+    y = rng.random((3, 6)) + 0.05
+    _, rows = simrel(tmp_path, {
+        "x": rng.random((2, 6)) + 0.05, "y": y, "w": y.copy(),
+    }, [("x", "y", "y", "y"), ("x", "y", "w", "y"), ("x", "w", "y", "y")])
+    assert all(s_y == s_z for s_y, s_z, _ in rows)
+    assert [choice for *_, choice in rows] == ["y", "y", "w"]
 
 
-def test_relative_similarity_hand_computed():
-    x = exemplars("x", [unit(0.0), unit(0.3)])
-    y = exemplars("y", [unit(0.05), unit(0.25)])
-    z = exemplars("z", [unit(1.2)])
-    choice, s_y, s_z = relative_similarity(x, y, z)
-    assert choice is y and s_y > s_z
+def test_relative_similarity_hand_computed(tmp_path):
+    table, [(s_y, s_z, choice)] = simrel(tmp_path, {
+        "x": [unit(0.0), unit(0.3)],
+        "y": [unit(0.05), unit(0.25)],
+        "z": [unit(1.2)],
+    }, [("x", "y", "z", "y")])
+    assert choice == "y" and s_y > s_z
     # oracle: mean-of-best-match cosines both ways
     def sim(p, q):
         cos = p.descriptors @ q.descriptors.T / (
@@ -260,17 +311,39 @@ def test_relative_similarity_hand_computed():
             * np.linalg.norm(q.descriptors, axis=1)[None, :]
         )
         return cos.max(axis=1).mean()
+    x, y, z = (exemplars_from_table(table, p) for p in "xyz")
     assert s_y == pytest.approx(sim(x, y) - sim(y, x))
+    assert s_z == pytest.approx(sim(x, z) - sim(z, x))
 
 
-# -- graph construction / file formats -------------------------------------------------
+# -- score matrix / file formats --------------------------------------------------------
 
-def test_build_entailment_graph_antisymmetric_scores():
+def test_score_matrix_scores_each_pair_once_and_mirrors_bitwise(monkeypatch):
     rng = np.random.default_rng(10)
-    ex = [random_exemplars(rng, f"p{i}") for i in range(4)]
-    graph = build_entailment_graph(ex, 0.1, "exact")
-    assert np.allclose(graph.scores + graph.scores.T, 0.0)
-    assert transitivity_violations(graph.decisions) == 0
+    ex = [random_exemplars(rng, f"p{i}") for i in range(5)]
+    ex.append(exemplars("p5", ex[0].descriptors))  # same exemplars: score 0
+    calls = []
+    original = relations.entail_score
+    monkeypatch.setattr(
+        relations, "entail_score", lambda x, y: calls.append(1) or original(x, y)
+    )
+    requested = [(0, 1), (2, 0), (1, 0), (3, 3), (0, 5), (2, 0)]
+    s = score_matrix(ex, requested)
+    assert len(calls) == 3  # {0,1}, {0,2} and {0,5}, each once
+    for i, j in requested:
+        assert bits(s[i, j]) == bits(original(ex[i], ex[j]))
+        assert bits(s[j, i]) == bits(original(ex[j], ex[i]))
+    assert all(bits(v) == bits(0.0) for v in np.diag(s))
+    assert bits(s[5, 0]) == bits(0.0)  # not -0.0
+    scored = {(i, j) for p in requested for i, j in (p, p[::-1])}
+    off = [(i, j) for i in range(6) for j in range(6) if (i, j) not in scored and i != j]
+    assert all(np.isnan(s[i, j]) for i, j in off)
+
+    every = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    full = score_matrix(ex[:4], every)
+    assert np.array_equal(full, -full.T)
+    W = solve_entailment_graph(full, 0.1, "exact")
+    assert transitivity_violations(W) == 0
 
 
 def test_load_score_matrix(tmp_path):
@@ -283,10 +356,22 @@ def test_load_score_matrix(tmp_path):
 def test_load_score_matrix_wrong_count(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("2\n0 0.5 1.0\n")
-    from segphrase.errors import DataError
-
     with pytest.raises(DataError):
         load_score_matrix(path)
+
+
+@pytest.mark.parametrize("text", ["-1\n5\n", "2\n0 nan\n0.5 0\n", "2\n0 inf\n-0.5 0\n"])
+def test_load_score_matrix_rejects_negative_size_and_non_finite(tmp_path, text):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    with pytest.raises(DataError):
+        load_score_matrix(path)
+
+
+def test_load_score_matrix_empty_matrix(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("0\n")
+    assert load_score_matrix(path).shape == (0, 0)
 
 
 def test_parse_relations_dataset(tmp_path):
@@ -296,8 +381,6 @@ def test_parse_relations_dataset(tmp_path):
     assert rows[0] == ("horse running", "horse moving", "entails")
     path2 = tmp_path / "bad.tsv"
     path2.write_text("a\tb\tmaybe\n")
-    from segphrase.errors import DataError
-
     with pytest.raises(DataError):
         parse_relations_dataset(path2)
 

@@ -1,11 +1,17 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segphrase.errors import DataError
 from segphrase.gmm import GaussianMixture
 from segphrase.latent import ModelInfo, SegmentationModel
 from segphrase.spt import (
+    FORMAT_VERSION,
+    MAGIC,
     ChecksumError,
     ExemplarMask,
     PhraseKey,
@@ -185,6 +191,32 @@ def test_corrupted_payload_fails_checksum(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-10] ^= 0x01  # inside the numeric payload
     path.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumError):
+        load_table(path)
+
+
+def test_every_flipped_bit_is_a_data_error(tmp_path):
+    path = tmp_path / "t.spt"
+    save_table(random_table(4, n_entries=1, n_exemplars=2), path)
+    blob = path.read_bytes()
+    assert b'"payload_len"' in blob
+    for i in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[i] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(DataError):
+            load_table(path)
+
+
+@pytest.mark.parametrize("index", [
+    b"[1, 2]", b"{}", b'{"payload_len": -1}', b'{"payload_len": "0"}',
+    b'{"payload_len": true}', b"null",
+])
+def test_index_without_valid_payload_len_fails_checksum(tmp_path, index):
+    body = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(index))
+    body += index + bytes(8)
+    path = tmp_path / "t.spt"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(ChecksumError):
         load_table(path)
 
