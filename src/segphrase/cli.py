@@ -97,7 +97,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("relations", help="score phrase pairs from a table")
     _add_common(p)
     p.add_argument("mode", choices=("entail", "paraphrase", "simrel"))
-    p.add_argument("dataset", help="tab-separated gold file")
+    p.add_argument("dataset", help="tab-separated gold file (not read with --scores)")
     p.add_argument("out_csv", help="per-pair output CSV")
     p.add_argument("--table", help="trained table with exemplars")
     p.add_argument("--scores", help="score-matrix file (entail --graph only)")
@@ -147,10 +147,12 @@ def main(argv=None) -> int:
 def parse_train_manifest(path):
     """Grouped manifest: 'phrase_quoted component image-path x0 y0 x1 y1'.
 
-    Returns [((phrase, component), [(image_path, box), ...])] preserving
+    Lines group by PhraseKey, so spellings that normalize alike share one
+    group; each group keeps its first spelling. Returns
+    [((phrase, component), [(image_path, box), ...])] preserving
     first-appearance group order.
     """
-    groups: dict[tuple[str, int], list] = {}
+    groups: dict[PhraseKey, tuple[str, list]] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -166,10 +168,16 @@ def parse_train_manifest(path):
                 box = tuple(int(v) for v in parts[3:7])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-integer field") from exc
-            groups.setdefault((parts[0], component), []).append((parts[2], box))
+            try:
+                key = PhraseKey.make(parts[0], component)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            groups.setdefault(key, (parts[0], []))[1].append((parts[2], box))
     if not groups:
         raise DataError(f"{path}: manifest is empty")
-    return list(groups.items())
+    return [
+        ((phrase, key.component_id), items) for key, (phrase, items) in groups.items()
+    ]
 
 
 def _load_instance(path, box, target):
@@ -356,6 +364,8 @@ def cmd_synth(args) -> int:
     import os
 
     config = _resolve_config(args)
+    if args.count < 0 or args.test_count < 0:
+        raise DataError("bad synth parameters: scene counts must be nonnegative")
     os.makedirs(args.out_dir, exist_ok=True)
     manifest_lines = []
     for split, count, offset in (

@@ -44,6 +44,8 @@ class Config:
         for name in ("em_max_iters", "seed", "ilp_lambda", "detection_threshold"):
             if not (0 <= getattr(self, name) < math.inf):
                 raise DataError(f"config field {name} must be nonnegative and finite")
+        if self.seed_shrink > 1:
+            raise DataError("config field seed_shrink must be in (0, 1]")
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(Config)}

@@ -29,6 +29,10 @@ class TruncatedDataError(DataError):
     """Pixel payload shorter than the header promises."""
 
 
+class SuperpixelTargetError(DataError, ValueError):
+    """Superpixel target outside [1, the image's pixel count]."""
+
+
 HIST_BINS = 8
 FEATURE_DIM = 3 * HIST_BINS
 
@@ -182,11 +186,15 @@ def compute_superpixels(img: Image, target_count: int) -> SuperpixelMap:
     then enforces 4-connectivity by merging stray components into their
     best neighbor. Deterministic for fixed inputs; the final count n lies
     in [1, 4 * target_count]. With zero image gradient the result reduces
-    to nearest-seed (Voronoi) blocks.
+    to nearest-seed (Voronoi) blocks. A target outside [1, pixel count]
+    raises SuperpixelTargetError, both a DataError and a ValueError.
     """
     w, h = img.width, img.height
     if not 1 <= target_count <= w * h:
-        raise ValueError(f"target_count must be in [1, {w * h}]")
+        raise SuperpixelTargetError(
+            f"superpixel target {target_count} outside [1, {w * h}] "
+            f"for a {w}x{h} image"
+        )
     assign = _kmeans_assign(img.intensity(), target_count)
     min_size = max(1, (w * h) // (4 * target_count))
     labels, n = _enforce_connectivity(assign, min_size, 4 * target_count)

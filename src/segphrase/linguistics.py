@@ -1,10 +1,10 @@
 """Embedding-driven rescoring and fusion of phrase-labelled masks.
 
-Candidate foreground masks, each tagged with a phrase and a detection
-score, reinforce or suppress one another through one simultaneous round
-of message passing over phrase-embedding similarities. The rescored
-masks are sum-pooled into a single weighted map which a final graph cut
-turns into the output labeling.
+Candidate foreground masks over one image's superpixels, each tagged
+with a phrase and a detection score, reinforce or suppress one another
+through one simultaneous round of message passing over phrase-embedding
+similarities. The rescored masks are sum-pooled into a single weighted
+map which a final graph cut turns into the output labeling.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ class EmbeddingTable:
 
 @dataclass
 class WeightedMask:
-    """Pixel-grid binary mask with its phrase and nonnegative score."""
+    """Superpixel mask with its phrase and nonnegative score."""
 
     phrase: str
-    mask: np.ndarray  # (h, w) 0/1
+    mask: np.ndarray  # (n_superpixels,) 0/1
     score: float
 
     def __post_init__(self):
@@ -190,30 +190,24 @@ def message_pass(masks: list[WeightedMask], table: EmbeddingTable) -> list[Weigh
     return [WeightedMask(m.phrase, m.mask, float(s)) for m, s in zip(masks, new)]
 
 
-def _superpixel_weights(mask: np.ndarray, graph: SuperpixelGraph) -> np.ndarray:
-    smap = graph.smap
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (smap.height, smap.width):
-        raise ValueError("mask dimensions do not match the graph's image")
-    sums = np.bincount(smap.labels.ravel(), weights=mask.ravel(), minlength=smap.n)
-    return sums / graph.areas
-
-
 def fuse_and_cut(masks: list[WeightedMask], graph: SuperpixelGraph, lam: float) -> np.ndarray:
-    """Sum-pool score-weighted masks, normalize, and cut.
+    """Sum-pool score-weighted superpixel masks, normalize, and cut.
 
-    The pooled per-superpixel weight is min-max normalized to [0, 1] over
-    the image and used directly as the background cost (its complement as
-    the foreground cost); the pairwise term is the usual boundary-driven
-    Potts penalty. When every superpixel pools the same weight, nonzero
-    weight counts as foreground.
+    Every mask must have shape (graph.n,), else ValueError. The pooled
+    per-superpixel weight is min-max normalized to [0, 1] over the image
+    and used directly as the background cost (its complement as the
+    foreground cost); the pairwise term is the usual boundary-driven Potts
+    penalty. When every superpixel pools the same weight, nonzero weight
+    counts as foreground.
     """
     if not masks:
         raise ValueError("fuse_and_cut needs at least one mask")
     pooled = np.zeros(graph.n)
     with np.errstate(over="ignore"):
         for m in masks:
-            pooled += m.score * _superpixel_weights(m.mask, graph)
+            if m.mask.shape != (graph.n,):
+                raise ValueError("mask length does not match the superpixel count")
+            pooled += m.score * m.mask
     if not np.isfinite(pooled).all():
         raise NumericalError("pooled mask weights overflow")
     lo, hi = float(pooled.min()), float(pooled.max())
@@ -313,9 +307,7 @@ def semantic_segment(
             raise UnknownPhraseError(f"phrase {det.phrase!r} not in table")
         model = hits[0][1]  # lowest component id
         labeling = cut(model, graph, box_overlap(graph, det.box) == 0.0)
-        masks.append(
-            WeightedMask(det.phrase, labels_to_mask(labeling, smap), det.score)
-        )
+        masks.append(WeightedMask(det.phrase, labeling, det.score))
 
     rescored = message_pass(masks, embeddings)
     labels = fuse_and_cut(rescored, graph, config.lam)

@@ -66,9 +66,9 @@ class PhraseKey:
 class ExemplarMask:
     """Superpixel-resolution foreground mask with its provenance and score.
 
-    image_id doubles as the reference to the source image / superpixel-map
-    sidecar; descriptor is the appearance+shape vector used by the
-    relations module (cached here so scoring never re-reads images).
+    mask labels the superpixels of the source image, named by image_id;
+    descriptor is the appearance+shape vector used by the relations module
+    (cached here so scoring never re-reads images).
     """
 
     image_id: str

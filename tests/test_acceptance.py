@@ -184,21 +184,21 @@ def _cell_grid_graph(cells=6, cell_px=4):
     )
 
 
-def _cell_mask(size, rows, cols, cell_px=4):
-    mask = np.zeros((size, size), dtype=np.uint8)
+def _cell_mask(rows, cols, cells=6):
+    """Superpixel mask of the grid cells in rows x cols."""
+    mask = np.zeros(cells * cells, dtype=np.uint8)
     for r in rows:
         for c in cols:
-            mask[r * cell_px : (r + 1) * cell_px, c * cell_px : (c + 1) * cell_px] = 1
+            mask[r * cells + c] = 1
     return mask
 
 
 def test_a4_linguistic_constraint_gain():
     graph = _cell_grid_graph()
-    size = graph.smap.width
-    left = _cell_mask(size, (1, 2), (1, 2))
-    right = _cell_mask(size, (1, 2), (3, 4))
-    stray = _cell_mask(size, (4,), (4,))
-    gt = (left | right).astype(bool)
+    left = _cell_mask((1, 2), (1, 2))
+    right = _cell_mask((1, 2), (3, 4))
+    stray = _cell_mask((4,), (4,))
+    gt = labels_to_mask(left | right, graph.smap).astype(bool)
     embeddings = EmbeddingTable(
         3,
         {

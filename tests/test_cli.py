@@ -9,7 +9,7 @@ from segphrase.cli import main, parse_train_manifest
 from segphrase.config import Config, load_config
 from segphrase.errors import DataError
 from segphrase.imaging import load_image
-from segphrase.spt import ExemplarMask, SegmentPhraseTable, load_table, save_table
+from segphrase.spt import ExemplarMask, PhraseKey, SegmentPhraseTable, load_table, save_table
 
 
 # -- config round trip -------------------------------------------------------------
@@ -44,9 +44,10 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_config_rejects_nonpositive(tmp_path):
-    (tmp_path / "c.cfg").write_text("lam = -0.5\n")
-    with pytest.raises(DataError):
-        load_config(tmp_path / "c.cfg")
+    for text in ("lam = -0.5\n", "seed_shrink = 2\n"):
+        (tmp_path / "c.cfg").write_text(text)
+        with pytest.raises(DataError, match=text.split()[0]):
+            load_config(tmp_path / "c.cfg")
 
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(Config) if f.type in ("float", float)]
@@ -230,19 +231,47 @@ def test_missing_image_exits_2(tmp_path, capsys):
 
 
 def test_training_input_is_all_or_nothing(tmp_path, workspace, capsys):
-    # the second group names a missing image: nothing trains, nothing is written
+    # a bad second group (a missing image, a negative component, an empty
+    # phrase): nothing trains, nothing is written
+    good = (workspace / "round" / "manifest.txt").read_text()
+    image = good.split()[2]
+    manifest = tmp_path / "m.txt"
+    out_table = tmp_path / "out.spt"
+    for bad_line, reason in (
+        ('"square object" 0 /nonexistent/img.pgm 0 0 4 4', "img.pgm"),
+        (f'"blue car" -1 {image} 0 0 8 8', f"{manifest}:4: "),
+        (f'"  " 0 {image} 0 0 8 8', f"{manifest}:4: "),
+    ):
+        manifest.write_text(good + bad_line + "\n")
+        rc = main(["train", str(manifest), str(out_table), "--k", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert reason in captured.err and captured.err.count("\n") == 1
+        assert not out_table.exists()
+
+
+def test_spellings_of_one_phrase_train_one_model(tmp_path, workspace, capsys):
+    lines = (workspace / "round" / "manifest.txt").read_text().splitlines(keepends=True)
     manifest = tmp_path / "m.txt"
     manifest.write_text(
-        (workspace / "round" / "manifest.txt").read_text()
-        + '"square object" 0 /nonexistent/img.pgm 0 0 4 4\n'
+        lines[0].replace('"round object"', '"Red Car"')
+        + lines[1].replace('"round object"', '"Red Car"')
+        + lines[2].replace('"round object"', '"red  car"')
+        + lines[0].replace('"round object"', '"red  car"')
     )
     out_table = tmp_path / "out.spt"
     rc = main(["train", str(manifest), str(out_table), "--k", "1"])
     captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "img.pgm" in captured.err
-    assert not out_table.exists()
+    assert rc == 0
+    logs = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(g["phrase"], g["component"], g["instances"]) for g in logs] == [("red car", 0, 4)]
+    table = load_table(out_table)
+    key = PhraseKey("red car", 0)
+    assert list(table.entries) == [key] and table.versions[key] == 1
+    info = table.entries[key].info
+    assert (info.phrase, info.instances) == ("Red Car", 4)  # the first spelling
+    assert len(table.get_exemplars("red car")) == 4
 
 
 def test_collapse_exits_3(tmp_path, capsys):
@@ -419,7 +448,10 @@ def test_first_missing_phrase_in_dataset_order_exits_2(mode, graph, tmp_path, ca
       "{d}/s.txt"], "2\n0 nan\n0.5 0\n", "finite"),
     (["synth", "{d}/out", "--noise", "0.5"], None, "noise"),
     (["synth", "{d}/out", "--size", "2"], None, "size"),
-], ids=["tau-nan", "scores-negative-n", "scores-nan", "synth-noise", "synth-size"])
+    (["synth", "{d}/out", "--count", "-1"], None, "count"),
+    (["synth", "{d}/out", "--test-count", "-3"], None, "count"),
+], ids=["tau-nan", "scores-negative-n", "scores-nan", "synth-noise", "synth-size",
+        "synth-count", "synth-test-count"])
 def test_bad_parameters_exit_2(argv, score_file, reason, tmp_path, capsys):
     write_two_phrase_table(tmp_path / "t.spt")
     (tmp_path / "p.tsv").write_text("a\tb\tparaphrase\n")
@@ -431,3 +463,27 @@ def test_bad_parameters_exit_2(argv, score_file, reason, tmp_path, capsys):
     assert captured.out == "" and not (tmp_path / "o.csv").exists()
     assert captured.err.startswith("segphrase: data error: ") and reason in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_superpixel_target_above_pixel_count_exits_2(twin_table, tmp_path, capsys):
+    # 12 px scenes have 144 pixels, fewer than the default target of 200
+    assert main(["synth", str(tmp_path / "tiny"), "--count", "2", "--test-count", "1",
+                 "--size", "12", "--seed", "3"]) == 0
+    table_path, emb = twin_table
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text('"round" 2 2 10 10 1.0\n')
+    out_table, out_mask = tmp_path / "out.spt", tmp_path / "m.pgm"
+    for argv in (
+        ["train", str(tmp_path / "tiny" / "manifest.txt"), str(out_table), "--k", "1"],
+        ["segment", str(tmp_path / "tiny" / "test_000.pgm"), str(det_path),
+         str(table_path), str(emb), str(out_mask)],
+    ):
+        capsys.readouterr()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            "segphrase: data error: superpixel target 200 outside [1, 144] "
+            "for a 12x12 image\n"
+        )
+    assert not out_table.exists() and not out_mask.exists()

@@ -10,7 +10,6 @@ from segphrase.imaging import (
     SuperpixelMap,
     compute_superpixels,
     extract_features,
-    labels_to_mask,
 )
 from segphrase.latent import TrainConfig, box_overlap, cut, em_learn, make_instance
 from segphrase.linguistics import (
@@ -146,11 +145,9 @@ def test_single_zero_norm_mask_passes_through():
 
 # -- message_pass ------------------------------------------------------------------
 
-def mask_of(phrase, score, pixels=None):
-    m = np.zeros((2, 2), dtype=np.uint8)
-    if pixels:
-        for y, x in pixels:
-            m[y, x] = 1
+def mask_of(phrase, score, superpixels=()):
+    m = np.zeros(4, dtype=np.uint8)
+    m[list(superpixels)] = 1
     return WeightedMask(phrase, m, score)
 
 
@@ -200,7 +197,7 @@ def test_message_pass_linear_in_scale():
 
 def test_message_pass_preserves_masks_and_order():
     t = table_of(a=[1.0, 0.0], b=[0.0, 1.0])
-    masks = [mask_of("a", 1.0, [(0, 0)]), mask_of("b", 2.0, [(1, 1)])]
+    masks = [mask_of("a", 1.0, [0]), mask_of("b", 2.0, [3])]
     out = message_pass(masks, t)
     assert [m.phrase for m in out] == ["a", "b"]
     for before, after in zip(masks, out):
@@ -224,18 +221,20 @@ def edgeless_graph(labels, n):
     )
 
 
+def one_pixel_superpixels():
+    return edgeless_graph(np.arange(8, dtype=np.int32).reshape(2, 4), 8)
+
+
 def test_single_mask_round_trips_through_cut():
-    labels = np.arange(8, dtype=np.int32).reshape(2, 4)
-    graph = edgeless_graph(labels, 8)
-    mask = (labels % 3 == 0).astype(np.uint8)
+    graph = one_pixel_superpixels()
+    mask = (np.arange(8) % 3 == 0).astype(np.uint8)
     out = fuse_and_cut([WeightedMask("a", mask, 1.0)], graph, lam=0.05)
-    assert np.array_equal(labels_to_mask(out, graph.smap), mask)
+    assert np.array_equal(out, mask)
 
 
 def test_two_identical_masks_match_single():
-    labels = np.arange(8, dtype=np.int32).reshape(2, 4)
-    graph = edgeless_graph(labels, 8)
-    mask = (labels % 2 == 0).astype(np.uint8)
+    graph = one_pixel_superpixels()
+    mask = (np.arange(8) % 2 == 0).astype(np.uint8)
     one = fuse_and_cut([WeightedMask("a", mask, 1.0)], graph, lam=0.05)
     two = fuse_and_cut(
         [WeightedMask("a", mask, 1.0), WeightedMask("a", mask, 1.0)], graph, lam=0.05
@@ -244,17 +243,16 @@ def test_two_identical_masks_match_single():
 
 
 def test_disjoint_masks_high_score_wins():
-    labels = np.arange(8, dtype=np.int32).reshape(2, 4)
-    graph = edgeless_graph(labels, 8)
-    big = (labels < 3).astype(np.uint8)
-    small = ((labels >= 5)).astype(np.uint8)
+    graph = one_pixel_superpixels()
+    big = (np.arange(8) < 3).astype(np.uint8)
+    small = (np.arange(8) >= 5).astype(np.uint8)
     out = fuse_and_cut(
         [WeightedMask("a", big, 10.0), WeightedMask("b", small, 0.1)],
         graph,
         lam=0.05,
     )
     # normalized weights: big -> 1, small -> 0.01 < 0.5 threshold
-    assert np.array_equal(labels_to_mask(out, graph.smap), big)
+    assert np.array_equal(out, big)
 
 
 def test_fuse_requires_masks():
@@ -263,11 +261,22 @@ def test_fuse_requires_masks():
         fuse_and_cut([], graph, lam=0.05)
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (9,), (2, 4)],
+                         ids=["length-1", "short", "long", "pixel-grid"])
+def test_fuse_rejects_masks_of_the_wrong_shape(shape):
+    # (1,) would broadcast, and (2, 4) is the pixel grid of these superpixels
+    graph = one_pixel_superpixels()
+    good = WeightedMask("a", np.ones(8, dtype=np.uint8), 1.0)
+    bad = WeightedMask("b", np.ones(shape, dtype=np.uint8), 1.0)
+    for masks in ([bad], [good, bad]):
+        with pytest.raises(ValueError, match="superpixel count"):
+            fuse_and_cut(masks, graph, lam=0.05)
+
+
 def test_final_labeling_invariant_to_global_score_scale():
-    labels = np.arange(8, dtype=np.int32).reshape(2, 4)
-    graph = edgeless_graph(labels, 8)
-    a = (labels < 3).astype(np.uint8)
-    b = (labels >= 6).astype(np.uint8)
+    graph = one_pixel_superpixels()
+    a = (np.arange(8) < 3).astype(np.uint8)
+    b = (np.arange(8) >= 6).astype(np.uint8)
     base = [WeightedMask("a", a, 1.0), WeightedMask("b", b, 0.2)]
     scaled = [WeightedMask("a", a, 7.0), WeightedMask("b", b, 1.4)]
     assert np.array_equal(
