@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import shlex
 import sys
 
@@ -24,12 +25,7 @@ from .imaging import (
     save_image,
     save_mask_pgm,
 )
-from .latent import (
-    TrainConfig,
-    em_learn,
-    make_instance,
-    segment_instance,
-)
+from .latent import em_learn, make_instance, segment_instance
 from .linguistics import load_embeddings, parse_detections, semantic_segment
 from .spt import (
     ExemplarMask,
@@ -105,16 +101,17 @@ def build_parser() -> _Parser:
     p.add_argument("--ilp-lambda", dest="ilp_lambda", type=float, help="edge sparsity penalty")
     p.add_argument("--tau", type=float, help="paraphrase threshold")
 
+    scene = evaluation.SceneConfig  # the synth defaults
     p = sub.add_parser("synth", help="generate synthetic scenes and manifests")
     _add_common(p)
     p.add_argument("out_dir", help="directory for scenes and manifests")
     p.add_argument("--count", type=int, default=5, help="training scenes")
     p.add_argument("--test-count", type=int, default=5, help="held-out scenes")
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--fg", type=float, default=0.75)
-    p.add_argument("--bg", type=float, default=0.25)
-    p.add_argument("--shape", default="ellipse", choices=("ellipse", "rect", "blob"))
+    p.add_argument("--size", type=int, default=scene.size)
+    p.add_argument("--noise", type=float, default=scene.noise)
+    p.add_argument("--fg", type=float, default=scene.fg_texture)
+    p.add_argument("--bg", type=float, default=scene.bg_texture)
+    p.add_argument("--shape", default=scene.fg_shape, choices=evaluation.SHAPES)
     p.add_argument("--phrase", default="synthetic object")
     return parser
 
@@ -201,14 +198,9 @@ def cmd_train(args) -> int:
     for group_index, ((phrase, component), items) in enumerate(groups):
         pairs = loaded[group_index]
         instances = [inst for _img, inst in pairs]
-        train_cfg = TrainConfig(
-            k=config.gmm_k,
-            max_iters=config.em_max_iters,
-            seed=config.seed + group_index,
-            lam=config.lam,
-            seed_shrink=config.seed_shrink,
+        model = em_learn(
+            instances, dataclasses.replace(config, seed=config.seed + group_index)
         )
-        model = em_learn(instances, train_cfg)
         model.info.phrase = phrase
         model.info.component_id = component
         key = PhraseKey.make(phrase, component)
@@ -361,11 +353,21 @@ def _relations_from_scores(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    import os
-
     config = _resolve_config(args)
     if args.count < 0 or args.test_count < 0:
         raise DataError("bad synth parameters: scene counts must be nonnegative")
+    try:
+        # checks every parameter that fails for all seeds before the first write
+        scene_base = evaluation.SceneConfig(
+            size=args.size,
+            fg_shape=args.shape,
+            fg_texture=args.fg,
+            bg_texture=args.bg,
+            noise=args.noise,
+            seed=config.seed,
+        )
+    except ValueError as exc:
+        raise DataError(f"bad synth parameters: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     manifest_lines = []
     for split, count, offset in (
@@ -373,14 +375,7 @@ def cmd_synth(args) -> int:
         ("test", args.test_count, args.count),
     ):
         for i in range(count):
-            scene_cfg = evaluation.SceneConfig(
-                size=args.size,
-                fg_shape=args.shape,
-                fg_texture=args.fg,
-                bg_texture=args.bg,
-                noise=args.noise,
-                seed=config.seed + offset + i,
-            )
+            scene_cfg = dataclasses.replace(scene_base, seed=config.seed + offset + i)
             try:
                 scene = evaluation.make_scene(scene_cfg)
             except ValueError as exc:

@@ -75,14 +75,30 @@ def write_curve_csv(curve, path) -> None:
 # Synthetic scenes
 # ---------------------------------------------------------------------------
 
+SHAPES = ("ellipse", "rect", "blob")
+
+
 @dataclass
 class SceneConfig:
     size: int = 64
-    fg_shape: str = "ellipse"   # ellipse | rect | blob
+    fg_shape: str = "ellipse"   # one of SHAPES
     fg_texture: float = 0.75    # mean foreground intensity
     bg_texture: float = 0.25    # mean background intensity
     noise: float = 0.05         # Gaussian pixel noise sigma
     seed: int = 0
+
+    def __post_init__(self):
+        """Reject parameters that fail for every seed (ValueError)."""
+        if not self.size >= 3:
+            raise ValueError("scene size must be at least 3 pixels")
+        if self.fg_shape not in SHAPES:
+            raise ValueError(f"unknown fg_shape {self.fg_shape!r}")
+        if not (0 <= self.noise < math.inf):
+            raise ValueError("noise must be nonnegative and finite")
+        if not (math.isfinite(self.fg_texture) and math.isfinite(self.bg_texture)):
+            raise ValueError("textures must be finite")
+        if abs(self.fg_texture - self.bg_texture) < 3.0 * self.noise:
+            raise ValueError("textures must be separated by at least 3x the noise")
 
 
 @dataclass
@@ -100,14 +116,6 @@ def _ellipse_mask(size, cx, cy, rx, ry):
 
 def make_scene(config: SceneConfig) -> SyntheticScene:
     """Deterministic shape-on-background scene with exact ground truth."""
-    if not config.size >= 3:
-        raise ValueError("scene size must be at least 3 pixels")
-    if not (0 <= config.noise < math.inf):
-        raise ValueError("noise must be nonnegative and finite")
-    if not (math.isfinite(config.fg_texture) and math.isfinite(config.bg_texture)):
-        raise ValueError("textures must be finite")
-    if abs(config.fg_texture - config.bg_texture) < 3.0 * config.noise:
-        raise ValueError("textures must be separated by at least 3x the noise")
     size = config.size
     rng = np.random.default_rng(config.seed)
     jitter = size / 8.0
@@ -123,7 +131,7 @@ def make_scene(config: SceneConfig) -> SyntheticScene:
         hy = rng.uniform(size / 5.0, size / 3.5)
         xs, ys = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
         mask = (np.abs(xs - cx) <= hx) & (np.abs(ys - cy) <= hy)
-    elif config.fg_shape == "blob":
+    else:  # blob
         mask = np.zeros((size, size), dtype=bool)
         for _ in range(3):
             bx = cx + rng.uniform(-size / 8.0, size / 8.0)
@@ -131,8 +139,6 @@ def make_scene(config: SceneConfig) -> SyntheticScene:
             rx = rng.uniform(size / 8.0, size / 4.5)
             ry = rng.uniform(size / 8.0, size / 4.5)
             mask |= _ellipse_mask(size, bx, by, rx, ry)
-    else:
-        raise ValueError(f"unknown fg_shape {config.fg_shape!r}")
     # keep the shape strictly inside the frame so the box stays valid
     mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = False
     if not mask.any():

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 VARIANCE_FLOOR = 1e-4
-_DEFAULT_MAX_ITERS = 100
+_MAX_ITERS = 100
 _REL_TOL = 1e-6
 _DEAD_MASS = 1e-12
 
@@ -75,8 +75,6 @@ def fit(
     k: int,
     seed,
     *,
-    variance_floor: float = VARIANCE_FLOOR,
-    max_iters: int = _DEFAULT_MAX_ITERS,
     start: GaussianMixture | None = None,
 ) -> GaussianMixture:
     """EM fit of a k-component diagonal-covariance mixture.
@@ -94,7 +92,7 @@ def fit(
             raise TooFewSamplesError(f"need at least {k} samples, got {n}")
         rng = np.random.default_rng(seed)
         means = _kmeans_pp(points, k, rng)
-        var0 = np.maximum(points.var(axis=0), variance_floor)
+        var0 = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
         variances = np.tile(var0, (k, 1))
         weights = np.full(k, 1.0 / k)
     else:
@@ -104,10 +102,10 @@ def fit(
             raise ValueError("warm start shape does not match request")
         weights = start.weights.copy()
         means = start.means.copy()
-        variances = np.maximum(start.variances, variance_floor)
+        variances = np.maximum(start.variances, VARIANCE_FLOOR)
 
     prev_ll = -np.inf
-    for iteration in range(max_iters):
+    for iteration in range(_MAX_ITERS):
         log_pdf = _component_log_pdf(means, variances, points)
         # dead components keep a representable but negligible weight
         log_joint = log_pdf + np.log(np.maximum(weights, 1e-300))[None, :]
@@ -131,7 +129,7 @@ def fit(
         new_means[alive] = (resp.T @ points)[alive] / mass[alive, None]
         sq = (resp.T @ (points * points))[alive] / mass[alive, None]
         new_vars[alive] = np.maximum(
-            sq - new_means[alive] ** 2, variance_floor
+            sq - new_means[alive] ** 2, VARIANCE_FLOOR
         )
         means, variances = new_means, new_vars
 

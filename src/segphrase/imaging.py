@@ -420,21 +420,19 @@ def _sobel_magnitude(intensity: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def extract_features(img: Image, smap: SuperpixelMap, bins: int = HIST_BINS) -> SuperpixelGraph:
+def extract_features(img: Image, smap: SuperpixelMap) -> SuperpixelGraph:
     """Per-superpixel histograms plus the boundary-weighted adjacency.
 
-    Descriptors are `bins`-bin intensity histograms per channel (grayscale
-    is expanded to three identical channels, so D = 3 * bins, 24 by
-    default), each block L1-normalized. boundary_prob of an edge is the
-    mean Sobel gradient magnitude over the pixels incident to the shared
-    boundary, clamped to [0, 1].
+    Descriptors are HIST_BINS-bin intensity histograms per channel
+    (grayscale is expanded to three identical channels, so D =
+    FEATURE_DIM = 24), each block L1-normalized. boundary_prob of an edge
+    is the mean Sobel gradient magnitude over the pixels incident to the
+    shared boundary, clamped to [0, 1].
     """
     if (img.height, img.width) != (smap.height, smap.width):
         raise ValueError("superpixel map does not match image dimensions")
-    if bins < 1:
-        raise ValueError("bins must be positive")
     h, w, n = img.height, img.width, smap.n
-    dim = 3 * bins
+    bins, dim = HIST_BINS, FEATURE_DIM
     data = img.data if img.channels == 3 else np.repeat(img.data, 3, axis=2)
     labels = smap.labels
 

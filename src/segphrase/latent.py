@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gmm
+from .config import Config
 from .errors import DataError, NumericalError
 from .imaging import SuperpixelGraph
 from .mrf import MrfProblem, energy, min_cut_infer
 
-DEFAULT_SEED_SHRINK = 0.6
 _MONOTONE_TOL = 1e-6
 
 
@@ -35,13 +35,8 @@ class DegenerateBoxError(DataError):
     """Bounding box has zero area or lies outside the image."""
 
 
-@dataclass
-class TrainConfig:
-    k: int = 5
-    max_iters: int = 10
-    seed: int = 0
-    lam: float = 0.05
-    seed_shrink: float = DEFAULT_SEED_SHRINK
+class FeatureDimensionError(DataError, ValueError):
+    """Superpixel features and model differ in dimension."""
 
 
 @dataclass
@@ -68,7 +63,7 @@ class SegmentationModel:
 
     theta_fg: gmm.GaussianMixture
     theta_bg: gmm.GaussianMixture
-    lam: float = 0.05
+    lam: float
     info: ModelInfo = field(default_factory=ModelInfo)
 
     @property
@@ -96,7 +91,7 @@ def make_instance(graph: SuperpixelGraph, box) -> TrainingInstance:
     return TrainingInstance(graph, (x0, y0, x1, y1), box_overlap(graph, box))
 
 
-def init_labels(inst: TrainingInstance, seed_shrink: float = DEFAULT_SEED_SHRINK) -> np.ndarray:
+def init_labels(inst: TrainingInstance, seed_shrink: float) -> np.ndarray:
     """Geometric seeding: a center-shrunk box marks confident foreground.
 
     Superpixels whose centroid falls in the box shrunk by seed_shrink about
@@ -125,14 +120,6 @@ def init_labels(inst: TrainingInstance, seed_shrink: float = DEFAULT_SEED_SHRINK
 def pairwise_weights(graph: SuperpixelGraph, lam: float) -> np.ndarray:
     """Potts disagreement penalty per edge: high across weak boundaries."""
     return np.exp(-lam * graph.boundary_prob)
-
-
-def _unary(theta_fg, theta_bg, features) -> np.ndarray:
-    """Negative log-densities as (cost-of-0, cost-of-1) rows."""
-    unary = np.empty((len(features), 2))
-    unary[:, 1] = -gmm.log_density_many(theta_fg, features)
-    unary[:, 0] = -gmm.log_density_many(theta_bg, features)
-    return unary
 
 
 def _cut_free(unary, edges, weights, fixed) -> np.ndarray:
@@ -171,12 +158,20 @@ def cut(model: SegmentationModel, graph: SuperpixelGraph, clamp_bg=None) -> np.n
     every superpixel fixed the result is all background and no cut runs.
     """
     if graph.features.shape[1] != model.dim:
-        raise ValueError("graph feature dimension does not match model")
+        raise FeatureDimensionError(
+            f"graph feature dimension {graph.features.shape[1]} does not match "
+            f"the model's {model.dim}"
+        )
     if clamp_bg is None:
         fixed = np.zeros(graph.n, dtype=bool)
     else:
         fixed = np.asarray(clamp_bg, dtype=bool)
-    unary = _unary(model.theta_fg, model.theta_bg, graph.features[~fixed])
+    features = graph.features[~fixed]
+    # negative log-densities as (cost-of-0, cost-of-1) rows
+    unary = np.column_stack([
+        -gmm.log_density_many(model.theta_bg, features),
+        -gmm.log_density_many(model.theta_fg, features),
+    ])
     return _cut_free(unary, graph.edges, pairwise_weights(graph, model.lam), fixed)
 
 
@@ -186,11 +181,12 @@ def _pools(instances, labelings):
     return np.concatenate(fg), np.concatenate(bg)
 
 
-def em_learn(instances: list[TrainingInstance], config: TrainConfig) -> SegmentationModel:
+def em_learn(instances: list[TrainingInstance], config: Config) -> SegmentationModel:
     """Alternating refit/relabel training; deterministic given the seed.
 
-    On an all-foreground or all-background collapse the run restarts once
-    from init_labels with the seed shrink halved; a second collapse raises
+    Reads config's gmm_k, em_max_iters, seed, lam and seed_shrink. On an
+    all-foreground or all-background collapse the run restarts once from
+    init_labels with the seed shrink halved; a second collapse raises
     CollapseError.
     """
     if not instances:
@@ -199,15 +195,10 @@ def em_learn(instances: list[TrainingInstance], config: TrainConfig) -> Segmenta
     if len(dims) != 1:
         raise ValueError("instances must share one feature dimension")
 
-    shrink = config.seed_shrink
-    for attempt in range(2):
-        try:
-            return _em_run(instances, config, shrink)
-        except CollapseError:
-            if attempt == 1:
-                raise
-            shrink = shrink / 2.0
-    raise AssertionError("unreachable")
+    try:
+        return _em_run(instances, config, config.seed_shrink)
+    except CollapseError:
+        return _em_run(instances, config, config.seed_shrink / 2.0)
 
 
 def _check_pools(labelings):
@@ -226,10 +217,10 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
     theta_fg = theta_bg = None
     history: list[float] = []
     iterations = 0
-    for _round in range(config.max_iters):
+    for _round in range(config.em_max_iters):
         fg_pool, bg_pool = _pools(instances, labelings)
-        k_fg = min(config.k, len(fg_pool)) if theta_fg is None else theta_fg.k
-        k_bg = min(config.k, len(bg_pool)) if theta_bg is None else theta_bg.k
+        k_fg = min(config.gmm_k, len(fg_pool)) if theta_fg is None else theta_fg.k
+        k_bg = min(config.gmm_k, len(bg_pool)) if theta_bg is None else theta_bg.k
         theta_fg = gmm.fit(fg_pool, k_fg, [config.seed, 0], start=theta_fg)
         theta_bg = gmm.fit(bg_pool, k_bg, [config.seed, 1], start=theta_bg)
 
@@ -237,12 +228,17 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
         new_labelings = []
         for inst, fixed in zip(instances, fixed_masks):
             graph = inst.graph
-            unary = _unary(theta_fg, theta_bg, graph.features)
+            free = ~fixed
+            # fixed superpixels are labelled 0, so energy() of the full
+            # problem (also the constrained problem's energy) gathers only
+            # their label-0 cost: their label-1 cost is never read, and
+            # the foreground density is evaluated on free ones only
+            unary = np.zeros((graph.n, 2))
+            unary[:, 0] = -gmm.log_density_many(theta_bg, graph.features)
+            unary[free, 1] = -gmm.log_density_many(theta_fg, graph.features[free])
             weights = pairwise_weights(graph, config.lam)
-            labeling = _cut_free(unary[~fixed], graph.edges, weights, fixed)
+            labeling = _cut_free(unary[free], graph.edges, weights, fixed)
             new_labelings.append(labeling)
-            # the full problem: fixed nodes are labelled 0, so this is
-            # also the energy of the constrained problem
             total += energy(MrfProblem(graph.n, unary, graph.edges, weights), labeling)
         if history and total > history[-1] + _MONOTONE_TOL:
             raise NumericalError(
@@ -256,10 +252,10 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
             break
         labelings = new_labelings
 
-    if theta_fg is None:  # max_iters == 0: single fit straight from the seeding
+    if theta_fg is None:  # em_max_iters == 0: single fit straight from the seeding
         fg_pool, bg_pool = _pools(instances, labelings)
-        theta_fg = gmm.fit(fg_pool, min(config.k, len(fg_pool)), [config.seed, 0])
-        theta_bg = gmm.fit(bg_pool, min(config.k, len(bg_pool)), [config.seed, 1])
+        theta_fg = gmm.fit(fg_pool, min(config.gmm_k, len(fg_pool)), [config.seed, 0])
+        theta_bg = gmm.fit(bg_pool, min(config.gmm_k, len(bg_pool)), [config.seed, 1])
 
     info = ModelInfo(
         instances=len(instances), iterations=iterations, energy_history=history

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .imaging import Image
+from .imaging import HIST_BINS, Image
 from .spt import SegmentPhraseTable, normalize_phrase
 
 SHAPE_BINS = 36
@@ -45,8 +45,8 @@ class PhraseExemplars:
 def exemplar_descriptor(image: Image, pixel_mask: np.ndarray) -> np.ndarray:
     """Appearance histogram of the masked pixels plus a radial shape profile.
 
-    Appearance: 8 intensity bins per channel (grayscale replicated to three
-    channels). Shape: histogram of pixel distances from the mask centroid,
+    Appearance: imaging.HIST_BINS intensity bins per channel (grayscale
+    replicated to three channels), as in the superpixel features. Shape: histogram of pixel distances from the mask centroid,
     normalized by the largest distance, over 36 bins. Each histogram block
     is L1-normalized.
     """
@@ -57,10 +57,10 @@ def exemplar_descriptor(image: Image, pixel_mask: np.ndarray) -> np.ndarray:
     blocks = []
     fg = data[mask]  # (npix, 3)
     for ch in range(3):
-        hist = np.zeros(8)
+        hist = np.zeros(HIST_BINS)
         if len(fg):
-            bins = np.minimum((fg[:, ch] * 8).astype(int), 7)
-            hist = np.bincount(bins, minlength=8).astype(np.float64)
+            bins = np.minimum((fg[:, ch] * HIST_BINS).astype(int), HIST_BINS - 1)
+            hist = np.bincount(bins, minlength=HIST_BINS).astype(np.float64)
             hist /= hist.sum()
         blocks.append(hist)
     shape = np.zeros(SHAPE_BINS)
@@ -347,4 +347,6 @@ def parse_relations_dataset(path, kind: str = "pairs"):
                 if gold not in valid:
                     raise DataError(f"{path}:{lineno}: unknown gold label {gold!r}")
                 out.append((x, y, gold))
+    if not out:
+        raise DataError(f"{path}: dataset has no rows")
     return out

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .errors import DataError
 from .gmm import GaussianMixture
 from .latent import ModelInfo, SegmentationModel
 
 MAGIC = b"SEGPHTBL"
 FORMAT_VERSION = 1
-DEFAULT_K_EXEMPLARS = 10
 
 
 class ValidationError(DataError):
@@ -85,7 +85,7 @@ class ExemplarMask:
 class SegmentPhraseTable:
     """In-memory table; mutate via insert/add_exemplar, persist via save."""
 
-    def __init__(self, k_exemplars: int = DEFAULT_K_EXEMPLARS):
+    def __init__(self, k_exemplars: int = Config.k_exemplars):
         self.k_exemplars = int(k_exemplars)
         self.entries: dict[PhraseKey, SegmentationModel] = {}
         self.versions: dict[PhraseKey, int] = {}
@@ -165,12 +165,21 @@ def _mixture_bytes(g: GaussianMixture) -> bytes:
     )
 
 
+def _array(buf: bytes, dtype: str, count: int, offset: int) -> np.ndarray:
+    """count items of dtype at offset; the whole range must lie in buf."""
+    if not (count >= 0 and 0 <= offset <= len(buf) - np.dtype(dtype).itemsize * count):
+        raise ChecksumError(f"{count} items at offset {offset} run outside the payload")
+    return np.frombuffer(buf, dtype, count, offset)
+
+
 def _mixture_from(buf: bytes, offset: int, k: int, dim: int):
-    w = np.frombuffer(buf, "<f8", k, offset).copy()
+    if not (k >= 1 and dim >= 1):
+        raise ChecksumError(f"mixture of {k} components in {dim} dimensions")
+    w = _array(buf, "<f8", k, offset).copy()
     offset += 8 * k
-    m = np.frombuffer(buf, "<f8", k * dim, offset).reshape(k, dim).copy()
+    m = _array(buf, "<f8", k * dim, offset).reshape(k, dim).copy()
     offset += 8 * k * dim
-    v = np.frombuffer(buf, "<f8", k * dim, offset).reshape(k, dim).copy()
+    v = _array(buf, "<f8", k * dim, offset).reshape(k, dim).copy()
     offset += 8 * k * dim
     return GaussianMixture(w, m, v), offset
 
@@ -294,6 +303,15 @@ def load_table(path) -> SegmentPhraseTable:
         )
 
     payload = blob[payload_start : expected - 4]
+    # the CRC only proves the file is as written: a malformed index
+    # (missing or mistyped keys, offsets outside the payload) is caught here
+    try:
+        return _table_from(index, payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ChecksumError(f"malformed table index: {exc!r}") from exc
+
+
+def _table_from(index: dict, payload: bytes) -> SegmentPhraseTable:
     table = SegmentPhraseTable(k_exemplars=index["k_exemplars"])
     for rec in index["entries"]:
         key = PhraseKey(rec["phrase"], rec["component_id"])
@@ -302,17 +320,23 @@ def load_table(path) -> SegmentPhraseTable:
         info = ModelInfo(**rec["info"])
         table.entries[key] = SegmentationModel(fg, bg, rec["lam"], info)
         table.versions[key] = rec["version"]
+    widths = set()
     for rec in index["exemplars"]:
-        runs = np.frombuffer(payload, "<u4", rec["n_runs"], rec["runs_offset"])
-        mask = _rle_decode(rec["first"], runs)
-        if len(mask) != rec["n"]:
+        if rec["first"] not in (0, 1):
+            raise ChecksumError(f"mask starts with label {rec['first']!r}")
+        runs = _array(payload, "<u4", rec["n_runs"], rec["runs_offset"])
+        if runs.sum() != rec["n"]:  # checked before decoding allocates the mask
             raise ChecksumError("mask run lengths do not add up")
+        mask = _rle_decode(rec["first"], runs)
         descriptor = None
         if "descriptor_offset" in rec:
-            descriptor = np.frombuffer(
+            descriptor = _array(
                 payload, "<f8", rec["descriptor_len"], rec["descriptor_offset"]
             ).copy()
+            widths.add(len(descriptor))
         table.exemplars.setdefault(rec["phrase"], []).append(
             ExemplarMask(rec["image_id"], rec["score"], mask, descriptor)
         )
+    if len(widths) > 1:
+        raise ChecksumError(f"exemplar descriptors differ in length: {sorted(widths)}")
     return table

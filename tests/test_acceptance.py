@@ -31,7 +31,6 @@ from segphrase.imaging import (
 from segphrase.latent import (
     ModelInfo,
     SegmentationModel,
-    TrainConfig,
     em_learn,
     make_instance,
     segment_with_model,
@@ -101,7 +100,7 @@ def test_a2_latent_em_recovery():
     ]
     train, held_out = scenes[:5], scenes[5:]
     instances = [make_instance(_scene_graph(s), s.box) for s in train]
-    model = em_learn(instances, TrainConfig(k=1, max_iters=10, seed=0))
+    model = em_learn(instances, Config(gmm_k=1, em_max_iters=10, seed=0))
     jaccards, precisions = [], []
     for scene in held_out:
         graph = _scene_graph(scene)
@@ -143,7 +142,7 @@ def test_a3_em_monotonicity():
             scene = make_scene(cfg)
             instances.append(make_instance(_scene_graph(scene, target=60), scene.box))
         model = em_learn(
-            instances, TrainConfig(k=int(rng.integers(1, 4)), max_iters=8, seed=runs)
+            instances, Config(gmm_k=int(rng.integers(1, 4)), em_max_iters=8, seed=runs)
         )
         hist = model.info.energy_history
         for before, after in zip(hist, hist[1:]):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from segphrase import relations
 from segphrase.cli import main, parse_train_manifest
 from segphrase.config import Config, load_config
 from segphrase.errors import DataError
+from segphrase.gmm import GaussianMixture
 from segphrase.imaging import load_image
+from segphrase.latent import SegmentationModel
 from segphrase.spt import ExemplarMask, PhraseKey, SegmentPhraseTable, load_table, save_table
 
 
@@ -35,6 +38,22 @@ def test_config_round_trip(tmp_path):
         ilp_lambda=0.1 + 0.2, detection_threshold=1e-7,
     )
     assert type(cfg.gmm_k) is int and type(cfg.seed) is int
+
+
+def test_readme_config_table_matches_config():
+    # the README's "Config keys" table: one row per key, default as repr
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    documented = {row[0].strip("`"): row[1].strip("`") for row in rows}
+    assert len(documented) == len(rows)
+    assert documented == {
+        f.name: repr(f.default) for f in dataclasses.fields(Config)
+    }
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -411,6 +430,27 @@ def test_bad_detection_scores_exit_cleanly(detections, code, twin_table, workspa
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_model_feature_width_mismatch_exits_2(twin_table, workspace, tmp_path, capsys):
+    # a model over 3 features per superpixel cannot score 24-bin histograms
+    _, emb = twin_table
+    mix = GaussianMixture(np.ones(1), np.zeros((1, 3)), np.ones((1, 3)))
+    table = SegmentPhraseTable()
+    table.insert(PhraseKey.make("round"), SegmentationModel(mix, mix, 1.0))
+    save_table(table, tmp_path / "t.spt")
+    (tmp_path / "dets.txt").write_text('"round" 8 8 40 40 1.0\n')
+    capsys.readouterr()
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(tmp_path / "dets.txt"),
+        str(tmp_path / "t.spt"), str(emb), str(tmp_path / "m.pgm"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not (tmp_path / "m.pgm").exists()
+    assert captured.err == (
+        "segphrase: data error: graph feature dimension 24 does not match "
+        "the model's 3\n"
+    )
+
+
 def write_two_phrase_table(path):
     """Table with one exemplar descriptor each for phrases 'a' and 'b'."""
     table = SegmentPhraseTable()
@@ -450,17 +490,29 @@ def test_first_missing_phrase_in_dataset_order_exits_2(mode, graph, tmp_path, ca
     (["synth", "{d}/out", "--size", "2"], None, "size"),
     (["synth", "{d}/out", "--count", "-1"], None, "count"),
     (["synth", "{d}/out", "--test-count", "-3"], None, "count"),
+    (["relations", "entail", "{d}/empty.tsv", "{d}/o.csv", "--table", "{d}/t.spt"],
+     None, "no rows"),
+    (["relations", "paraphrase", "{d}/comments.tsv", "{d}/o.csv", "--table",
+      "{d}/t.spt"], None, "no rows"),
+    (["relations", "simrel", "{d}/comments.tsv", "{d}/o.csv", "--table", "{d}/t.spt"],
+     None, "no rows"),
+    (["relations", "entail", "{d}/empty.tsv", "{d}/o.csv", "--table", "{d}/t.spt",
+      "--graph"], None, "no rows"),
 ], ids=["tau-nan", "scores-negative-n", "scores-nan", "synth-noise", "synth-size",
-        "synth-count", "synth-test-count"])
+        "synth-count", "synth-test-count", "entail-empty", "paraphrase-comments",
+        "simrel-comments", "graph-empty"])
 def test_bad_parameters_exit_2(argv, score_file, reason, tmp_path, capsys):
     write_two_phrase_table(tmp_path / "t.spt")
     (tmp_path / "p.tsv").write_text("a\tb\tparaphrase\n")
+    (tmp_path / "empty.tsv").write_text("")
+    (tmp_path / "comments.tsv").write_text("# x\ty\tgold\n\n")
     if score_file is not None:
         (tmp_path / "s.txt").write_text(score_file)
     rc = main([a.format(d=tmp_path) for a in argv])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == "" and not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "out").exists()
     assert captured.err.startswith("segphrase: data error: ") and reason in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 

@@ -7,6 +7,8 @@ import pytest
 from segphrase import imaging
 from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import (
+    FEATURE_DIM,
+    HIST_BINS,
     Image,
     MalformedHeaderError,
     SuperpixelMap,
@@ -311,9 +313,9 @@ def test_descriptor_width_follows_bin_config():
     rng = np.random.default_rng(7)
     img = Image(8, 8, 1, rng.random((8, 8, 1)))
     sm = compute_superpixels(img, 4)
-    g = extract_features(img, sm, bins=4)
-    assert g.features.shape == (sm.n, 12)
-    assert np.allclose(g.features.reshape(sm.n, 3, 4).sum(axis=2), 1.0)
+    g = extract_features(img, sm)
+    assert HIST_BINS == 8 and g.features.shape == (sm.n, 24) == (sm.n, FEATURE_DIM)
+    assert np.allclose(g.features.reshape(sm.n, 3, HIST_BINS).sum(axis=2), 1.0)
 
 
 def test_labels_to_mask_lifts_ids():

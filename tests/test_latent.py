@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from segphrase import gmm, latent
-from segphrase.errors import NumericalError
+from segphrase.config import Config
+from segphrase.errors import DataError, NumericalError
 from segphrase.evaluation import SceneConfig, make_scene, seg_metrics
 from segphrase.imaging import (
     Image,
@@ -14,7 +15,6 @@ from segphrase.latent import (
     CollapseError,
     DegenerateBoxError,
     SegmentationModel,
-    TrainConfig,
     _cut_free,
     box_overlap,
     cut,
@@ -101,7 +101,7 @@ def test_init_labels_shrink_range():
 def test_bimodal_instance_recovers_partition():
     scene = make_scene(SceneConfig(seed=5))
     inst = scene_instance(scene)
-    model = em_learn([inst], TrainConfig(k=1, seed=0))
+    model = em_learn([inst], Config(gmm_k=1, seed=0))
     mask = labels_to_mask(segment_instance(model, inst), inst.graph.smap)
     assert seg_metrics(mask, scene.gt_mask).jaccard == pytest.approx(1.0)
 
@@ -109,7 +109,7 @@ def test_bimodal_instance_recovers_partition():
 def test_max_iters_zero_is_single_m_step():
     scene = make_scene(SceneConfig(seed=6))
     inst = scene_instance(scene)
-    model = em_learn([inst], TrainConfig(k=2, max_iters=0, seed=3))
+    model = em_learn([inst], Config(gmm_k=2, em_max_iters=0, seed=3))
     assert model.info.iterations == 0 and model.info.energy_history == []
     labels = init_labels(inst, 0.6)
     fg = inst.graph.features[labels == 1]
@@ -123,7 +123,7 @@ def test_max_iters_zero_is_single_m_step():
 def test_identical_instances_stay_identical():
     scene = make_scene(SceneConfig(seed=7))
     a, b = scene_instance(scene), scene_instance(scene)
-    model = em_learn([a, b], TrainConfig(k=1, seed=1))
+    model = em_learn([a, b], Config(gmm_k=1, seed=1))
     la = segment_instance(model, a)
     lb = segment_instance(model, b)
     assert np.array_equal(la, lb)
@@ -132,7 +132,7 @@ def test_identical_instances_stay_identical():
 def test_outside_box_clamp_respected():
     scene = make_scene(SceneConfig(seed=8))
     inst = scene_instance(scene)
-    model = em_learn([inst], TrainConfig(k=1, seed=0))
+    model = em_learn([inst], Config(gmm_k=1, seed=0))
     labels = segment_instance(model, inst)
     assert not labels[inst.sp_in_box == 0.0].any()
 
@@ -140,8 +140,8 @@ def test_outside_box_clamp_respected():
 def test_training_deterministic_bit_identical():
     scene = make_scene(SceneConfig(seed=9))
     insts = [scene_instance(scene), scene_instance(make_scene(SceneConfig(seed=10)))]
-    m1 = em_learn(insts, TrainConfig(k=2, seed=11))
-    m2 = em_learn(insts, TrainConfig(k=2, seed=11))
+    m1 = em_learn(insts, Config(gmm_k=2, seed=11))
+    m2 = em_learn(insts, Config(gmm_k=2, seed=11))
     for a, b in ((m1.theta_fg, m2.theta_fg), (m1.theta_bg, m2.theta_bg)):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
@@ -152,7 +152,7 @@ def test_training_deterministic_bit_identical():
 def test_energy_history_non_increasing():
     scenes = [make_scene(SceneConfig(seed=s)) for s in (12, 13, 14)]
     insts = [scene_instance(s) for s in scenes]
-    model = em_learn(insts, TrainConfig(k=2, seed=0))
+    model = em_learn(insts, Config(gmm_k=2, seed=0))
     hist = model.info.energy_history
     assert len(hist) >= 1
     assert all(b <= a + 1e-6 for a, b in zip(hist, hist[1:]))
@@ -163,18 +163,18 @@ def test_uniform_images_collapse():
     # background, the halved-shrink retry does the same, then the error
     inst = grid_instance((2, 2, 6, 6), w=8, h=8, target=16)
     with pytest.raises(CollapseError):
-        em_learn([inst], TrainConfig(k=1, seed=0, max_iters=3))
+        em_learn([inst], Config(gmm_k=1, seed=0, em_max_iters=3))
 
 
 def test_whole_image_box_collapses():
     inst = grid_instance((0, 0, 8, 8), target=16)
     with pytest.raises(CollapseError):
-        em_learn([inst], TrainConfig(k=1, seed=0))
+        em_learn([inst], Config(gmm_k=1, seed=0))
 
 
 def test_em_learn_requires_instances():
     with pytest.raises(ValueError):
-        em_learn([], TrainConfig())
+        em_learn([], Config())
 
 
 # -- segment_with_model --------------------------------------------------------------
@@ -213,14 +213,15 @@ def test_dimension_mismatch_rejected():
     img = Image(8, 8, 1, np.full((8, 8, 1), 0.5))
     graph = extract_features(img, compute_superpixels(img, 4))
     model = _simple_model(0.0, 1.0, dim=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         segment_with_model(model, graph)
+    assert isinstance(raised.value, DataError)  # the CLI exits 2
 
 
 def test_held_out_two_texture_recovery():
     train = [make_scene(SceneConfig(seed=s)) for s in (20, 21)]
     test = make_scene(SceneConfig(seed=22))
-    model = em_learn([scene_instance(s) for s in train], TrainConfig(k=1, seed=2))
+    model = em_learn([scene_instance(s) for s in train], Config(gmm_k=1, seed=2))
     graph = extract_features(
         test.image, compute_superpixels(test.image, 200)
     )
@@ -323,7 +324,7 @@ def test_cut_matches_box_clamped_full_problem(seed):
     # with costs far below 1e6 the old clamp fixes the outside-box
     # superpixels exactly, so both cuts give the same labels
     inst = scene_instance(make_scene(SceneConfig(seed=seed)))
-    model = em_learn([inst], TrainConfig(k=2, seed=seed))
+    model = em_learn([inst], Config(gmm_k=2, seed=seed))
     soft = _soft_clamped_cut(model, inst.graph, inst.sp_in_box == 0.0)
     assert np.array_equal(segment_instance(model, inst), soft)
 

@@ -11,7 +11,7 @@ from segphrase.imaging import (
     compute_superpixels,
     extract_features,
 )
-from segphrase.latent import TrainConfig, box_overlap, cut, em_learn, make_instance
+from segphrase.latent import box_overlap, cut, em_learn, make_instance
 from segphrase.linguistics import (
     Detection,
     DuplicateWordError,
@@ -311,7 +311,7 @@ def trained_setup():
     scene = make_scene(SceneConfig(seed=3))
     graph = extract_features(scene.image, compute_superpixels(scene.image, 200))
     inst = make_instance(graph, scene.box)
-    model = em_learn([inst], TrainConfig(k=1, seed=0))
+    model = em_learn([inst], Config(gmm_k=1, seed=0))
     table = SegmentPhraseTable()
     table.insert(PhraseKey.make("round object"), model)
     emb = table_of(round=[1.0, 0.0, 0.0], object=[0.0, 1.0, 0.0])

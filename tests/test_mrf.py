@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from maxflow_oracle import solve_max_flow as oracle_solve_max_flow
 from segphrase import gmm
+from segphrase.config import Config
 from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import compute_superpixels, extract_features
-from segphrase.latent import TrainConfig, em_learn, make_instance
+from segphrase.latent import em_learn, make_instance
 from segphrase.mrf import (
     MrfProblem,
     SubmodularityError,
@@ -184,7 +185,7 @@ def test_matches_oracle_on_edge_cases():
 def test_matches_oracle_on_scene_graphs(seed):
     scene = make_scene(SceneConfig(size=256, seed=seed))
     graph = extract_features(scene.image, compute_superpixels(scene.image, 800))
-    model = em_learn([make_instance(graph, scene.box)], TrainConfig(k=2, seed=seed))
+    model = em_learn([make_instance(graph, scene.box)], Config(gmm_k=2, seed=seed))
     unary = np.column_stack([
         -gmm.log_density_many(model.theta_bg, graph.features),
         -gmm.log_density_many(model.theta_fg, graph.features),

@@ -1,3 +1,4 @@
+import json
 import struct
 import zlib
 
@@ -217,6 +218,53 @@ def test_index_without_valid_payload_len_fails_checksum(tmp_path, index):
     body += index + bytes(8)
     path = tmp_path / "t.spt"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(ChecksumError):
+        load_table(path)
+
+
+def _edit_index(path, edit):
+    """Apply edit to the saved table's JSON index and recompute the CRC."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4 + 8
+    (index_len,) = struct.unpack_from("<Q", blob, start - 8)
+    index = json.loads(blob[start : start + index_len])
+    edit(index)
+    encoded = json.dumps(index, sort_keys=True).encode("utf-8")
+    body = blob[: start - 8] + struct.pack("<Q", len(encoded)) + encoded
+    body += blob[start + index_len : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _described(index):
+    return [rec for rec in index["exemplars"] if "descriptor_offset" in rec]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ix: ix["exemplars"][0].update(runs_offset=ix["payload_len"] + 8),
+    lambda ix: ix["exemplars"][0].update(runs_offset=-4),
+    lambda ix: ix["exemplars"][0].update(n_runs=-1),
+    lambda ix: ix["entries"][0].update(offset=ix["payload_len"]),
+    lambda ix: ix["entries"][0].update(offset=-8),
+    lambda ix: ix["entries"][0].pop("lam"),
+    lambda ix: ix["entries"][0]["info"].update(colour="red"),
+    lambda ix: ix["entries"][0].update(k_fg="2"),
+    lambda ix: ix["entries"][0].update(k_bg=0),
+    lambda ix: ix["entries"][0].update(dim=0),
+    lambda ix: ix.pop("k_exemplars"),
+    lambda ix: _described(ix)[0].update(descriptor_len=5),
+    lambda ix: _described(ix)[0].update(descriptor_offset=ix["payload_len"]),
+    lambda ix: ix["exemplars"][0].update(first=7),
+    lambda ix: ix["exemplars"][0].update(n=ix["exemplars"][0]["n"] + 1),
+], ids=["runs-offset-past-end", "runs-offset-negative", "n-runs-negative",
+        "model-offset-past-end", "model-offset-negative", "missing-lam",
+        "unknown-info-key", "string-k", "zero-k", "zero-dim", "missing-k-exemplars", "descriptor-len-5",
+        "descriptor-offset-past-end", "first-7", "runs-short-of-n"])
+def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
+    path = tmp_path / "t.spt"
+    save_table(random_table(5, n_entries=1, n_exemplars=3), path)
+    _edit_index(path, lambda ix: None)
+    assert load_table(path).deep_equal(random_table(5, n_entries=1, n_exemplars=3))
+    _edit_index(path, edit)
     with pytest.raises(ChecksumError):
         load_table(path)
 
