@@ -20,6 +20,8 @@ VARIANCE_FLOOR = 1e-4
 _MAX_ITERS = 100
 _REL_TOL = 1e-6
 _DEAD_MASS = 1e-12
+# differences per block of the E-step's (rows, k, dim) temporary
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class TooFewSamplesError(DataError):
@@ -42,9 +44,23 @@ class GaussianMixture:
 
 
 def _component_log_pdf(means, variances, points):
-    """(N, k) log N(points | component), diagonal covariances."""
-    diff = points[:, None, :] - means[None, :, :]
-    quad = (diff * diff / variances[None, :, :]).sum(axis=2)
+    """(N, k) log N(points | component), diagonal covariances.
+
+    Rows go through in blocks of at most _BLOCK_ELEMENTS differences, so
+    the (rows, k, dim) temporary stays small; each row's quadratic form
+    is the same contiguous sum over dim as one broadcast over all N rows
+    would take, so the values are bit-equal to it.
+    """
+    n, k = len(points), len(means)
+    quad = np.empty((n, k))
+    step = max(1, _BLOCK_ELEMENTS // max(1, k * points.shape[1]))
+    diff = np.empty((min(n, step), k, points.shape[1]))
+    for r in range(0, n, step):
+        d = diff[:min(step, n - r)]
+        np.subtract(points[r:r + step, None, :], means, out=d)
+        d *= d
+        d /= variances
+        d.sum(axis=2, out=quad[r:r + step])
     log_norm = (np.log(2.0 * np.pi * variances)).sum(axis=1)
     return -0.5 * (quad + log_norm[None, :])
 
@@ -104,6 +120,7 @@ def fit(
         means = start.means.copy()
         variances = np.maximum(start.variances, VARIANCE_FLOOR)
 
+    squares = points * points
     prev_ll = -np.inf
     for iteration in range(_MAX_ITERS):
         log_pdf = _component_log_pdf(means, variances, points)
@@ -127,7 +144,7 @@ def fit(
         new_means = means.copy()
         new_vars = variances.copy()
         new_means[alive] = (resp.T @ points)[alive] / mass[alive, None]
-        sq = (resp.T @ (points * points))[alive] / mass[alive, None]
+        sq = (resp.T @ squares)[alive] / mass[alive, None]
         new_vars[alive] = np.maximum(
             sq - new_means[alive] ** 2, VARIANCE_FLOOR
         )

@@ -40,6 +40,8 @@ FEATURE_DIM = 3 * HIST_BINS
 # normalized by the grid interval, intensities (range [0,1]) by this.
 _INTENSITY_SCALE = 0.2
 _KMEANS_ITERS = 10
+# window elements evaluated per block of seed-grid rows (at least one row)
+_KMEANS_BLOCK = 1 << 15
 
 
 @dataclass
@@ -204,10 +206,36 @@ def compute_superpixels(img: Image, target_count: int) -> SuperpixelMap:
 def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     """Centre index of every pixel after the k-means iterations.
 
-    Each centre scans a window of +-2 grid intervals around itself; a
-    pixel takes the centre with the smallest distance, the lower index
-    winning ties. Pixels outside every window take the globally nearest
-    centre.
+    Each centre scans a window of +-reach pixels (reach = ceil(2 grid
+    intervals)) around its anchor, the centre truncated toward zero. A
+    pixel takes, among the centres whose window covers it, the one with
+    the smallest distance d2 = (dx*dx + dy*dy) / interval**2 + di*di, and
+    the lowest index among equal d2. Pixels outside every window take the
+    globally nearest centre.
+
+    The rule does not depend on the order the centres are visited, so
+    each iteration evaluates blocks of whole seed-grid rows at once. Every
+    window of a block is gathered from the image padded by reach, and d2
+    is the same float expression as a one-centre-at-a-time loop, so each
+    d2 is bit-equal. A band buffer over the block's rows keeps per pixel
+    the smallest d2 (`np.minimum.at`), then the first entry equal to it
+    (entries run centre by centre, so the lowest index). Blocks merge in
+    ascending index with a strict `<`, so a tie stays with the earlier,
+    lower-index block.
+
+    From the second iteration on, a block's windows are cropped by an
+    exact bound. Let U_p be d2 from pixel p to the centre p took last
+    iteration, at that centre's new position, and U the largest U_p over
+    the rows the block's windows reach. A computed d2 is at least its
+    computed spatial term: both terms are non-negative and rounding is
+    monotone. A window pixel more than c = ceil(sqrt(U) * interval) + 1
+    from the anchor in x or y is more than c from the centre (the anchor
+    is the centre rounded down), a full pixel beyond sqrt(U) intervals,
+    which dwarfs any rounding, so its spatial term exceeds U. If p's
+    previous centre still covers p, p's winning d2 is at most U_p <= U, so
+    that window pixel can neither win nor tie. If it no longer covers p,
+    p is more than reach from it in x or y, so U_p is at least
+    reach**2 / interval**2, c exceeds reach and nothing is cropped.
     """
     h, w = intensity.shape
     interval = math.sqrt(w * h / target_count)
@@ -222,51 +250,107 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     centers_i = intensity[iy, ix]
     n_centers = len(centers_x)
 
-    col_x = np.arange(w, dtype=np.float64)
-    row_y = np.arange(h, dtype=np.float64)[:, None]
-    pixel_x = np.tile(col_x, h)
-    pixel_y = np.repeat(row_y.ravel(), w)
+    pixel_x = np.tile(np.arange(w, dtype=np.float64), h)
+    pixel_y = np.repeat(np.arange(h, dtype=np.float64), w)
     pixel_i = intensity.ravel()
+    scale2 = interval * interval
     reach = max(1, int(math.ceil(2 * interval)))
+    # padded coordinates: pixel (y, x) sits at (y + reach, x + reach), so
+    # every window lies inside; values in the padding are never read back
+    pw = w + 2 * reach
+    padded = np.pad(intensity, reach).ravel()
     assign = np.empty((h, w), dtype=np.int32)
     flat = assign.ravel()
     dist = np.empty((h, w))
+    # band buffers span the padded image but a block touches only its band
+    band_d2 = np.empty((h + 2 * reach) * pw)
+    band_at = np.empty((h + 2 * reach) * pw, dtype=np.intp)
+    full = (2 * reach + 1) ** 2
+    block_rows = max(1, _KMEANS_BLOCK // (cols * full))
+    blocks = [(r * cols, min(rows, r + block_rows) * cols)
+              for r in range(0, rows, block_rows)]
+    most = min(rows, block_rows) * cols * full
+    d2_buf = np.empty(most)
+    win_buf = np.empty(most)
+    idx_buf = np.empty(most, dtype=np.intp)
+    tie_buf = np.empty(most, dtype=bool)
+    row_bound = None
 
-    for _ in range(_KMEANS_ITERS):
-        dist.fill(np.inf)
-        assign.fill(-1)
+    for it in range(_KMEANS_ITERS):
         # windows are anchored at the centre truncated toward zero
         base_x = centers_x.astype(int)
         base_y = centers_y.astype(int)
-        x0s = np.maximum(0, base_x - reach).tolist()
-        x1s = np.minimum(w, base_x + reach + 1).tolist()
-        y0s = np.maximum(0, base_y - reach).tolist()
-        y1s = np.minimum(h, base_y + reach + 1).tolist()
-        for k, (ckx, cky, cki) in enumerate(
-            zip(centers_x.tolist(), centers_y.tolist(), centers_i.tolist())
-        ):
-            x0, x1, y0, y1 = x0s[k], x1s[k], y0s[k], y1s[k]
-            if x0 >= x1 or y0 >= y1:
-                continue
-            dx = col_x[x0:x1] - ckx
-            dy = row_y[y0:y1] - cky
-            d2 = dx * dx + dy * dy
-            d2 /= interval * interval
-            di = intensity[y0:y1, x0:x1] - cki
+        if it:
+            row_bound = _row_bounds(
+                assign, (centers_x, centers_y, centers_i),
+                (pixel_x, pixel_y, pixel_i), scale2, dist, band_d2[:h * w],
+            )
+        dist.fill(np.inf)
+        assign.fill(-1)
+        for k0, k1 in blocks:
+            by, bx = base_y[k0:k1], base_x[k0:k1]
+            y_lo, y_hi = int(by.min()), int(by.max())
+            crop = reach if row_bound is None else _window_crop(
+                float(row_bound[max(0, y_lo - reach):y_hi + reach + 1].max()),
+                interval, reach,
+            )
+            side = 2 * crop + 1
+            shape = (k1 - k0, side, side)
+            size = shape[0] * side * side
+            # d2 in the scalar loop's order: (dx*dx + dy*dy) / scale2 + di*di
+            offs = np.arange(-crop, crop + 1)
+            dx = (bx[:, None] + offs).astype(np.float64)
+            dx -= centers_x[k0:k1, None]
+            dx *= dx
+            dy = (by[:, None] + offs).astype(np.float64)
+            dy -= centers_y[k0:k1, None]
+            dy *= dy
+            d2 = d2_buf[:size].reshape(shape)
+            np.add(dy[:, :, None], dx[:, None, :], out=d2)
+            d2 /= scale2
+            # band: padded rows top .. top + n_band - 1, full padded width
+            top = y_lo + reach - crop
+            n_band = y_hi - y_lo + side
+            idx = idx_buf[:size].reshape(shape)
+            np.add(((by - y_lo) * pw + bx + reach - crop)[:, None, None],
+                   np.arange(side)[:, None] * pw + np.arange(side), out=idx)
+            di = win_buf[:size].reshape(shape)
+            # every index is in range: "clip" only spares take's buffered copy
+            np.take(padded[top * pw:], idx, out=di, mode="clip")
+            di -= centers_i[k0:k1, None, None]
             di /= _INTENSITY_SCALE
             di *= di
             d2 += di
-            dist_win = dist[y0:y1, x0:x1]
-            closer = d2 < dist_win
-            np.copyto(dist_win, d2, where=closer)
-            np.copyto(assign[y0:y1, x0:x1], k, where=closer)
+            # per band pixel the smallest d2, then the first entry holding
+            # it; entries run centre by centre, so that is the lowest index
+            bd = band_d2[:n_band * pw]
+            at = band_at[:n_band * pw]
+            bd.fill(np.inf)
+            at.fill(size)
+            idx, d2 = idx.ravel(), d2.ravel()
+            np.minimum.at(bd, idx, d2)
+            np.take(bd, idx, out=win_buf[:size], mode="clip")
+            tie = np.equal(d2, win_buf[:size], out=tie_buf[:size])
+            hit = np.flatnonzero(tie)
+            np.minimum.at(at, idx[hit], hit)
+            # merge the band's image rows, lower-index blocks keeping ties
+            y0 = max(0, top - reach)
+            y1 = min(h, top - reach + n_band)
+            r0 = y0 + reach - top
+            band_dist = bd.reshape(n_band, pw)[r0:r0 + y1 - y0, reach:reach + w]
+            winner = at.reshape(n_band, pw)[r0:r0 + y1 - y0, reach:reach + w]
+            winner //= side * side
+            winner += k0
+            closer = band_dist < dist[y0:y1]
+            np.copyto(dist[y0:y1], band_dist, where=closer)
+            np.copyto(assign[y0:y1], winner, where=closer, casting="same_kind")
         # pixels outside every search window: assign to globally nearest seed
         missing = np.flatnonzero(flat < 0)
         if missing.size:
             mx, my, mi = pixel_x[missing], pixel_y[missing], pixel_i[missing]
             d2 = (
                 (mx[:, None] - centers_x) ** 2 + (my[:, None] - centers_y) ** 2
-            ) / (interval * interval) + (
+            ) / scale2 + (
                 (mi[:, None] - centers_i) / _INTENSITY_SCALE
             ) ** 2
             flat[missing] = np.argmin(d2, axis=1)
@@ -279,6 +363,38 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
             sums = np.bincount(flat, weights=values, minlength=n_centers)
             centers[used] = sums[used] / counts[used]
     return assign
+
+
+def _row_bounds(assign, centers, pixels, scale2, out, tmp):
+    """Per image row, the largest d2 of a pixel to the centre `assign`
+    gives it, by the windows' float expression.
+
+    centers are (x, y, intensity) per centre and pixels the same per
+    pixel, raveled; out is an (h, w) buffer and tmp an (h * w,) one.
+    """
+    (center_x, center_y, center_i), (pixel_x, pixel_y, pixel_i) = centers, pixels
+    flat, d2 = assign.ravel(), out.ravel()
+    np.take(center_x, flat, out=d2, mode="clip")
+    np.subtract(pixel_x, d2, out=d2)
+    d2 *= d2
+    np.take(center_y, flat, out=tmp, mode="clip")
+    np.subtract(pixel_y, tmp, out=tmp)
+    tmp *= tmp
+    d2 += tmp
+    d2 /= scale2
+    np.take(center_i, flat, out=tmp, mode="clip")
+    np.subtract(pixel_i, tmp, out=tmp)
+    tmp /= _INTENSITY_SCALE
+    tmp *= tmp
+    d2 += tmp
+    return out.max(axis=1)
+
+
+def _window_crop(bound: float, interval: float, reach: int) -> int:
+    """Half-width, around the anchor, of the window part that can hold a
+    winner or a tie, `bound` being the largest d2 from a pixel the
+    windows reach to its previous centre (see `_kmeans_assign`)."""
+    return min(reach, math.ceil(math.sqrt(bound) * interval) + 1)
 
 
 def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):

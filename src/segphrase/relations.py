@@ -166,7 +166,7 @@ def _triples(n, pair_index):
     return out
 
 
-def solve_entailment_graph(scores, lam: float, mode: str = "exact") -> np.ndarray:
+def solve_entailment_graph(scores, lam: float, mode: str) -> np.ndarray:
     """Select the 0/1 decision matrix maximizing sum of selected scores
     minus lam per edge, subject to all transitivity constraints.
 
@@ -321,7 +321,7 @@ def load_score_matrix(path) -> np.ndarray:
     return values.reshape(n, n)
 
 
-def parse_relations_dataset(path, kind: str = "pairs"):
+def parse_relations_dataset(path, kind: str):
     """Tab-separated gold files.
 
     kind='pairs': lines 'x<TAB>y<TAB>gold' with gold in {entails,

@@ -23,6 +23,8 @@ from .latent import ModelInfo, SegmentationModel
 
 MAGIC = b"SEGPHTBL"
 FORMAT_VERSION = 1
+# how far a stored mixture's weights may sum from 1 (a fit's are within ulps)
+_SIMPLEX_TOL = 1e-9
 
 
 class ValidationError(DataError):
@@ -181,6 +183,14 @@ def _mixture_from(buf: bytes, offset: int, k: int, dim: int):
     offset += 8 * k * dim
     v = _array(buf, "<f8", k * dim, offset).reshape(k, dim).copy()
     offset += 8 * k * dim
+    # the CRC proves the bytes are as written, not that they form a mixture
+    if not (np.isfinite(w).all() and (w >= 0.0).all()
+            and abs(w.sum() - 1.0) <= _SIMPLEX_TOL):
+        raise ChecksumError("mixture weights are not a probability vector")
+    if not np.isfinite(m).all():
+        raise ChecksumError("mixture means are not finite")
+    if not (np.isfinite(v).all() and (v > 0.0).all()):
+        raise ChecksumError("mixture variances are not finite and positive")
     return GaussianMixture(w, m, v), offset
 
 

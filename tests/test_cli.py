@@ -451,6 +451,38 @@ def test_model_feature_width_mismatch_exits_2(twin_table, workspace, tmp_path, c
     )
 
 
+@pytest.mark.parametrize("weights, means, variances", [
+    ([1.0], [0.0], [-1.0]),
+    ([1.0], [0.0], [0.0]),
+    ([1.0], [0.0], [np.inf]),
+    ([1.0], [np.nan], [1.0]),
+    ([0.7], [0.0], [1.0]),
+    ([1.5, -0.5], [0.0, 0.0], [1.0, 1.0]),
+    ([np.nan], [0.0], [1.0]),
+], ids=["negative-variance", "zero-variance", "inf-variance", "nan-mean",
+        "weights-off-simplex", "negative-weight", "nan-weight"])
+def test_table_with_bad_mixture_numbers_exits_2(weights, means, variances, twin_table,
+                                                workspace, tmp_path, capsys):
+    # a CRC-valid table whose mixture is no density is a data error, not a traceback
+    _, emb = twin_table
+    bad = GaussianMixture(np.array(weights), np.tile(np.array(means)[:, None], (1, 24)),
+                          np.tile(np.array(variances)[:, None], (1, 24)))
+    good = GaussianMixture(np.ones(1), np.zeros((1, 24)), np.ones((1, 24)))
+    table = SegmentPhraseTable()
+    table.insert(PhraseKey.make("round"), SegmentationModel(good, bad, 1.0))
+    save_table(table, tmp_path / "t.spt")
+    (tmp_path / "dets.txt").write_text('"round" 8 8 40 40 1.0\n')
+    capsys.readouterr()
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(tmp_path / "dets.txt"),
+        str(tmp_path / "t.spt"), str(emb), str(tmp_path / "m.pgm"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not (tmp_path / "m.pgm").exists()
+    assert captured.err.startswith("segphrase: data error: mixture ")
+    assert captured.err.count("\n") == 1
+
+
 def write_two_phrase_table(path):
     """Table with one exemplar descriptor each for phrases 'a' and 'b'."""
     table = SegmentPhraseTable()

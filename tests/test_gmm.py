@@ -7,6 +7,7 @@ from segphrase.gmm import (
     VARIANCE_FLOOR,
     GaussianMixture,
     TooFewSamplesError,
+    _component_log_pdf,
     fit,
     log_density_many,
 )
@@ -94,6 +95,28 @@ def test_log_density_matches_extended_precision_sum():
                 np.longdouble(-0.5) * (x - m) ** 2 / v
             ) / np.sqrt(np.longdouble(2 * np.pi) * v)
         assert log_density_many(g, [[x]])[0] == pytest.approx(float(np.log(direct)), abs=1e-12)
+
+
+def _broadcast_log_pdf(means, variances, points):
+    """The E-step's per-component log densities as one (N, k, dim) broadcast."""
+    diff = points[:, None, :] - means[None, :, :]
+    quad = (diff * diff / variances[None, :, :]).sum(axis=2)
+    log_norm = (np.log(2.0 * np.pi * variances)).sum(axis=1)
+    return -0.5 * (quad + log_norm[None, :])
+
+
+@pytest.mark.parametrize("n,k,dim", [
+    (800, 5, 24), (3000, 5, 24), (40, 1, 24), (40, 5, 1), (1, 1, 1), (3, 5, 24), (0, 2, 4),
+    (257, 3, 9),
+])
+def test_component_log_pdf_bit_equal_to_broadcast(n, k, dim):
+    rng = np.random.default_rng(n * 31 + k * 7 + dim)
+    points = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
+    means = rng.normal(size=(k, dim))
+    variances = rng.uniform(VARIANCE_FLOOR, 5.0, size=(k, dim))
+    got = _component_log_pdf(means, variances, points)
+    assert got.shape == (n, k)
+    assert np.array_equal(got, _broadcast_log_pdf(means, variances, points))
 
 
 def test_log_density_dimension_mismatch():

@@ -1,3 +1,4 @@
+import copy
 import io
 import math
 
@@ -199,7 +200,10 @@ def test_matches_oracle_on_random_images(seed):
         _assert_same_as_oracle(img, target)
 
 
-@pytest.mark.parametrize("w,h,target", [(9, 7, 3), (15, 11, 10), (13, 13, 169), (31, 5, 6)])
+# uniform: every d2 is spatial, so equidistant centres tie exactly
+@pytest.mark.parametrize("w,h,target", [
+    (9, 7, 3), (15, 11, 10), (13, 13, 169), (31, 5, 6), (48, 48, 50), (40, 24, 60), (33, 17, 11),
+])
 def test_matches_oracle_on_uniform_images(w, h, target):
     _assert_same_as_oracle(uniform_image(w, h, 0.3), target)
 
@@ -210,6 +214,89 @@ def test_matches_oracle_on_fragmented_scene(seed):
     scene = make_scene(SceneConfig(size=96, noise=0.16, seed=seed))
     sm = _assert_same_as_oracle(scene.image, 400)
     assert _first_appearance_increasing(sm.labels)
+
+
+def _kmeans_grid(w, h, target):
+    """(seed-grid rows, cols, window reach) of `_kmeans_assign`."""
+    interval = math.sqrt(w * h / target)
+    return (max(1, round(h / interval)), max(1, round(w / interval)),
+            max(1, math.ceil(2 * interval)))
+
+
+def _spy(monkeypatch, name):
+    """Record (args, result) of every call to imaging.<name>, copied as
+    they were at the call."""
+    calls = []
+    real = getattr(imaging, name)
+
+    def spy(*args):
+        seen = copy.deepcopy(args)
+        result = real(*args)
+        calls.append((seen, copy.deepcopy(result)))
+        return result
+
+    monkeypatch.setattr(imaging, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cropped_windows_match_oracle(seed, monkeypatch):
+    crops = _spy(monkeypatch, "_window_crop")
+    scene = make_scene(SceneConfig(size=128, noise=0.05, seed=seed))
+    _assert_same_as_oracle(scene.image, 400)
+    reach = _kmeans_grid(128, 128, 400)[2]
+    assert any(int(crop) < reach for _, crop in crops)
+
+
+@pytest.mark.parametrize("w,h,target", [(40, 3, 10), (3, 40, 10)])
+def test_single_seed_grid_row_or_column_matches_oracle(w, h, target):
+    rows, cols, _ = _kmeans_grid(w, h, target)
+    assert min(rows, cols) == 1 and max(rows, cols) > 1
+    rng = np.random.default_rng(w)
+    _assert_same_as_oracle(Image(w, h, 1, rng.random((h, w, 1))), target)
+
+
+@pytest.mark.parametrize("w,h,target", [(5, 60, 6), (60, 4, 5), (2, 2, 1)])
+def test_image_narrower_than_one_window_matches_oracle(w, h, target):
+    reach = _kmeans_grid(w, h, target)[2]
+    assert 2 * reach + 1 > min(w, h)
+    rng = np.random.default_rng(h)
+    _assert_same_as_oracle(Image(w, h, 1, rng.random((h, w, 1))), target)
+
+
+@pytest.mark.parametrize("w,h,target", [(48, 48, 50), (40, 24, 60), (33, 17, 11)])
+def test_mirror_symmetric_images_match_oracle(w, h, target):
+    # the left and right halves see the same distances, so centres tie
+    half = np.random.default_rng(w).random((h, (w + 1) // 2, 1))
+    mirrored = np.concatenate([half, half[:, ::-1][:, w % 2:]], axis=1)
+    assert np.array_equal(mirrored, mirrored[:, ::-1])
+    _assert_same_as_oracle(Image(w, h, 1, mirrored), target)
+
+
+@pytest.mark.parametrize("seed", [0, 26, 31])
+def test_three_level_images_match_oracle(seed):
+    # three grey levels: exact ties between centres of different seed-grid
+    # rows, and distance bounds that change sharply from row to row
+    rng = np.random.default_rng(seed)
+    levels = np.round(rng.random((48, 48, 1)) * 2) / 4
+    _assert_same_as_oracle(Image(48, 48, 1, levels), 40)
+
+
+@pytest.mark.parametrize("h,w,target,seed", [(40, 8, 8, 0), (40, 8, 8, 5), (34, 11, 9, 1)])
+def test_previous_centre_no_longer_covering_matches_oracle(h, w, target, seed, monkeypatch):
+    # sparse bright dots pull centres far enough that, in some iteration,
+    # a pixel's centre from the iteration before no longer covers it
+    bounds = _spy(monkeypatch, "_row_bounds")
+    dots = (np.random.default_rng(seed).random((h, w)) < 0.05).astype(float)
+    _assert_same_as_oracle(Image(w, h, 1, dots[:, :, None]), target)
+    reach = _kmeans_grid(w, h, target)[2]
+    ys, xs = np.mgrid[0:h, 0:w]
+    uncovered = False
+    for (assign, (center_x, center_y, _), *_), _ in bounds:
+        anchor_x = center_x.astype(int)[assign]
+        anchor_y = center_y.astype(int)[assign]
+        uncovered |= bool(((np.abs(xs - anchor_x) > reach) | (np.abs(ys - anchor_y) > reach)).any())
+    assert uncovered
 
 
 @pytest.mark.parametrize("seed", range(8))

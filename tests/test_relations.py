@@ -377,12 +377,12 @@ def test_load_score_matrix_empty_matrix(tmp_path):
 def test_parse_relations_dataset(tmp_path):
     path = tmp_path / "d.tsv"
     path.write_text("horse running\thorse moving\tentails\na\tb\tnot-paraphrase\n")
-    rows = parse_relations_dataset(path)
+    rows = parse_relations_dataset(path, "pairs")
     assert rows[0] == ("horse running", "horse moving", "entails")
     path2 = tmp_path / "bad.tsv"
     path2.write_text("a\tb\tmaybe\n")
     with pytest.raises(DataError):
-        parse_relations_dataset(path2)
+        parse_relations_dataset(path2, "pairs")
 
 
 def test_parse_simrel_dataset(tmp_path):
