@@ -54,23 +54,19 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, help="master RNG seed")
+
+
+def _add_lambda(parser):
     parser.add_argument("--lambda", dest="lam", type=float, help="pairwise scale")
-    parser.add_argument("--k", type=int, help="mixture components per model side")
 
 
 def _resolve_config(args) -> Config:
+    """The --config file (or the defaults) with every Config field given
+    as a flag on the command line replaced."""
     config = load_config(args.config) if args.config else Config()
-    overrides = {
-        "seed": args.seed,
-        "lam": getattr(args, "lam", None),
-        "gmm_k": getattr(args, "k", None),
-        "ilp_lambda": getattr(args, "ilp_lambda", None),
-        "paraphrase_tau": getattr(args, "tau", None),
-    }
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    if fields:
-        config = dataclasses.replace(config, **fields)
-    return config
+    fields = {f.name for f in dataclasses.fields(Config)}
+    flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return dataclasses.replace(config, **flags)
 
 
 def build_parser() -> _Parser:
@@ -79,11 +75,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="learn models from a box-annotated manifest")
     _add_common(p)
+    _add_lambda(p)
+    p.add_argument("--k", dest="gmm_k", type=int, help="mixture components per model side")
     p.add_argument("manifest", help="lines: phrase_quoted component image x0 y0 x1 y1")
     p.add_argument("out_table", help="output table file")
 
     p = sub.add_parser("segment", help="segment one image with table + embeddings")
     _add_common(p)
+    _add_lambda(p)
     p.add_argument("image", help="PGM/PPM image to segment")
     p.add_argument("detections", help="lines: phrase_quoted x0 y0 x1 y1 score")
     p.add_argument("table", help="trained table file")
@@ -99,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", help="score-matrix file (entail --graph only)")
     p.add_argument("--graph", action="store_true", help="solve the joint edge selection")
     p.add_argument("--ilp-lambda", dest="ilp_lambda", type=float, help="edge sparsity penalty")
-    p.add_argument("--tau", type=float, help="paraphrase threshold")
+    p.add_argument("--tau", dest="paraphrase_tau", type=float, help="paraphrase threshold")
 
     scene = evaluation.SceneConfig  # the synth defaults
     p = sub.add_parser("synth", help="generate synthetic scenes and manifests")

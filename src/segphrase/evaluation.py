@@ -36,7 +36,11 @@ def seg_metrics(pred, gt) -> SegMetrics:
     return SegMetrics(precision, jaccard)
 
 
-def declaration_curve(scored, grid=None) -> list[tuple[float, int]]:
+# the fractions every CLI curve reports
+DECLARATION_GRID = tuple((i + 1) / 10.0 for i in range(10))
+
+
+def declaration_curve(scored, grid=DECLARATION_GRID) -> list[tuple[float, int]]:
     """Correct declarations among the top fraction of most-confident items.
 
     Items are ranked by |score| descending (ties keep input order); at each
@@ -50,8 +54,6 @@ def declaration_curve(scored, grid=None) -> list[tuple[float, int]]:
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     gold = np.array([bool(g) for _, g in scored])
-    if grid is None:
-        grid = [(i + 1) / 10.0 for i in range(10)]
     order = np.argsort(-np.abs(scores), kind="stable")
     correct = (scores[order] > 0) == gold[order]
     cumulative = np.concatenate(([0], np.cumsum(correct)))

@@ -154,7 +154,11 @@ def fit(
 
 
 def log_density_many(mixture: GaussianMixture, points) -> np.ndarray:
-    """log of the mixture density at each row of points; always finite."""
+    """log of the mixture density at each row of points.
+
+    Finite for a fitted mixture (variances floored) on bounded points; a
+    mixture with extreme numbers can overflow to inf or nan.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != mixture.dim:
         raise ValueError("points must be (N, dim) with matching dimension")

@@ -167,11 +167,15 @@ def cut(model: SegmentationModel, graph: SuperpixelGraph, clamp_bg=None) -> np.n
     else:
         fixed = np.asarray(clamp_bg, dtype=bool)
     features = graph.features[~fixed]
-    # negative log-densities as (cost-of-0, cost-of-1) rows
-    unary = np.column_stack([
-        -gmm.log_density_many(model.theta_bg, features),
-        -gmm.log_density_many(model.theta_fg, features),
-    ])
+    # negative log-densities as (cost-of-0, cost-of-1) rows; a loaded
+    # model's finite but extreme numbers can overflow them to inf or nan
+    with np.errstate(all="ignore"):
+        unary = np.column_stack([
+            -gmm.log_density_many(model.theta_bg, features),
+            -gmm.log_density_many(model.theta_fg, features),
+        ])
+    if not np.isfinite(unary).all():
+        raise NumericalError("mixture densities are not finite on this image's superpixels")
     return _cut_free(unary, graph.edges, pairwise_weights(graph, model.lam), fixed)
 
 
@@ -214,15 +218,16 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
     _check_pools(labelings)
     fixed_masks = [inst.sp_in_box == 0.0 for inst in instances]
 
-    theta_fg = theta_bg = None
+    fg_pool, bg_pool = _pools(instances, labelings)
+    theta_fg = gmm.fit(fg_pool, min(config.gmm_k, len(fg_pool)), [config.seed, 0])
+    theta_bg = gmm.fit(bg_pool, min(config.gmm_k, len(bg_pool)), [config.seed, 1])
     history: list[float] = []
     iterations = 0
     for _round in range(config.em_max_iters):
-        fg_pool, bg_pool = _pools(instances, labelings)
-        k_fg = min(config.gmm_k, len(fg_pool)) if theta_fg is None else theta_fg.k
-        k_bg = min(config.gmm_k, len(bg_pool)) if theta_bg is None else theta_bg.k
-        theta_fg = gmm.fit(fg_pool, k_fg, [config.seed, 0], start=theta_fg)
-        theta_bg = gmm.fit(bg_pool, k_bg, [config.seed, 1], start=theta_bg)
+        if _round:  # refit warm on the last round's labelings
+            fg_pool, bg_pool = _pools(instances, labelings)
+            theta_fg = gmm.fit(fg_pool, theta_fg.k, [config.seed, 0], start=theta_fg)
+            theta_bg = gmm.fit(bg_pool, theta_bg.k, [config.seed, 1], start=theta_bg)
 
         total = 0.0
         new_labelings = []
@@ -251,11 +256,6 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
             labelings = new_labelings
             break
         labelings = new_labelings
-
-    if theta_fg is None:  # em_max_iters == 0: single fit straight from the seeding
-        fg_pool, bg_pool = _pools(instances, labelings)
-        theta_fg = gmm.fit(fg_pool, min(config.gmm_k, len(fg_pool)), [config.seed, 0])
-        theta_bg = gmm.fit(bg_pool, min(config.gmm_k, len(bg_pool)), [config.seed, 1])
 
     info = ModelInfo(
         instances=len(instances), iterations=iterations, energy_history=history

@@ -6,8 +6,12 @@ Directed similarity is the mean over one side's exemplars of the best
 cosine match on the other side; its antisymmetrized difference is the
 entailment score. Graph-level decisions maximize total selected edge
 score minus a sparsity penalty subject to W_xy + W_yz - W_xz <= 1 over
-all ordered triples of distinct nodes, solved exactly by depth-first
-branch and bound on small graphs or greedily with transitive closing.
+all ordered triples of distinct nodes (Berant, Dagan & Goldberger,
+ACL 2011), solved exactly by depth-first branch and bound on small
+graphs or greedily with transitive closing. Both solvers read the n x n
+score matrix and write the n x n decision matrix W; the search assigns
+W's entries in place and checks each against the triples it completes
+by scanning one row and one column.
 """
 
 from __future__ import annotations
@@ -149,33 +153,16 @@ def is_paraphrase(x: PhraseExemplars, y: PhraseExemplars, tau: float) -> bool:
 # Edge selection under transitivity
 # ---------------------------------------------------------------------------
 
-def _ordered_pairs(n):
-    return [(x, y) for x in range(n) for y in range(n) if x != y]
-
-
-def _triples(n, pair_index):
-    """(var_xy, var_yz, var_xz) for every ordered triple of distinct nodes."""
-    out = []
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if x != y and y != z and x != z:
-                    out.append(
-                        (pair_index[x, y], pair_index[y, z], pair_index[x, z])
-                    )
-    return out
-
-
 def solve_entailment_graph(scores, lam: float, mode: str) -> np.ndarray:
     """Select the 0/1 decision matrix maximizing sum of selected scores
     minus lam per edge, subject to all transitivity constraints.
 
-    exact: branch and bound over edge variables in |score|-descending
-    order, pruned by the sum of remaining positive gains; global optimum,
-    ties resolved to the row-major-lexicographically smallest matrix.
-    Limited to 6 nodes. greedy: adds edges by descending score together
-    with their transitive closure whenever the net gain is nonnegative;
-    always feasible, not necessarily optimal.
+    exact: branch and bound over the off-diagonal entries in |score|-
+    descending order, pruned by the sum of remaining positive gains; global
+    optimum, ties resolved to the row-major-lexicographically smallest
+    matrix. Limited to 6 nodes. greedy: adds edges by descending score
+    together with their transitive closure whenever the net gain is
+    nonnegative; always feasible, not necessarily optimal.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
@@ -189,106 +176,88 @@ def solve_entailment_graph(scores, lam: float, mode: str) -> np.ndarray:
         raise ValueError(f"unknown mode {mode!r}")
     if n > EXACT_NODE_LIMIT:
         raise ValueError(f"exact mode limited to {EXACT_NODE_LIMIT} nodes")
+    return _solve_exact(scores, lam)
 
-    pairs = _ordered_pairs(n)
-    m = len(pairs)
-    pair_index = {}
-    for idx, (x, y) in enumerate(pairs):
-        pair_index[x, y] = idx
-    gains = np.array([scores[x, y] - lam for x, y in pairs])
 
-    # constraints grouped by variable so a new assignment only checks
-    # triples it completes
-    triples = _triples(n, pair_index)
-    by_var: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for t in triples:
-        for v in set(t):
-            by_var[v].append(t)
-
-    order = sorted(range(m), key=lambda v: (-abs(gains[v] + lam), v))
+def _solve_exact(scores, lam) -> np.ndarray:
+    n = len(scores)
+    off = ~np.eye(n, dtype=bool)
+    gains = scores - lam
+    # |score| descending (taken as |gain + lam|), row-major on ties
+    entries = sorted(zip(*np.nonzero(off)), key=lambda e: -abs(gains[e] + lam))
+    m = len(entries)
     pos_suffix = np.zeros(m + 1)
     for d in range(m - 1, -1, -1):
-        pos_suffix[d] = pos_suffix[d + 1] + max(gains[order[d]], 0.0)
+        pos_suffix[d] = pos_suffix[d + 1] + max(gains[entries[d]], 0.0)
 
-    assign = np.full(m, -1, dtype=np.int8)
-    best = {"obj": -np.inf, "w": None}
+    # -1 marks an unassigned entry; the diagonal stays -1, so no scan
+    # below ever matches a triple with a repeated node
+    W = np.full((n, n), -1, dtype=np.int8)
+    best_obj, best_key = -np.inf, None
 
-    def consistent(var) -> bool:
-        for a, b, c in by_var[var]:
-            if assign[a] == 1 and assign[b] == 1 and assign[c] == 0:
-                return False
-        return True
-
-    def leaf():
-        obj = float(gains[assign == 1].sum())
-        key = tuple(assign[pair_index[x, y]] for x, y in pairs)
-        if obj > best["obj"] + _TIE_EPS:
-            best["obj"], best["w"] = obj, key
-        elif abs(obj - best["obj"]) <= _TIE_EPS and (
-            best["w"] is None or key < best["w"]
-        ):
-            best["obj"], best["w"] = max(best["obj"], obj), key
+    def consistent(x, y) -> bool:
+        """No triple completed by the new entry W[x, y] reads (1, 1, 0)."""
+        if W[x, y]:
+            # (x, y, z): W[y, z] = 1, W[x, z] = 0; (z, x, y): W[z, x] = 1, W[z, y] = 0
+            return not (
+                ((W[y] == 1) & (W[x] == 0)).any()
+                or ((W[:, x] == 1) & (W[:, y] == 0)).any()
+            )
+        # (x, z, y): W[x, z] = 1, W[z, y] = 1
+        return not ((W[x] == 1) & (W[:, y] == 1)).any()
 
     def search(depth, value):
-        if value + pos_suffix[depth] < best["obj"] - _TIE_EPS:
+        nonlocal best_obj, best_key
+        if value + pos_suffix[depth] < best_obj - _TIE_EPS:
             return
         if depth == m:
-            leaf()
+            obj = float(gains[W == 1].sum())
+            key = W[off].tobytes()
+            if obj > best_obj + _TIE_EPS:
+                best_obj, best_key = obj, key
+            elif abs(obj - best_obj) <= _TIE_EPS and (best_key is None or key < best_key):
+                best_obj, best_key = max(best_obj, obj), key
             return
-        var = order[depth]
-        first = 1 if gains[var] > 0 else 0
+        x, y = entries[depth]
+        first = 1 if gains[x, y] > 0 else 0
         for val in (first, 1 - first):
-            assign[var] = val
-            if consistent(var):
-                search(depth + 1, value + (gains[var] if val else 0.0))
-        assign[var] = -1
+            W[x, y] = val
+            if consistent(x, y):
+                search(depth + 1, value + (gains[x, y] if val else 0.0))
+        W[x, y] = -1
 
     search(0, 0.0)
     decisions = np.zeros((n, n), dtype=np.int8)
-    for (x, y), val in zip(pairs, best["w"]):
-        decisions[x, y] = val
+    decisions[off] = np.frombuffer(best_key, dtype=np.int8)
     return decisions
-
-
-def _closure_additions(decisions, x, y):
-    """Edges forced by adding (x, y) to a transitively closed relation."""
-    n = len(decisions)
-    sources = {x} | {a for a in range(n) if decisions[a, x]}
-    targets = {y} | {b for b in range(n) if decisions[y, b]}
-    return [
-        (a, b)
-        for a in sources
-        for b in targets
-        if a != b and not decisions[a, b]
-    ]
 
 
 def _solve_greedy(scores, lam) -> np.ndarray:
     n = len(scores)
-    decisions = np.zeros((n, n), dtype=np.int8)
-    pairs = sorted(_ordered_pairs(n), key=lambda xy: (-scores[xy], xy))
-    for x, y in pairs:
+    off = ~np.eye(n, dtype=bool)
+    decisions = np.zeros((n, n), dtype=bool)
+    # score descending, row-major on ties
+    for x, y in sorted(zip(*np.nonzero(off)), key=lambda e: -scores[e]):
         if decisions[x, y]:
             continue
-        additions = _closure_additions(decisions, x, y)
-        net = sum(scores[a, b] - lam for a, b in additions)
-        if net >= 0:
-            for a, b in additions:
-                decisions[a, b] = 1
-    return decisions
+        # x and everything entailing it now entail y and everything it entails
+        sources, targets = decisions[:, x].copy(), decisions[y].copy()
+        sources[x] = targets[y] = True
+        add = np.outer(sources, targets) & ~decisions & off
+        if (scores[add] - lam).sum() >= 0:
+            decisions |= add
+    return decisions.astype(np.int8)
 
 
 def transitivity_violations(decisions) -> int:
     """Count of ordered distinct triples with W_xy + W_yz - W_xz > 1."""
-    decisions = np.asarray(decisions)
-    n = len(decisions)
+    w = np.asarray(decisions, dtype=np.int64)
     count = 0
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if x != y and y != z and x != z:
-                    if decisions[x, y] + decisions[y, z] - decisions[x, z] > 1:
-                        count += 1
+    for y in range(len(w)):
+        lhs = w[:, y, None] + w[y] - w  # rows x, columns z; middle node y
+        lhs[y] = lhs[:, y] = 0  # x == y or z == y
+        np.fill_diagonal(lhs, 0)  # x == z
+        count += int((lhs > 1).sum())
     return count
 
 

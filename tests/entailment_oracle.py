@@ -1,0 +1,154 @@
+"""Reference edge selection: the original solvers over numbered edge
+variables, triple-index lists and closure sets, and the triple-loop
+violation count, kept verbatim so tests can check the matrix-based
+`segphrase.relations` code against them decision for decision.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from segphrase.relations import _TIE_EPS, EXACT_NODE_LIMIT
+
+
+def _ordered_pairs(n):
+    return [(x, y) for x in range(n) for y in range(n) if x != y]
+
+
+def _triples(n, pair_index):
+    """(var_xy, var_yz, var_xz) for every ordered triple of distinct nodes."""
+    out = []
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if x != y and y != z and x != z:
+                    out.append(
+                        (pair_index[x, y], pair_index[y, z], pair_index[x, z])
+                    )
+    return out
+
+
+def solve_entailment_graph(scores, lam: float, mode: str) -> np.ndarray:
+    """Select the 0/1 decision matrix maximizing sum of selected scores
+    minus lam per edge, subject to all transitivity constraints.
+
+    exact: branch and bound over edge variables in |score|-descending
+    order, pruned by the sum of remaining positive gains; global optimum,
+    ties resolved to the row-major-lexicographically smallest matrix.
+    Limited to 6 nodes. greedy: adds edges by descending score together
+    with their transitive closure whenever the net gain is nonnegative;
+    always feasible, not necessarily optimal.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[0]
+    if scores.shape != (n, n):
+        raise ValueError("scores must be square")
+    if lam < 0:
+        raise ValueError("sparsity penalty must be nonnegative")
+    if mode == "greedy":
+        return _solve_greedy(scores, lam)
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    if n > EXACT_NODE_LIMIT:
+        raise ValueError(f"exact mode limited to {EXACT_NODE_LIMIT} nodes")
+
+    pairs = _ordered_pairs(n)
+    m = len(pairs)
+    pair_index = {}
+    for idx, (x, y) in enumerate(pairs):
+        pair_index[x, y] = idx
+    gains = np.array([scores[x, y] - lam for x, y in pairs])
+
+    # constraints grouped by variable so a new assignment only checks
+    # triples it completes
+    triples = _triples(n, pair_index)
+    by_var: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for t in triples:
+        for v in set(t):
+            by_var[v].append(t)
+
+    order = sorted(range(m), key=lambda v: (-abs(gains[v] + lam), v))
+    pos_suffix = np.zeros(m + 1)
+    for d in range(m - 1, -1, -1):
+        pos_suffix[d] = pos_suffix[d + 1] + max(gains[order[d]], 0.0)
+
+    assign = np.full(m, -1, dtype=np.int8)
+    best = {"obj": -np.inf, "w": None}
+
+    def consistent(var) -> bool:
+        for a, b, c in by_var[var]:
+            if assign[a] == 1 and assign[b] == 1 and assign[c] == 0:
+                return False
+        return True
+
+    def leaf():
+        obj = float(gains[assign == 1].sum())
+        key = tuple(assign[pair_index[x, y]] for x, y in pairs)
+        if obj > best["obj"] + _TIE_EPS:
+            best["obj"], best["w"] = obj, key
+        elif abs(obj - best["obj"]) <= _TIE_EPS and (
+            best["w"] is None or key < best["w"]
+        ):
+            best["obj"], best["w"] = max(best["obj"], obj), key
+
+    def search(depth, value):
+        if value + pos_suffix[depth] < best["obj"] - _TIE_EPS:
+            return
+        if depth == m:
+            leaf()
+            return
+        var = order[depth]
+        first = 1 if gains[var] > 0 else 0
+        for val in (first, 1 - first):
+            assign[var] = val
+            if consistent(var):
+                search(depth + 1, value + (gains[var] if val else 0.0))
+        assign[var] = -1
+
+    search(0, 0.0)
+    decisions = np.zeros((n, n), dtype=np.int8)
+    for (x, y), val in zip(pairs, best["w"]):
+        decisions[x, y] = val
+    return decisions
+
+
+def _closure_additions(decisions, x, y):
+    """Edges forced by adding (x, y) to a transitively closed relation."""
+    n = len(decisions)
+    sources = {x} | {a for a in range(n) if decisions[a, x]}
+    targets = {y} | {b for b in range(n) if decisions[y, b]}
+    return [
+        (a, b)
+        for a in sources
+        for b in targets
+        if a != b and not decisions[a, b]
+    ]
+
+
+def _solve_greedy(scores, lam) -> np.ndarray:
+    n = len(scores)
+    decisions = np.zeros((n, n), dtype=np.int8)
+    pairs = sorted(_ordered_pairs(n), key=lambda xy: (-scores[xy], xy))
+    for x, y in pairs:
+        if decisions[x, y]:
+            continue
+        additions = _closure_additions(decisions, x, y)
+        net = sum(scores[a, b] - lam for a, b in additions)
+        if net >= 0:
+            for a, b in additions:
+                decisions[a, b] = 1
+    return decisions
+
+
+def transitivity_violations(decisions) -> int:
+    """Count of ordered distinct triples with W_xy + W_yz - W_xz > 1."""
+    decisions = np.asarray(decisions)
+    n = len(decisions)
+    count = 0
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if x != y and y != z and x != z:
+                    if decisions[x, y] + decisions[y, z] - decisions[x, z] > 1:
+                        count += 1
+    return count

@@ -96,6 +96,22 @@ def test_config_file_loaded_and_flags_override(tmp_path):
     assert resolved.gmm_k == 2          # flag wins over the file
 
 
+@pytest.mark.parametrize("argv, field, value", [
+    (["train", "m.txt", "o.spt", "--lambda", "0.5"], "lam", 0.5),
+    (["train", "m.txt", "o.spt", "--k", "3"], "gmm_k", 3),
+    (["segment", "i.pgm", "d.txt", "t.spt", "e.txt", "m.pgm", "--lambda", "0.5"], "lam", 0.5),
+    (["relations", "entail", "d.tsv", "o.csv", "--ilp-lambda", "0.5"], "ilp_lambda", 0.5),
+    (["relations", "paraphrase", "d.tsv", "o.csv", "--tau", "0.5"], "paraphrase_tau", 0.5),
+    (["synth", "out", "--seed", "7"], "seed", 7),
+])
+def test_each_config_flag_reaches_its_field(argv, field, value):
+    from segphrase.cli import _resolve_config, build_parser
+
+    resolved = _resolve_config(build_parser().parse_args(argv))
+    assert getattr(resolved, field) == value
+    assert resolved == dataclasses.replace(Config(), **{field: value})
+
+
 def test_parse_train_manifest(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text('"horse jumping" 0 a.pgm 0 0 4 4\n"horse jumping" 0 b.pgm 1 1 5 5\nplain 1 c.pgm 0 0 2 2\n')
@@ -316,6 +332,21 @@ def test_unknown_flag_exits_1(capsys):
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["segment", "i.pgm", "d.txt", "t.spt", "e.txt", "m.pgm", "--k", "2"],
+    ["relations", "entail", "d.tsv", "o.csv", "--lambda", "1"],
+    ["relations", "entail", "d.tsv", "o.csv", "--k", "2"],
+    ["synth", "out", "--lambda", "1"],
+    ["synth", "out", "--k", "2"],
+], ids=["segment-k", "relations-lambda", "relations-k", "synth-lambda", "synth-k"])
+def test_flag_of_another_subcommand_exits_1(argv, capsys):
+    # each flag exists only on the subcommands that read it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["relations", "badmode", "x", "y"])
@@ -480,6 +511,33 @@ def test_table_with_bad_mixture_numbers_exits_2(weights, means, variances, twin_
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == "" and not (tmp_path / "m.pgm").exists()
     assert captured.err.startswith("segphrase: data error: mixture ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("means, variances", [
+    (0.0, 1e-320),
+    (1e300, 1.0),
+], ids=["tiny-variance", "huge-means"])
+def test_table_with_overflowing_densities_exits_3(means, variances, twin_table, workspace,
+                                                  tmp_path, capsys):
+    # finite, positive mixture numbers pass load_table, yet their densities
+    # overflow on every superpixel: a numerical failure, with no warning
+    _, emb = twin_table
+    bad = GaussianMixture(np.ones(1), np.full((1, 24), means), np.full((1, 24), variances))
+    good = GaussianMixture(np.ones(1), np.zeros((1, 24)), np.ones((1, 24)))
+    table = SegmentPhraseTable()
+    table.insert(PhraseKey.make("round"), SegmentationModel(good, bad, 1.0))
+    save_table(table, tmp_path / "t.spt")
+    (tmp_path / "dets.txt").write_text('"round" 8 8 40 40 1.0\n')
+    capsys.readouterr()
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(tmp_path / "dets.txt"),
+        str(tmp_path / "t.spt"), str(emb), str(tmp_path / "m.pgm"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and not (tmp_path / "m.pgm").exists()
+    assert captured.err.startswith("segphrase: numerical failure: ")
     assert captured.err.count("\n") == 1
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from segphrase.evaluation import (
+    DECLARATION_GRID,
     SceneConfig,
     declaration_curve,
     make_scene,
@@ -67,36 +68,40 @@ def test_jaccard_one_iff_equal_nonempty():
 
 # -- declaration_curve --------------------------------------------------------------
 
+def counts(curve):
+    assert [f for f, _ in curve] == list(DECLARATION_GRID)
+    return [c for _, c in curve]
+
+
 def test_all_correct_full_declaration():
     scored = [(1.0, True), (0.5, True), (-0.2, False)]
-    assert declaration_curve(scored, [1.0]) == [(1.0, 3)]
+    # every declared item is correct: the counts are ceil(f * 3)
+    assert counts(declaration_curve(scored)) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 3]
 
 
 def test_single_wrong_item():
-    assert declaration_curve([(0.4, False)], [1.0]) == [(1.0, 0)]
+    assert counts(declaration_curve([(0.4, False)])) == [0] * 10
 
 
 def test_hand_ordered_four_items():
     scored = [(0.9, True), (0.5, False), (0.3, True), (0.1, True)]
-    assert declaration_curve(scored, [0.5]) == [(0.5, 1)]
+    # declared ceil(f * 4): 1 1 2 2 2 3 3 4 4 4; the second item is wrong
+    assert counts(declaration_curve(scored)) == [1, 1, 1, 1, 1, 2, 2, 3, 3, 3]
 
 
 def test_declared_count_monotone():
     rng = np.random.default_rng(2)
     scored = [(float(s), bool(g)) for s, g in zip(rng.normal(size=40), rng.random(40) > 0.5)]
-    grid = [0.1, 0.3, 0.5, 0.7, 1.0]
-    curve = declaration_curve(scored, grid)
-    import math
-
-    declared = [math.ceil(f * 40) for f, _ in curve]
-    assert declared == sorted(declared)
+    c = counts(declaration_curve(scored))
+    assert c == sorted(c) and c[-1] == sum((s > 0) == g for s, g in scored)
 
 
 def test_ties_keep_input_order():
+    # order: 0.5(T) correct, -0.5 declares False vs gold False -> correct,
+    # then 0.5(F) wrong; declared ceil(f * 3): 1 1 1 2 2 2 3 3 3 3
     scored = [(0.5, True), (-0.5, False), (0.5, False)]
-    # order: 0.5(T), -0.5 declares False vs gold False -> correct
-    assert declaration_curve(scored, [1 / 3]) == [(1 / 3, 1)]
-    assert declaration_curve(scored, [2 / 3]) == [(2 / 3, 2)]
+    assert counts(declaration_curve(scored)) == [1, 1, 1, 2, 2, 2, 2, 2, 2, 2]
+    assert counts(declaration_curve(scored[::-1])) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
 
 
 def test_empty_input_rejected():

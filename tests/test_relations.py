@@ -27,6 +27,8 @@ from segphrase.relations import (
 )
 from segphrase.spt import ExemplarMask, SegmentPhraseTable, load_table, save_table
 
+import entailment_oracle as oracle
+
 
 def unit(angle):
     return np.array([np.cos(angle), np.sin(angle)])
@@ -208,6 +210,60 @@ def test_greedy_closes_transitively():
     s[1, 0], s[2, 1] = -1.0, -1.0
     W = solve_entailment_graph(s, 0.1, "greedy")
     assert W[0, 1] and W[1, 2] and W[0, 2]
+
+
+def exact_cases(rng):
+    """(scores, lam) on 0..6 nodes: antisymmetric, non-antisymmetric and
+    tied integer-tenths scores, each also at lam = 0."""
+    for _ in range(60):
+        n = int(rng.integers(0, EXACT_NODE_LIMIT + 1))
+        lam = float(rng.uniform(0, 0.3))
+        tenths = rng.integers(-3, 4, size=(n, n)) / 10.0
+        for s in (antisymmetric(rng, n), rng.normal(0, 0.5, (n, n)), tenths, tenths - tenths.T):
+            yield s, lam
+            yield s, 0.0
+    yield np.zeros((4, 4)), 0.0  # every matrix ties
+
+
+def test_exact_matches_oracle_decisions():
+    for s, lam in exact_cases(np.random.default_rng(11)):
+        W = solve_entailment_graph(s, lam, "exact")
+        want = oracle.solve_entailment_graph(s, lam, "exact")
+        assert W.dtype == want.dtype and np.array_equal(W, want), (s, lam)
+
+
+def test_greedy_matches_oracle_on_sparse_graphs():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(2, 41))
+        # a few positive scores among many negative ones, as in a
+        # sparse entailment graph
+        positive = rng.random((n, n)) < 0.1
+        s = np.where(positive, rng.uniform(0, 1, (n, n)), -rng.uniform(0, 1, (n, n)))
+        for scores in (s, antisymmetric(rng, n)):
+            lam = float(rng.uniform(0, 0.3))
+            W = solve_entailment_graph(scores, lam, "greedy")
+            want = oracle.solve_entailment_graph(scores, lam, "greedy")
+            assert W.dtype == want.dtype and np.array_equal(W, want), (scores, lam)
+
+
+def test_greedy_takes_a_move_of_zero_net_gain():
+    s = np.zeros((3, 3))
+    s[0, 1], s[1, 2] = 0.5, 0.5
+    # adding 1->2 forces 0->2: (0.5 - 0.25) + (0.0 - 0.25) == 0
+    W = solve_entailment_graph(s, 0.25, "greedy")
+    assert W[0, 1] and W[1, 2] and W[0, 2] and W.sum() == 3
+    assert np.array_equal(W, oracle.solve_entailment_graph(s, 0.25, "greedy"))
+
+
+def test_transitivity_violations_matches_triple_loop():
+    rng = np.random.default_rng(13)
+    for n in list(range(9)) * 20:
+        w = rng.integers(-2, 3, size=(n, n))
+        np.fill_diagonal(w, rng.integers(-2, 3, size=n))  # never read
+        assert transitivity_violations(w) == oracle.transitivity_violations(w)
+        w01 = (w > 0).astype(np.int8)
+        assert transitivity_violations(w01) == oracle.transitivity_violations(w01)
 
 
 # -- paraphrase / relative similarity -------------------------------------------------
