@@ -16,7 +16,7 @@ import sys
 
 from . import evaluation, relations
 from .config import Config, load_config
-from .errors import DataError, Error, NumericalError
+from .errors import DataError, Error, NumericalError, open_text
 from .imaging import (
     extract_features,
     compute_superpixels,
@@ -149,12 +149,15 @@ def parse_train_manifest(path):
     first-appearance group order.
     """
     groups: dict[PhraseKey, tuple[str, list]] = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = shlex.split(line)
+            try:
+                parts = shlex.split(line)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad quoting ({exc})") from exc
             if len(parts) != 7:
                 raise DataError(
                     f"{path}:{lineno}: expected 'phrase component image x0 y0 x1 y1'"
@@ -325,7 +328,7 @@ def cmd_relations(args) -> int:
             lines.append(f"{x},{y},{score!r},{int(decision)}\n")
             scored.append((score, truth))
 
-    with open(args.out_csv, "w") as fh:
+    with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.writelines(lines)
     evaluation.write_curve_csv(
@@ -338,7 +341,7 @@ def _relations_from_scores(args, config: Config) -> int:
     scores = relations.load_score_matrix(args.scores)
     decisions = _solve_graph(scores, config.ilp_lambda)
     n = len(scores)
-    with open(args.out_csv, "w") as fh:
+    with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write("x,y,score,decision\n")
         for i in range(n):
             for j in range(n):
@@ -388,7 +391,7 @@ def cmd_synth(args) -> int:
                 manifest_lines.append(
                     f'"{args.phrase}" 0 {img_path} {x0} {y0} {x1} {y1}\n'
                 )
-    with open(os.path.join(args.out_dir, "manifest.txt"), "w") as fh:
+    with open(os.path.join(args.out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(manifest_lines)
     return EXIT_OK
 

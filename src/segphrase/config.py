@@ -10,7 +10,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, open_text
 
 
 @dataclass
@@ -53,7 +53,7 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(Config)}
 
 def load_config(path) -> Config:
     values = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -67,7 +67,7 @@ def declaration_curve(scored, grid=DECLARATION_GRID) -> list[tuple[float, int]]:
 
 
 def write_curve_csv(curve, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("fraction,correct\n")
         for f, c in curve:
             fh.write(f"{f!r},{c}\n")

@@ -41,7 +41,15 @@ FEATURE_DIM = 3 * HIST_BINS
 _INTENSITY_SCALE = 0.2
 _KMEANS_ITERS = 10
 # window elements evaluated per block of seed-grid rows (at least one row)
-_KMEANS_BLOCK = 1 << 15
+_KMEANS_BLOCK = 1 << 16
+# work of deciding one pixel on its own (`_full_pass`), in window elements:
+# about 1.3-2 us a pixel against 14-20 ns an element
+_REDO_COST = 100
+# slack of a pixel's need, in pixels: far above the rounding of
+# sqrt(d2) * interval (a few ulps), far below a pixel
+_NEED_MARGIN = 1e-6
+# `_full_pass` buckets anchors in cells of side ceil(reach / this)
+_FULL_CELLS = 2
 
 
 @dataclass
@@ -213,29 +221,26 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     the lowest index among equal d2. Pixels outside every window take the
     globally nearest centre.
 
-    The rule does not depend on the order the centres are visited, so
-    each iteration evaluates blocks of whole seed-grid rows at once. Every
-    window of a block is gathered from the image padded by reach, and d2
-    is the same float expression as a one-centre-at-a-time loop, so each
-    d2 is bit-equal. A band buffer over the block's rows keeps per pixel
-    the smallest d2 (`np.minimum.at`), then the first entry equal to it
-    (entries run centre by centre, so the lowest index). Blocks merge in
-    ascending index with a strict `<`, so a tie stays with the earlier,
-    lower-index block.
+    Each iteration evaluates the windows cropped to +-c pixels around
+    their anchors (`_window_pass`). Let B_p be the smallest d2 the cropped
+    windows give pixel p. They found p's winner, with the lowest index
+    among equal d2, when p's need, ceil(sqrt(B_p) * interval +
+    _NEED_MARGIN), is at most c. The crop drops a covering centre for p
+    only when its anchor is more than c pixels from p in x or y; then its
+    centre is too (the anchor is the centre rounded down), so its spatial
+    term exceeds (c / interval)**2, while B_p is at most ((c -
+    _NEED_MARGIN) / interval)**2. The margin dwarfs the rounding of both, and a computed
+    d2 is at least its computed spatial term (both terms are non-negative
+    and rounding is monotone), so a dropped centre can neither beat B_p
+    nor tie with it. Pixels whose need exceeds c (needs are capped at
+    reach, the whole window), and pixels no cropped window covers, are
+    decided again against all the windows covering them (`_full_pass`).
 
-    From the second iteration on, a block's windows are cropped by an
-    exact bound. Let U_p be d2 from pixel p to the centre p took last
-    iteration, at that centre's new position, and U the largest U_p over
-    the rows the block's windows reach. A computed d2 is at least its
-    computed spatial term: both terms are non-negative and rounding is
-    monotone. A window pixel more than c = ceil(sqrt(U) * interval) + 1
-    from the anchor in x or y is more than c from the centre (the anchor
-    is the centre rounded down), a full pixel beyond sqrt(U) intervals,
-    which dwarfs any rounding, so its spatial term exceeds U. If p's
-    previous centre still covers p, p's winning d2 is at most U_p <= U, so
-    that window pixel can neither win nor tie. If it no longer covers p,
-    p is more than reach from it in x or y, so U_p is at least
-    reach**2 / interval**2, c exceeds reach and nothing is cropped.
+    The crop of an iteration is the c that minimizes the windows' work,
+    n * (2c + 1)**2 elements, plus _REDO_COST elements per pixel decided
+    again (`_choose_crop`), with each pixel's need from the iteration
+    before as the estimate; before the first, its d2 to the seed of its
+    grid cell stands in for B_p.
     """
     h, w = intensity.shape
     interval = math.sqrt(w * h / target_count)
@@ -249,152 +254,224 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     ix = np.clip(np.rint(centers_x).astype(int), 0, w - 1)
     centers_i = intensity[iy, ix]
     n_centers = len(centers_x)
+    centers = (centers_x, centers_y, centers_i)
 
     pixel_x = np.tile(np.arange(w, dtype=np.float64), h)
     pixel_y = np.repeat(np.arange(h, dtype=np.float64), w)
     pixel_i = intensity.ravel()
+    pixels = (pixel_x, pixel_y, pixel_i)
     scale2 = interval * interval
     reach = max(1, int(math.ceil(2 * interval)))
-    # padded coordinates: pixel (y, x) sits at (y + reach, x + reach), so
-    # every window lies inside; values in the padding are never read back
-    pw = w + 2 * reach
+
+    seed = (np.arange(h)[:, None] * rows // h * cols + np.arange(w) * cols // w).ravel()
+    need = _window_need(
+        ((pixel_x - centers_x[seed]) ** 2 + (pixel_y - centers_y[seed]) ** 2) / scale2
+        + ((pixel_i - centers_i[seed]) / _INTENSITY_SCALE) ** 2,
+        interval, reach,
+    )
     padded = np.pad(intensity, reach).ravel()
-    assign = np.empty((h, w), dtype=np.int32)
-    flat = assign.ravel()
-    dist = np.empty((h, w))
+    for it in range(_KMEANS_ITERS):
+        if it:
+            # x/y sums are sums of integers, hence exact; the intensity
+            # sums run in raster order, so means may differ from a
+            # pairwise sum in the last ulp
+            counts = np.bincount(flat, minlength=n_centers)
+            used = counts > 0
+            for center, values in zip(centers, pixels):
+                sums = np.bincount(flat, weights=values, minlength=n_centers)
+                center[used] = sums[used] / counts[used]
+        crop = _choose_crop(need, n_centers, reach)
+        assign, best = _window_pass(padded, (h, w), centers, cols, scale2, reach, crop)
+        flat = assign.ravel()
+        need = _window_need(best.ravel(), interval, reach)
+        redo = np.flatnonzero((need > crop) | (flat < 0))
+        flat[redo], best = _full_pass(redo, pixels, centers, scale2, reach, (h, w))
+        need[redo] = _window_need(best, interval, reach)
+    return assign
+
+
+def _window_need(best, interval, reach):
+    """Per pixel, the crop that holds every centre within sqrt(best)
+    intervals of it: ceil(sqrt(best) * interval + _NEED_MARGIN), capped
+    at reach, the whole window. best is overwritten."""
+    need = np.sqrt(best, out=best)
+    need *= interval
+    need += _NEED_MARGIN
+    np.minimum(need, reach, out=need)
+    np.ceil(need, out=need)
+    return need.astype(np.int32)
+
+
+def _choose_crop(need, n_centers, reach):
+    """The crop c in [1, reach] minimizing n * (2c + 1)**2 window elements
+    plus _REDO_COST for each pixel whose need exceeds c."""
+    at_least = np.bincount(need.ravel(), minlength=reach + 2)[::-1].cumsum()[::-1]
+    c = np.arange(1, reach + 1)
+    cost = n_centers * (2 * c + 1) ** 2 + _REDO_COST * at_least[c + 1]
+    return int(c[np.argmin(cost)])
+
+
+def _window_pass(padded, shape, centers, cols, scale2, reach, crop):
+    """Each pixel's winner among the windows cropped to +-crop pixels, and
+    its d2 (-1 and inf where none covers it).
+
+    The rule does not depend on the order the centres are visited, so
+    blocks of whole seed-grid rows are evaluated at once. Every window of
+    a block is gathered from the image padded by reach (`padded`, raveled:
+    pixel (y, x) sits at (y + reach, x + reach), so every window lies
+    inside; the padding is never read back), and d2 is the same float
+    expression as a one-centre-at-a-time loop, so each d2 is bit-equal. A
+    band buffer over the block's rows keeps per pixel the smallest d2
+    (`np.minimum.at`), then the first entry equal to it (entries run
+    centre by centre, so the lowest index). Blocks merge in ascending
+    index with a strict `<`, so a tie stays with the earlier, lower-index
+    block.
+    """
+    h, w = shape
+    center_x, center_y, center_i = centers
+    rows = len(center_x) // cols
+    # windows are anchored at the centre truncated toward zero
+    base_x = center_x.astype(int)
+    base_y = center_y.astype(int)
+    pw = w + 2 * reach
+    assign = np.full((h, w), -1, dtype=np.int32)
+    dist = np.full((h, w), np.inf)
     # band buffers span the padded image but a block touches only its band
     band_d2 = np.empty((h + 2 * reach) * pw)
     band_at = np.empty((h + 2 * reach) * pw, dtype=np.intp)
-    full = (2 * reach + 1) ** 2
+    side = 2 * crop + 1
+    full = side * side
     block_rows = max(1, _KMEANS_BLOCK // (cols * full))
-    blocks = [(r * cols, min(rows, r + block_rows) * cols)
-              for r in range(0, rows, block_rows)]
     most = min(rows, block_rows) * cols * full
     d2_buf = np.empty(most)
     win_buf = np.empty(most)
     idx_buf = np.empty(most, dtype=np.intp)
     tie_buf = np.empty(most, dtype=bool)
-    row_bound = None
-
-    for it in range(_KMEANS_ITERS):
-        # windows are anchored at the centre truncated toward zero
-        base_x = centers_x.astype(int)
-        base_y = centers_y.astype(int)
-        if it:
-            row_bound = _row_bounds(
-                assign, (centers_x, centers_y, centers_i),
-                (pixel_x, pixel_y, pixel_i), scale2, dist, band_d2[:h * w],
-            )
-        dist.fill(np.inf)
-        assign.fill(-1)
-        for k0, k1 in blocks:
-            by, bx = base_y[k0:k1], base_x[k0:k1]
-            y_lo, y_hi = int(by.min()), int(by.max())
-            crop = reach if row_bound is None else _window_crop(
-                float(row_bound[max(0, y_lo - reach):y_hi + reach + 1].max()),
-                interval, reach,
-            )
-            side = 2 * crop + 1
-            shape = (k1 - k0, side, side)
-            size = shape[0] * side * side
-            # d2 in the scalar loop's order: (dx*dx + dy*dy) / scale2 + di*di
-            offs = np.arange(-crop, crop + 1)
-            dx = (bx[:, None] + offs).astype(np.float64)
-            dx -= centers_x[k0:k1, None]
-            dx *= dx
-            dy = (by[:, None] + offs).astype(np.float64)
-            dy -= centers_y[k0:k1, None]
-            dy *= dy
-            d2 = d2_buf[:size].reshape(shape)
-            np.add(dy[:, :, None], dx[:, None, :], out=d2)
-            d2 /= scale2
-            # band: padded rows top .. top + n_band - 1, full padded width
-            top = y_lo + reach - crop
-            n_band = y_hi - y_lo + side
-            idx = idx_buf[:size].reshape(shape)
-            np.add(((by - y_lo) * pw + bx + reach - crop)[:, None, None],
-                   np.arange(side)[:, None] * pw + np.arange(side), out=idx)
-            di = win_buf[:size].reshape(shape)
-            # every index is in range: "clip" only spares take's buffered copy
-            np.take(padded[top * pw:], idx, out=di, mode="clip")
-            di -= centers_i[k0:k1, None, None]
-            di /= _INTENSITY_SCALE
-            di *= di
-            d2 += di
-            # per band pixel the smallest d2, then the first entry holding
-            # it; entries run centre by centre, so that is the lowest index
-            bd = band_d2[:n_band * pw]
-            at = band_at[:n_band * pw]
-            bd.fill(np.inf)
-            at.fill(size)
-            idx, d2 = idx.ravel(), d2.ravel()
-            np.minimum.at(bd, idx, d2)
-            np.take(bd, idx, out=win_buf[:size], mode="clip")
-            tie = np.equal(d2, win_buf[:size], out=tie_buf[:size])
-            hit = np.flatnonzero(tie)
-            np.minimum.at(at, idx[hit], hit)
-            # merge the band's image rows, lower-index blocks keeping ties
-            y0 = max(0, top - reach)
-            y1 = min(h, top - reach + n_band)
-            r0 = y0 + reach - top
-            band_dist = bd.reshape(n_band, pw)[r0:r0 + y1 - y0, reach:reach + w]
-            winner = at.reshape(n_band, pw)[r0:r0 + y1 - y0, reach:reach + w]
-            winner //= side * side
-            winner += k0
-            closer = band_dist < dist[y0:y1]
-            np.copyto(dist[y0:y1], band_dist, where=closer)
-            np.copyto(assign[y0:y1], winner, where=closer, casting="same_kind")
-        # pixels outside every search window: assign to globally nearest seed
-        missing = np.flatnonzero(flat < 0)
-        if missing.size:
-            mx, my, mi = pixel_x[missing], pixel_y[missing], pixel_i[missing]
-            d2 = (
-                (mx[:, None] - centers_x) ** 2 + (my[:, None] - centers_y) ** 2
-            ) / scale2 + (
-                (mi[:, None] - centers_i) / _INTENSITY_SCALE
-            ) ** 2
-            flat[missing] = np.argmin(d2, axis=1)
-        # x/y sums are sums of integers, hence exact; the intensity sums
-        # run in raster order, so means may differ from a pairwise sum in
-        # the last ulp
-        counts = np.bincount(flat, minlength=n_centers)
-        used = counts > 0
-        for centers, values in ((centers_x, pixel_x), (centers_y, pixel_y), (centers_i, pixel_i)):
-            sums = np.bincount(flat, weights=values, minlength=n_centers)
-            centers[used] = sums[used] / counts[used]
-    return assign
+    offs = np.arange(-crop, crop + 1)
+    square = np.arange(side)[:, None] * pw + np.arange(side)
+    for r in range(0, rows, block_rows):
+        k0, k1 = r * cols, min(rows, r + block_rows) * cols
+        by, bx = base_y[k0:k1], base_x[k0:k1]
+        y_lo, y_hi = int(by.min()), int(by.max())
+        windows = (k1 - k0, side, side)
+        size = (k1 - k0) * full
+        # d2 in the scalar loop's order: (dx*dx + dy*dy) / scale2 + di*di
+        dx = (bx[:, None] + offs).astype(np.float64)
+        dx -= center_x[k0:k1, None]
+        dx *= dx
+        dy = (by[:, None] + offs).astype(np.float64)
+        dy -= center_y[k0:k1, None]
+        dy *= dy
+        d2 = d2_buf[:size].reshape(windows)
+        np.add(dy[:, :, None], dx[:, None, :], out=d2)
+        d2 /= scale2
+        # band: padded rows top .. top + n_band - 1, full padded width
+        top = y_lo + reach - crop
+        n_band = y_hi - y_lo + side
+        idx = idx_buf[:size].reshape(windows)
+        np.add(((by - y_lo) * pw + bx + reach - crop)[:, None, None], square, out=idx)
+        di = win_buf[:size].reshape(windows)
+        # every index is in range: "clip" only spares take's buffered copy
+        np.take(padded[top * pw:], idx, out=di, mode="clip")
+        di -= center_i[k0:k1, None, None]
+        di /= _INTENSITY_SCALE
+        di *= di
+        d2 += di
+        # per band pixel the smallest d2, then the first entry holding
+        # it; entries run centre by centre, so that is the lowest index
+        bd = band_d2[:n_band * pw]
+        at = band_at[:n_band * pw]
+        bd.fill(np.inf)
+        at.fill(size)
+        idx, d2 = idx.ravel(), d2.ravel()
+        np.minimum.at(bd, idx, d2)
+        np.take(bd, idx, out=win_buf[:size], mode="clip")
+        tie = np.equal(d2, win_buf[:size], out=tie_buf[:size])
+        hit = np.flatnonzero(tie)
+        np.minimum.at(at, idx[hit], hit)
+        # merge the band's image rows, lower-index blocks keeping ties
+        y0 = max(0, top - reach)
+        y1 = min(h, top - reach + n_band)
+        r0 = y0 + reach - top
+        band_dist = bd.reshape(n_band, pw)[r0:r0 + y1 - y0, reach:reach + w]
+        winner = at.reshape(n_band, pw)[r0:r0 + y1 - y0, reach:reach + w]
+        winner //= full
+        winner += k0
+        closer = band_dist < dist[y0:y1]
+        np.copyto(dist[y0:y1], band_dist, where=closer)
+        np.copyto(assign[y0:y1], winner, where=closer, casting="same_kind")
+    return assign, dist
 
 
-def _row_bounds(assign, centers, pixels, scale2, out, tmp):
-    """Per image row, the largest d2 of a pixel to the centre `assign`
-    gives it, by the windows' float expression.
-
-    centers are (x, y, intensity) per centre and pixels the same per
-    pixel, raveled; out is an (h, w) buffer and tmp an (h * w,) one.
-    """
-    (center_x, center_y, center_i), (pixel_x, pixel_y, pixel_i) = centers, pixels
-    flat, d2 = assign.ravel(), out.ravel()
-    np.take(center_x, flat, out=d2, mode="clip")
-    np.subtract(pixel_x, d2, out=d2)
-    d2 *= d2
-    np.take(center_y, flat, out=tmp, mode="clip")
-    np.subtract(pixel_y, tmp, out=tmp)
-    tmp *= tmp
-    d2 += tmp
-    d2 /= scale2
-    np.take(center_i, flat, out=tmp, mode="clip")
-    np.subtract(pixel_i, tmp, out=tmp)
-    tmp /= _INTENSITY_SCALE
-    tmp *= tmp
-    d2 += tmp
-    return out.max(axis=1)
-
-
-def _window_crop(bound: float, interval: float, reach: int) -> int:
-    """Half-width, around the anchor, of the window part that can hold a
-    winner or a tie, `bound` being the largest d2 from a pixel the
-    windows reach to its previous centre (see `_kmeans_assign`)."""
-    return min(reach, math.ceil(math.sqrt(bound) * interval) + 1)
+def _full_pass(at, pixels, centers, scale2, reach, shape):
+    """Winner of each raveled pixel in `at` among all the windows that
+    cover it, by the same d2 and tie rule, and its d2 (the globally
+    nearest centre and inf if none does)."""
+    (pixel_x, pixel_y, pixel_i), (center_x, center_y, center_i) = pixels, centers
+    h, w = shape
+    n = len(center_x)
+    winner = np.empty(len(at), dtype=np.int32)
+    best = np.empty(len(at))
+    if not at.size:
+        return winner, best
+    anchor_x, anchor_y = center_x.astype(int), center_y.astype(int)
+    # anchors bucketed in cells of side ceil(reach / r): the windows
+    # covering a pixel are anchored within r cells of its own
+    r = _FULL_CELLS
+    side = -(-reach // r)
+    ny, nx = (h - 1) // side + 1, (w - 1) // side + 1
+    cell = (anchor_y // side) * nx + anchor_x // side
+    order = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=ny * nx)
+    slot = np.arange(n) - (np.cumsum(counts) - counts)[cell[order]]
+    # members[y + r, x + r] lists the centres of cell (y, x), ascending,
+    # padded with n: a sentinel centre anchored out of every pixel's reach
+    members = np.full((ny + 2 * r, nx + 2 * r, counts.max()), n)
+    members[cell[order] // nx + r, cell[order] % nx + r, slot] = order
+    y, x = np.divmod(at, w)
+    own = (y // side) * nx + x // side
+    listed = np.flatnonzero(np.bincount(own, minlength=ny * nx))
+    row_of = np.empty(ny * nx, dtype=np.intp)
+    row_of[listed] = np.arange(len(listed))
+    near = np.lib.stride_tricks.sliding_window_view(members, (2 * r + 1, 2 * r + 1), axis=(0, 1))
+    near = np.sort(near[listed // nx, listed % nx].reshape(len(listed), -1), axis=1)
+    table = near[:, :max(1, int((near < n).sum(axis=1).max()))]
+    far = -2 * reach - 1
+    anchor_x, anchor_y = np.append(anchor_x, far), np.append(anchor_y, far)
+    center_x, center_y, center_i = (np.append(c, 0.0) for c in centers)
+    step = max(1, _KMEANS_BLOCK // table.shape[1])
+    for s in range(0, len(at), step):
+        p, py, px = at[s:s + step], y[s:s + step, None], x[s:s + step, None]
+        near = table[row_of[own[s:s + step]]]
+        out = np.abs(anchor_x[near] - px) > reach
+        out |= np.abs(anchor_y[near] - py) > reach
+        # d2 in the scalar loop's order: (dx*dx + dy*dy) / scale2 + di*di
+        d2 = pixel_x[p, None] - center_x[near]
+        d2 *= d2
+        dy = pixel_y[p, None] - center_y[near]
+        dy *= dy
+        d2 += dy
+        d2 /= scale2
+        di = pixel_i[p, None] - center_i[near]
+        di /= _INTENSITY_SCALE
+        di *= di
+        d2 += di
+        d2[out] = np.inf
+        # candidates run ascending, so argmin takes the lowest index
+        col = np.argmin(d2, axis=1)
+        rows = np.arange(len(p))
+        winner[s:s + step] = near[rows, col]
+        best[s:s + step] = d2[rows, col]
+    missing = at[best == np.inf]
+    if missing.size:
+        center_x, center_y, center_i = centers
+        d2 = (
+            (pixel_x[missing, None] - center_x) ** 2 + (pixel_y[missing, None] - center_y) ** 2
+        ) / scale2 + (
+            (pixel_i[missing, None] - center_i) / _INTENSITY_SCALE
+        ) ** 2
+        winner[best == np.inf] = np.argmin(d2, axis=1)
+    return winner, best
 
 
 def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):

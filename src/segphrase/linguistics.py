@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, open_text
 from .imaging import (
     Image,
     SuperpixelGraph,
@@ -42,6 +42,10 @@ class NonNumericTokenError(EmbeddingFormatError):
 
 class DuplicateWordError(EmbeddingFormatError):
     """The same (lowercased) word appears twice."""
+
+
+class NonFiniteVectorError(EmbeddingFormatError):
+    """A vector has a non-finite component, or a norm beyond the float range."""
 
 
 class OovError(DataError):
@@ -101,8 +105,12 @@ class SemanticSegmentation:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Parse the 'vocab_size dim' header plus 'word v1 .. vD' rows."""
-    with open(path) as fh:
+    """Parse the 'vocab_size dim' header plus 'word v1 .. vD' rows.
+
+    Every vector must be finite with a finite norm, else
+    NonFiniteVectorError naming the file and line.
+    """
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise EmbeddingFormatError("first line must be 'vocab_size dim'")
@@ -120,12 +128,17 @@ def load_embeddings(path) -> EmbeddingTable:
             word = parts[0].lower()
             if len(parts) - 1 != dim:
                 raise RaggedRowError(
-                    f"line {lineno}: {len(parts) - 1} components, expected {dim}"
+                    f"{path}:{lineno}: {len(parts) - 1} components, expected {dim}"
                 )
             try:
                 vec = np.array([float(t) for t in parts[1:]])
             except ValueError as exc:
-                raise NonNumericTokenError(f"line {lineno}: {exc}") from exc
+                raise NonNumericTokenError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(vec).all():
+                raise NonFiniteVectorError(f"{path}:{lineno}: non-finite vector component")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.linalg.norm(vec)):
+                    raise NonFiniteVectorError(f"{path}:{lineno}: vector norm overflows")
             if word in vectors:
                 raise DuplicateWordError(f"duplicate word {word!r}")
             vectors[word] = vec
@@ -223,12 +236,15 @@ def fuse_and_cut(masks: list[WeightedMask], graph: SuperpixelGraph, lam: float) 
 def parse_detections(path) -> list[Detection]:
     """Detections file: 'phrase_quoted x0 y0 x1 y1 score' per line."""
     out = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = shlex.split(line)
+            try:
+                parts = shlex.split(line)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad quoting ({exc})") from exc
             if len(parts) != 6:
                 raise DataError(
                     f"{path}:{lineno}: expected 'phrase x0 y0 x1 y1 score'"

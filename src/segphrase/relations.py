@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, open_text
 from .imaging import HIST_BINS, Image
 from .spt import SegmentPhraseTable, normalize_phrase
 
@@ -272,7 +272,7 @@ def graph_objective(scores, decisions, lam: float) -> float:
 def load_score_matrix(path) -> np.ndarray:
     """Score-matrix file: N >= 0 on the first line, then N whitespace rows
     of finite values."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         tokens = fh.read().split()
     if not tokens:
         raise DataError("empty score-matrix file")
@@ -299,7 +299,7 @@ def parse_relations_dataset(path, kind: str):
     """
     valid = {"entails", "not-entails", "paraphrase", "not-paraphrase"}
     out = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):

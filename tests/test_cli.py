@@ -629,3 +629,98 @@ def test_superpixel_target_above_pixel_count_exits_2(twin_table, tmp_path, capsy
             "for a 12x12 image\n"
         )
     assert not out_table.exists() and not out_mask.exists()
+
+
+def _data_error(rc, captured):
+    """The one-line exit-2 report every bad input ends in; returns it."""
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("segphrase: data error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry, reason", [
+    ("nan", "non-finite vector component"),
+    ("1e999", "non-finite vector component"),
+    ("1e200", "vector norm overflows"),
+])
+def test_non_finite_word_vector_exits_2(entry, reason, twin_table, workspace, tmp_path, capsys):
+    table_path, _ = twin_table
+    emb = tmp_path / "e.txt"
+    emb.write_text(f"2 2\nround 1.0 0.0\nball {entry} 1.0\n")
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text('"round" 8 8 40 40 0.9\n"ball" 8 8 40 40 0.8\n')
+    capsys.readouterr()
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(det_path),
+        str(table_path), str(emb), str(tmp_path / "m.pgm"),
+    ])
+    err = _data_error(rc, capsys.readouterr())
+    assert err == f"segphrase: data error: {emb}:3: {reason}\n"
+    assert not (tmp_path / "m.pgm").exists()
+
+
+def test_unclosed_quote_in_detections_exits_2(twin_table, workspace, tmp_path, capsys):
+    table_path, emb = twin_table
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text('"round" 8 8 40 40 0.9\n\n"round 8 8 40 40 0.9\n')
+    capsys.readouterr()
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(det_path),
+        str(table_path), str(emb), str(tmp_path / "m.pgm"),
+    ])
+    err = _data_error(rc, capsys.readouterr())
+    assert err.startswith(f"segphrase: data error: {det_path}:3: bad quoting")
+
+
+def test_unclosed_quote_in_manifest_exits_2(workspace, tmp_path, capsys):
+    lines = (workspace / "round" / "manifest.txt").read_text().splitlines()
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(lines[0] + "\n" + lines[1].replace('"round object"', '"round object') + "\n")
+    capsys.readouterr()
+    rc = main(["train", str(manifest), str(tmp_path / "t.spt"), "--k", "1"])
+    err = _data_error(rc, capsys.readouterr())
+    assert err.startswith(f"segphrase: data error: {manifest}:2: bad quoting")
+    assert not (tmp_path / "t.spt").exists()
+
+
+@pytest.mark.parametrize("kind", [
+    "config", "embeddings", "detections", "manifest", "score-matrix", "dataset",
+])
+def test_non_utf8_text_input_exits_2(kind, twin_table, workspace, tmp_path, capsys):
+    # a Latin-1 byte in each kind of text input, on a line that is
+    # otherwise valid
+    table_path, emb = twin_table
+    bad = tmp_path / f"{kind}.txt"
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text('"round" 8 8 40 40 0.9\n')
+    segment = ["segment", str(workspace / "round" / "test_000.pgm"), str(det_path),
+               str(table_path), str(emb), str(tmp_path / "m.pgm")]
+    if kind == "config":
+        bad.write_bytes(b"# caf\xe9\nlam = 0.5\n")
+        argv = segment + ["--config", str(bad)]
+    elif kind == "embeddings":
+        bad.write_bytes(b"2 2\nround 1.0 0.0\nball\xe9 0.0 1.0\n")
+        argv = segment[:4] + [str(bad), segment[5]]
+    elif kind == "detections":
+        bad.write_bytes(b'"round\xe9" 8 8 40 40 0.9\n')
+        argv = segment[:2] + [str(bad)] + segment[3:]
+    elif kind == "manifest":
+        lines = (workspace / "round" / "manifest.txt").read_bytes()
+        bad.write_bytes(lines.replace(b"round object", b"round obj\xe9ct", 1))
+        argv = ["train", str(bad), str(tmp_path / "t.spt"), "--k", "1"]
+    elif kind == "score-matrix":
+        bad.write_bytes(b"2\n0 0.5\n-0.5 0\xe9\n")
+        (tmp_path / "d.tsv").write_text("a\tb\tentails\n")
+        argv = ["relations", "entail", str(tmp_path / "d.tsv"), str(tmp_path / "o.csv"),
+                "--graph", "--scores", str(bad)]
+    else:
+        write_two_phrase_table(tmp_path / "t2.spt")
+        bad.write_bytes(b"a\tb\tentails\n# caf\xe9\n")
+        argv = ["relations", "entail", str(bad), str(tmp_path / "o.csv"),
+                "--table", str(tmp_path / "t2.spt")]
+    capsys.readouterr()
+    err = _data_error(main(argv), capsys.readouterr())
+    assert err == f"segphrase: data error: {bad}: not UTF-8 text\n"

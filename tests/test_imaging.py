@@ -239,13 +239,26 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _crops_and_redos(monkeypatch):
+    """Spy on the crop of every k-means iteration and on the pixels that
+    iteration decides again; returns (crops, redone pixel counts)."""
+    crops = _spy(monkeypatch, "_choose_crop")
+    redos = _spy(monkeypatch, "_full_pass")
+    return crops, redos
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_cropped_windows_match_oracle(seed, monkeypatch):
-    crops = _spy(monkeypatch, "_window_crop")
+    crops, redos = _crops_and_redos(monkeypatch)
     scene = make_scene(SceneConfig(size=128, noise=0.05, seed=seed))
     _assert_same_as_oracle(scene.image, 400)
     reach = _kmeans_grid(128, 128, 400)[2]
-    assert any(int(crop) < reach for _, crop in crops)
+    assert len(crops) == imaging._KMEANS_ITERS
+    assert all(int(crop) < reach for _, crop in crops)
+    # the pixels whose best cropped d2 needs a wider window are few, and
+    # some are decided again
+    redone = [len(args[0]) for args, _ in redos]
+    assert any(redone) and max(redone) < 0.05 * 128 * 128
 
 
 @pytest.mark.parametrize("w,h,target", [(40, 3, 10), (3, 40, 10)])
@@ -282,21 +295,145 @@ def test_three_level_images_match_oracle(seed):
     _assert_same_as_oracle(Image(48, 48, 1, levels), 40)
 
 
+def _window_passes(monkeypatch):
+    """Record, per `_window_pass` call, the centres it evaluated and the
+    iteration's final assignment (the returned array, which the pixels
+    decided again then overwrite in place)."""
+    calls = []
+    real = imaging._window_pass
+
+    def spy(padded, shape, centers, *rest):
+        result = real(padded, shape, centers, *rest)
+        calls.append((tuple(c.copy() for c in centers), result[0]))
+        return result
+
+    monkeypatch.setattr(imaging, "_window_pass", spy)
+    return calls
+
+
+def _window_covers(anchor_x, anchor_y, reach, h, w):
+    """(len(anchor), h, w) bool: which pixels each anchor's window covers."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    return ((np.abs(xs - anchor_x[:, None, None]) <= reach)
+            & (np.abs(ys - anchor_y[:, None, None]) <= reach))
+
+
 @pytest.mark.parametrize("h,w,target,seed", [(40, 8, 8, 0), (40, 8, 8, 5), (34, 11, 9, 1)])
 def test_previous_centre_no_longer_covering_matches_oracle(h, w, target, seed, monkeypatch):
     # sparse bright dots pull centres far enough that, in some iteration,
     # a pixel's centre from the iteration before no longer covers it
-    bounds = _spy(monkeypatch, "_row_bounds")
+    passes = _window_passes(monkeypatch)
     dots = (np.random.default_rng(seed).random((h, w)) < 0.05).astype(float)
     _assert_same_as_oracle(Image(w, h, 1, dots[:, :, None]), target)
     reach = _kmeans_grid(w, h, target)[2]
     ys, xs = np.mgrid[0:h, 0:w]
     uncovered = False
-    for (assign, (center_x, center_y, _), *_), _ in bounds:
+    for (_, assign), ((center_x, center_y, _), _) in zip(passes, passes[1:]):
         anchor_x = center_x.astype(int)[assign]
         anchor_y = center_y.astype(int)[assign]
         uncovered |= bool(((np.abs(xs - anchor_x) > reach) | (np.abs(ys - anchor_y) > reach)).any())
     assert uncovered
+
+
+@pytest.mark.parametrize("h,w,target,seed", [(40, 8, 8, 0), (34, 11, 9, 1), (48, 48, 40, 3)])
+def test_window_newly_covering_pixels_it_wins_matches_oracle(h, w, target, seed, monkeypatch):
+    # a centre moves so far that its window newly covers pixels, and it
+    # wins some of them
+    passes = _window_passes(monkeypatch)
+    dots = (np.random.default_rng(seed).random((h, w)) < 0.05).astype(float)
+    _assert_same_as_oracle(Image(w, h, 1, dots[:, :, None]), target)
+    reach = _kmeans_grid(w, h, target)[2]
+    won = False
+    for ((before_x, before_y, _), _), ((after_x, after_y, _), assign) in zip(passes, passes[1:]):
+        old = _window_covers(before_x.astype(int), before_y.astype(int), reach, h, w)
+        new = _window_covers(after_x.astype(int), after_y.astype(int), reach, h, w)
+        entered = new & ~old
+        won |= bool(np.take_along_axis(entered, assign[None].astype(np.intp), 0).any())
+    assert won
+
+
+@pytest.mark.parametrize("w,h,target", [(72, 72, 100), (96, 48, 150), (80, 60, 60)])
+def test_exact_ties_with_cropped_windows_match_oracle(w, h, target, monkeypatch):
+    # uniform, mirror-symmetric and three-level images tie exactly, at
+    # sizes where the windows are cropped and some pixels decided again
+    crops, redos = _crops_and_redos(monkeypatch)
+    reach = _kmeans_grid(w, h, target)[2]
+    rng = np.random.default_rng(w + h)
+    half = rng.random((h, (w + 1) // 2, 1))
+    mirrored = np.concatenate([half, half[:, ::-1][:, w % 2:]], axis=1)
+    levels = np.round(rng.random((h, w, 1)) * 2) / 4
+    for data in (np.full((h, w, 1), 0.3), mirrored, levels):
+        _assert_same_as_oracle(Image(w, h, 1, data), target)
+    assert any(int(crop) < reach for _, crop in crops)
+    assert any(len(args[0]) for args, _ in redos)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_oracle_on_small_mixed_images(seed):
+    # noise, uniform (exact ties), three-level and sparse-dot images of
+    # random shapes up to 39 x 39
+    rng = np.random.default_rng(1000 + seed)
+    for trial in range(8):
+        w, h = (int(v) for v in rng.integers(1, 40, size=2))
+        kind = trial % 4
+        if kind == 0:
+            data = rng.random((h, w))
+        elif kind == 1:
+            data = np.full((h, w), 0.3)
+        elif kind == 2:
+            data = np.round(rng.random((h, w)) * 2) / 4
+        else:
+            data = (rng.random((h, w)) < 0.05).astype(float)
+        img = Image(w, h, 1, data[:, :, None])
+        for target in sorted({1, *(int(t) for t in rng.integers(1, w * h + 1, size=2))}):
+            _assert_same_as_oracle(img, target)
+
+
+@pytest.mark.parametrize("crop", [1, 3, "reach"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_every_crop_matches_oracle(crop, seed, monkeypatch):
+    # the crop only moves work between the windows and the pixels decided
+    # again: forced to its extremes, the labels stay the oracle's
+    monkeypatch.setattr(imaging, "_choose_crop",
+                        lambda need, n, reach: reach if crop == "reach" else crop)
+    dots = (np.random.default_rng(seed).random((40, 8)) < 0.05).astype(float)
+    _assert_same_as_oracle(Image(8, 40, 1, dots[:, :, None]), 8)
+    noise = np.random.default_rng(seed).random((24, 30, 1))
+    _assert_same_as_oracle(Image(30, 24, 1, noise), 20)
+
+
+def test_window_need_bounds_the_distance_strictly():
+    # the need holds every centre within sqrt(best) intervals, with slack
+    # for rounding: a distance of exactly k pixels needs k + 1, up to the
+    # whole window
+    interval, reach = 2.0, 9
+    best = np.array([0.0, 1.0, 1.0 + 1e-12, 4.0, 6.25, 16.0, 100.0, np.inf])
+    need = imaging._window_need(best.copy(), interval, reach)
+    assert need.tolist() == [1, 3, 3, 5, 6, 9, 9, 9]
+
+
+def test_full_pass_gives_uncovered_pixels_the_nearest_centre():
+    # centres 0 and 2 tie for pixel (4, 4) and neither window reaches it
+    w = h = 9
+    pixels = (np.tile(np.arange(w, dtype=float), h), np.repeat(np.arange(h, dtype=float), w),
+              np.full(w * h, 0.2))
+    centers = (np.array([0.5, 4.0, 7.5]), np.array([0.5, 8.0, 7.5]), np.array([0.2, 0.85, 0.2]))
+    at = np.array([4 * w + 4, 0, 8 * w + 4])
+    winner, best = imaging._full_pass(at, pixels, centers, 1.0, 2, (h, w))
+    assert winner.tolist() == [0, 0, 1]
+    assert best.tolist() == [np.inf, 0.5, ((0.2 - 0.85) / 0.2) ** 2]
+
+
+def test_one_ulp_apart_matches_oracle():
+    # in the fourth iteration pixel (1, 7) is 0.4868421052631578 from
+    # centre 5 and one ulp less from centre 32, and the square roots of
+    # the two are equal
+    rows = ["11112012222120001110212121211210101211",
+            "20011222200110212211001111102101220111",
+            "10120212211111011112112121122122001011",
+            "21211101211011120112101111211010100101"]
+    levels = np.array([[int(v) / 4 for v in row] for row in rows])
+    _assert_same_as_oracle(Image(38, 4, 1, levels[:, :, None]), 74)
 
 
 @pytest.mark.parametrize("seed", range(8))
