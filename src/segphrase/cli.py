@@ -25,7 +25,7 @@ from .imaging import (
     save_image,
     save_mask_pgm,
 )
-from .latent import em_learn, make_instance, segment_instance
+from .latent import em_learn, make_instance
 from .linguistics import load_embeddings, parse_detections, semantic_segment
 from .spt import (
     ExemplarMask,
@@ -207,8 +207,9 @@ def cmd_train(args) -> int:
         model.info.component_id = component
         key = PhraseKey.make(phrase, component)
         table.insert(key, model)
-        for (image_path, _box), (img, inst) in zip(items, pairs):
-            labels = segment_instance(model, inst)
+        for (image_path, _box), (img, inst), labels in zip(
+            items, pairs, model.info.labelings
+        ):
             descriptor = relations.exemplar_descriptor(
                 img, labels_to_mask(labels, inst.graph.smap)
             )
@@ -340,13 +341,14 @@ def cmd_relations(args) -> int:
 def _relations_from_scores(args, config: Config) -> int:
     scores = relations.load_score_matrix(args.scores)
     decisions = _solve_graph(scores, config.ilp_lambda)
-    n = len(scores)
+    lines = ["x,y,score,decision\n"]
+    # Python floats and ints: repr prints them as float(scores[i, j]) would
+    for i, (row, picked) in enumerate(zip(scores.tolist(), decisions.tolist())):
+        lines.extend(
+            f"{i},{j},{s!r},{d}\n" for j, (s, d) in enumerate(zip(row, picked)) if j != i
+        )
     with open(args.out_csv, "w", encoding="utf-8") as fh:
-        fh.write("x,y,score,decision\n")
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    fh.write(f"{i},{j},{float(scores[i, j])!r},{int(decisions[i, j])}\n")
+        fh.writelines(lines)
     return EXIT_OK
 
 

@@ -55,6 +55,11 @@ class ModelInfo:
     instances: int = 0
     iterations: int = 0
     energy_history: list[float] = field(default_factory=list)
+    # em_learn's final labeling of each training instance, as
+    # segment_instance gives it; never saved, loaded or compared
+    labelings: list[np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -188,7 +193,8 @@ def _pools(instances, labelings):
 def em_learn(instances: list[TrainingInstance], config: Config) -> SegmentationModel:
     """Alternating refit/relabel training; deterministic given the seed.
 
-    Reads config's gmm_k, em_max_iters, seed, lam and seed_shrink. On an
+    Reads config's gmm_k, em_max_iters, seed, lam and seed_shrink. The
+    model's info.labelings holds each instance's final labeling. On an
     all-foreground or all-background collapse the run restarts once from
     init_labels with the seed shrink halved; a second collapse raises
     CollapseError.
@@ -260,7 +266,13 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
     info = ModelInfo(
         instances=len(instances), iterations=iterations, energy_history=history
     )
-    return SegmentationModel(theta_fg, theta_bg, config.lam, info)
+    model = SegmentationModel(theta_fg, theta_bg, config.lam, info)
+    # the last round cut every instance under the final mixtures; with no
+    # round run, the labelings are still the initial ones
+    info.labelings = (
+        labelings if iterations else [segment_instance(model, inst) for inst in instances]
+    )
+    return model
 
 
 def segment_with_model(model: SegmentationModel, graph: SuperpixelGraph) -> np.ndarray:

@@ -181,15 +181,20 @@ def message_pass(masks: list[WeightedMask], table: EmbeddingTable) -> list[Weigh
     phrases' composite vectors; negative similarities are clamped to zero so
     out-of-context phrases dampen rather than flip. Raises
     UndefinedCosineError when a pool of two or more masks has a zero-norm
-    composite vector, and NumericalError when a rescored score overflows.
+    composite vector, NonFiniteVectorError when a composite's norm
+    overflows, and NumericalError when a rescored score overflows.
     """
     if not masks:
         raise ValueError("message_pass needs at least one mask")
-    vecs = np.array([phrase_vector(table, m.phrase)[0] for m in masks])
+    with np.errstate(over="ignore"):  # an overflowing composite is reported below
+        vecs = np.array([phrase_vector(table, m.phrase)[0] for m in masks])
+        norms = np.linalg.norm(vecs, axis=1)
     n = len(masks)
     sim = np.eye(n)
     if n > 1:
-        norms = np.linalg.norm(vecs, axis=1)
+        if not np.isfinite(norms).all():
+            phrase = masks[int(np.argmin(np.isfinite(norms)))].phrase
+            raise NonFiniteVectorError(f"composite vector of {phrase!r}: norm overflows")
         if (norms == 0.0).any():
             phrase = masks[int(np.argmin(norms))].phrase
             raise UndefinedCosineError(f"zero-norm composite vector for {phrase!r}")

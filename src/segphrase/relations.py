@@ -9,14 +9,19 @@ score minus a sparsity penalty subject to W_xy + W_yz - W_xz <= 1 over
 all ordered triples of distinct nodes (Berant, Dagan & Goldberger,
 ACL 2011), solved exactly by depth-first branch and bound on small
 graphs or greedily with transitive closing. Both solvers read the n x n
-score matrix and write the n x n decision matrix W; the search assigns
-W's entries in place and checks each against the triples it completes
-by scanning one row and one column.
+score matrix and write the n x n decision matrix W. The exact search
+assigns W's entries in place and checks each against the triples it
+completes with row and column bitmasks held as Python ints. The greedy
+closing keeps a reflexive reach matrix and a mask of the entries still
+open: a move adds the open entries of one outer product of a reach
+column and row, and a move that would add no open entry of nonnegative
+gain is rejected from bitmasks alone, without summing its gains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +49,16 @@ class PhraseExemplars:
         self.descriptors = np.atleast_2d(np.asarray(self.descriptors, dtype=np.float64))
         if len(self.descriptors) == 0:
             raise ValueError("exemplar set must be non-empty")
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Row norms of the descriptors, computed at the first pair scored."""
+        norms = np.linalg.norm(self.descriptors, axis=1)
+        if (norms == 0).any():
+            raise ZeroNormDescriptorError(
+                f"zero-norm exemplar descriptor for phrase {self.phrase!r}"
+            )
+        return norms
 
 
 def exemplar_descriptor(image: Image, pixel_mask: np.ndarray) -> np.ndarray:
@@ -92,26 +107,18 @@ def exemplars_from_table(table: SegmentPhraseTable, phrase: str) -> PhraseExempl
     return PhraseExemplars(normalize_phrase(phrase), np.vstack(descriptors))
 
 
-def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if (na == 0).any() or (nb == 0).any():
-        raise ZeroNormDescriptorError("zero-norm exemplar descriptor")
-    return (a @ b.T) / np.outer(na, nb)
-
-
-def directed_similarity(a: PhraseExemplars, b: PhraseExemplars) -> float:
-    """Mean over a's exemplars of the best cosine match among b's.
-
-    Asymmetric by design: a small, specific exemplar set can match into a
-    broad one perfectly without the broad set matching back.
-    """
-    return float(_cosine_matrix(a.descriptors, b.descriptors).max(axis=1).mean())
-
-
 def entail_score(x: PhraseExemplars, y: PhraseExemplars) -> float:
-    """Directed-similarity difference; antisymmetric, zero on identity."""
-    return directed_similarity(x, y) - directed_similarity(y, x)
+    """Directed-similarity difference; antisymmetric, zero on identity.
+
+    Directed similarity is the mean over one side's exemplars of the best
+    cosine match among the other's: asymmetric by design, since a small,
+    specific exemplar set can match into a broad one perfectly without
+    the broad set matching back. Both directions read one cosine block,
+    x's rows against y's; its transpose is bitwise the block y against x.
+    """
+    c = (x.descriptors @ y.descriptors.T) / np.outer(x.norms, y.norms)
+    # each mean as np.mean computes it (sum, then divide by the count)
+    return float(c.max(axis=1).sum() / len(c)) - float(c.max(axis=0).sum() / len(c.T))
 
 
 def score_matrix(exemplars: list[PhraseExemplars], pairs) -> np.ndarray:
@@ -183,28 +190,24 @@ def _solve_exact(scores, lam) -> np.ndarray:
     n = len(scores)
     off = ~np.eye(n, dtype=bool)
     gains = scores - lam
+    g = gains.tolist()
     # |score| descending (taken as |gain + lam|), row-major on ties
-    entries = sorted(zip(*np.nonzero(off)), key=lambda e: -abs(gains[e] + lam))
+    entries = sorted(
+        ((x, y) for x in range(n) for y in range(n) if x != y),
+        key=lambda e: -abs(g[e[0]][e[1]] + lam),
+    )
     m = len(entries)
-    pos_suffix = np.zeros(m + 1)
+    pos_suffix = [0.0] * (m + 1)
     for d in range(m - 1, -1, -1):
-        pos_suffix[d] = pos_suffix[d + 1] + max(gains[entries[d]], 0.0)
+        x, y = entries[d]
+        pos_suffix[d] = pos_suffix[d + 1] + max(g[x][y], 0.0)
 
-    # -1 marks an unassigned entry; the diagonal stays -1, so no scan
-    # below ever matches a triple with a repeated node
+    # W is tri-state: -1 marks an unassigned entry (the diagonal stays -1)
+    # and gives the leaf objective and tie key. Bit z of row1[r] / row0[r]
+    # is set when W[r, z] is 1 / 0; col1[c] / col0[c] likewise for W[z, c].
     W = np.full((n, n), -1, dtype=np.int8)
+    row1, row0, col1, col0 = ([0] * n for _ in range(4))
     best_obj, best_key = -np.inf, None
-
-    def consistent(x, y) -> bool:
-        """No triple completed by the new entry W[x, y] reads (1, 1, 0)."""
-        if W[x, y]:
-            # (x, y, z): W[y, z] = 1, W[x, z] = 0; (z, x, y): W[z, x] = 1, W[z, y] = 0
-            return not (
-                ((W[y] == 1) & (W[x] == 0)).any()
-                or ((W[:, x] == 1) & (W[:, y] == 0)).any()
-            )
-        # (x, z, y): W[x, z] = 1, W[z, y] = 1
-        return not ((W[x] == 1) & (W[:, y] == 1)).any()
 
     def search(depth, value):
         nonlocal best_obj, best_key
@@ -219,11 +222,27 @@ def _solve_exact(scores, lam) -> np.ndarray:
                 best_obj, best_key = max(best_obj, obj), key
             return
         x, y = entries[depth]
-        first = 1 if gains[x, y] > 0 else 0
-        for val in (first, 1 - first):
+        bx, by = 1 << x, 1 << y
+        gain = g[x][y]
+        for val in ((1, 0) if gain > 0 else (0, 1)):
             W[x, y] = val
-            if consistent(x, y):
-                search(depth + 1, value + (gains[x, y] if val else 0.0))
+            if val:
+                row1[x] |= by
+                col1[y] |= bx
+                # no (x, y, z) with W[y, z] = 1, W[x, z] = 0
+                # and no (z, x, y) with W[z, x] = 1, W[z, y] = 0
+                if not (row1[y] & row0[x] or col1[x] & col0[y]):
+                    search(depth + 1, value + gain)
+                row1[x] ^= by
+                col1[y] ^= bx
+            else:
+                row0[x] |= by
+                col0[y] |= bx
+                # no (x, z, y) with W[x, z] = 1, W[z, y] = 1
+                if not row1[x] & col1[y]:
+                    search(depth + 1, value + 0.0)
+                row0[x] ^= by
+                col0[y] ^= bx
         W[x, y] = -1
 
     search(0, 0.0)
@@ -232,21 +251,53 @@ def _solve_exact(scores, lam) -> np.ndarray:
     return decisions
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _solve_greedy(scores, lam) -> np.ndarray:
     n = len(scores)
     off = ~np.eye(n, dtype=bool)
-    decisions = np.zeros((n, n), dtype=bool)
+    gain = scores - lam
+    # reach = decisions plus the diagonal: column x is x and everything
+    # entailing it, row y is y and everything it entails. It is held as
+    # an array, for the gain sums, and as bitmasks: bit r of col[x] is
+    # reach[r, x], bit c of row[y] is reach[y, c].
+    reach = np.eye(n, dtype=bool)
+    col = [1 << i for i in range(n)]
+    row = col.copy()
+    # bit b of hope[a]: (a, b) is open (off the diagonal, not decided 1)
+    # with a nonnegative gain; a move that adds none of these adds only
+    # negative gains, so its sum is negative (or nan) and it is rejected
+    hope = [sum(1 << b for b in np.flatnonzero(r).tolist()) for r in (gain >= 0) & off]
+    hopeful = sum(1 << a for a in range(n) if hope[a])  # rows with any hope
+    xs, ys = np.nonzero(off)
     # score descending, row-major on ties
-    for x, y in sorted(zip(*np.nonzero(off)), key=lambda e: -scores[e]):
-        if decisions[x, y]:
+    order = np.argsort(-scores[off], kind="stable")
+    for x, y in zip(xs[order].tolist(), ys[order].tolist()):
+        if row[x] >> y & 1:
             continue
         # x and everything entailing it now entail y and everything it entails
-        sources, targets = decisions[:, x].copy(), decisions[y].copy()
-        sources[x] = targets[y] = True
-        add = np.outer(sources, targets) & ~decisions & off
-        if (scores[add] - lam).sum() >= 0:
-            decisions |= add
-    return decisions.astype(np.int8)
+        sources, targets = col[x], row[y]
+        if not any(hope[a] & targets for a in _bits(sources & hopeful)):
+            continue
+        add = np.outer(reach[:, x], reach[y])
+        add &= ~reach  # the open entries: not decided 1, off the diagonal
+        if not gain[add].sum() >= 0:
+            continue
+        reach |= add
+        for a in _bits(sources):
+            row[a] |= targets
+            hope[a] &= ~targets
+            if not hope[a]:
+                hopeful &= ~(1 << a)
+        for b in _bits(targets):
+            col[b] |= sources
+    return (reach & off).astype(np.int8)
 
 
 def transitivity_violations(decisions) -> int:

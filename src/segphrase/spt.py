@@ -204,13 +204,9 @@ def _rle_encode(mask: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _rle_decode(first: int, runs: np.ndarray) -> np.ndarray:
-    out = np.empty(int(runs.sum()), dtype=np.uint8)
-    pos, val = 0, first
-    for r in runs:
-        out[pos : pos + int(r)] = val
-        pos += int(r)
-        val ^= 1
-    return out
+    """The 0/1 vector of runs alternating from first (a run may be empty)."""
+    values = (np.arange(len(runs)) + first) & 1
+    return np.repeat(values.astype(np.uint8), runs)
 
 
 def save_table(table: SegmentPhraseTable, path) -> None:

@@ -1,14 +1,40 @@
-"""Reference edge selection: the original solvers over numbered edge
-variables, triple-index lists and closure sets, and the triple-loop
-violation count, kept verbatim so tests can check the matrix-based
-`segphrase.relations` code against them decision for decision.
+"""Reference relations code: the entailment score as two directed
+similarities, each from its own cosine block with the norms recomputed;
+the original edge-selection solvers over numbered edge variables,
+triple-index lists and closure sets; and the triple-loop violation
+count. Kept as first written, except that the greedy solver sums a
+move's net gain in the program's order, so tests can check
+`segphrase.relations` against them bit for bit and decision for
+decision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from segphrase.relations import _TIE_EPS, EXACT_NODE_LIMIT
+from segphrase.relations import _TIE_EPS, EXACT_NODE_LIMIT, ZeroNormDescriptorError
+
+
+def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    if (na == 0).any() or (nb == 0).any():
+        raise ZeroNormDescriptorError("zero-norm exemplar descriptor")
+    return (a @ b.T) / np.outer(na, nb)
+
+
+def directed_similarity(a, b) -> float:
+    """Mean over a's exemplars of the best cosine match among b's.
+
+    Asymmetric by design: a small, specific exemplar set can match into a
+    broad one perfectly without the broad set matching back.
+    """
+    return float(_cosine_matrix(a.descriptors, b.descriptors).max(axis=1).mean())
+
+
+def entail_score(x, y) -> float:
+    """Directed-similarity difference; antisymmetric, zero on identity."""
+    return directed_similarity(x, y) - directed_similarity(y, x)
 
 
 def _ordered_pairs(n):
@@ -133,7 +159,11 @@ def _solve_greedy(scores, lam) -> np.ndarray:
         if decisions[x, y]:
             continue
         additions = _closure_additions(decisions, x, y)
-        net = sum(scores[a, b] - lam for a, b in additions)
+        # summed as numpy sums a row-major array: a left-to-right sum in
+        # set order rounds differently, which decides moves whose net
+        # gain ties with zero (scores in tenths give many)
+        rows, cols = zip(*sorted(additions))
+        net = (scores[rows, cols] - lam).sum()
         if net >= 0:
             for a, b in additions:
                 decisions[a, b] = 1

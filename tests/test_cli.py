@@ -662,6 +662,32 @@ def test_non_finite_word_vector_exits_2(entry, reason, twin_table, workspace, tm
     assert not (tmp_path / "m.pgm").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_composite_vector_exits_2(workspace, tmp_path, capsys):
+    # each word vector's norm is finite, their sum's is not
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(
+        (workspace / "round" / "manifest.txt").read_text()
+        .replace('"round object"', '"round ball"')
+    )
+    table_path = tmp_path / "t.spt"
+    assert main(["train", str(manifest), str(table_path), "--k", "1"]) == 0
+    emb = tmp_path / "e.txt"
+    emb.write_text("2 2\nround 9e153 9e153\nball 9e153 9e153\n")
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text('"round ball" 2 2 20 20 0.9\n"round ball" 26 26 46 46 0.5\n')
+    capsys.readouterr()
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(det_path),
+        str(table_path), str(emb), str(tmp_path / "m.pgm"),
+    ])
+    err = _data_error(rc, capsys.readouterr())
+    assert err == (
+        "segphrase: data error: composite vector of 'round ball': norm overflows\n"
+    )
+    assert not (tmp_path / "m.pgm").exists()
+
+
 def test_unclosed_quote_in_detections_exits_2(twin_table, workspace, tmp_path, capsys):
     table_path, emb = twin_table
     det_path = tmp_path / "dets.txt"

@@ -149,6 +149,22 @@ def test_training_deterministic_bit_identical():
     assert m1.info.energy_history == m2.info.energy_history
 
 
+@pytest.mark.parametrize("iters", [0, 1, 10])
+def test_em_learn_hands_back_the_final_labelings(iters):
+    insts = [scene_instance(make_scene(SceneConfig(seed=s))) for s in (15, 16)]
+    model = em_learn(insts, Config(gmm_k=2, em_max_iters=iters, seed=4))
+    assert len(model.info.labelings) == len(insts)
+    for inst, labels in zip(insts, model.info.labelings):
+        want = segment_instance(model, inst)
+        assert labels.dtype == want.dtype and np.array_equal(labels, want)
+    # a copy without the labelings is the same model info
+    other = latent.ModelInfo(
+        model.info.phrase, model.info.component_id, model.info.instances,
+        model.info.iterations, model.info.energy_history,
+    )
+    assert other == model.info and other.labelings is None
+
+
 def test_energy_history_non_increasing():
     scenes = [make_scene(SceneConfig(seed=s)) for s in (12, 13, 14)]
     insts = [scene_instance(s) for s in scenes]

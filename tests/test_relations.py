@@ -12,7 +12,6 @@ from segphrase.relations import (
     EXACT_NODE_LIMIT,
     PhraseExemplars,
     ZeroNormDescriptorError,
-    directed_similarity,
     entail_score,
     exemplar_descriptor,
     exemplars_from_table,
@@ -28,6 +27,7 @@ from segphrase.relations import (
 from segphrase.spt import ExemplarMask, SegmentPhraseTable, load_table, save_table
 
 import entailment_oracle as oracle
+from entailment_oracle import directed_similarity
 
 
 def unit(angle):
@@ -70,8 +70,13 @@ def test_mean_of_best_matches_is_asymmetric():
 
 
 def test_zero_norm_descriptor_rejected():
-    a = exemplars("a", [np.zeros(3)])
+    # raised when a pair with the phrase is scored, not when it is built
+    a = exemplars("a", [np.ones(3), np.zeros(3)])
     b = exemplars("b", [np.ones(3)])
+    assert entail_score(b, b) == 0.0
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ZeroNormDescriptorError):
+            entail_score(x, y)
     with pytest.raises(ZeroNormDescriptorError):
         directed_similarity(a, b)
 
@@ -90,6 +95,28 @@ def test_entail_is_difference_of_directed_sims():
     assert entail_score(x, y) == pytest.approx(
         directed_similarity(x, y) - directed_similarity(y, x)
     )
+
+
+def test_entail_score_matches_the_two_block_formula_bitwise():
+    # one shared cosine block must give the bits of two separate blocks
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        dim = int(rng.integers(1, 70))
+        x = random_exemplars(rng, "x", m=int(rng.integers(1, 12)), dim=dim)
+        y = random_exemplars(rng, "y", m=int(rng.integers(1, 12)), dim=dim)
+        assert bits(entail_score(x, y)) == bits(oracle.entail_score(x, y))
+        assert bits(entail_score(y, x)) == bits(oracle.entail_score(y, x))
+
+
+def test_matmul_transpose_is_bitwise_the_transposed_product():
+    # entail_score reads y's direction from the transpose of x's block,
+    # which needs b @ a.T == (a @ b.T).T bit for bit from this BLAS
+    rng = np.random.default_rng(15)
+    for _ in range(500):
+        dim = int(rng.integers(1, 130))
+        a = rng.random((int(rng.integers(1, 20)), dim))
+        b = rng.random((int(rng.integers(1, 20)), dim))
+        assert np.array_equal((b @ a.T).view(np.uint64), (a @ b.T).T.view(np.uint64))
 
 
 def test_entail_antisymmetric_exactly():
@@ -245,6 +272,37 @@ def test_greedy_matches_oracle_on_sparse_graphs():
             W = solve_entailment_graph(scores, lam, "greedy")
             want = oracle.solve_entailment_graph(scores, lam, "greedy")
             assert W.dtype == want.dtype and np.array_equal(W, want), (scores, lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.1, 0.3])
+def test_greedy_matches_oracle_on_tied_scores_up_to_70_nodes(lam):
+    rng = np.random.default_rng([16, int(lam * 100)])
+    for n in (70, *rng.integers(2, 70, size=3).tolist()):
+        sparse = np.where(
+            rng.random((n, n)) < 0.1, rng.uniform(0, 1, (n, n)), -rng.uniform(0, 1, (n, n))
+        )
+        cases = [sparse]
+        if n < 70:  # the oracle takes seconds on a dense 70-node graph
+            dense = rng.normal(0, 0.5, (n, n))
+            cases += [dense, dense - dense.T]
+        # rounded to tenths, many moves tie on score and on net gain
+        for scores in (np.round(s, 1) for s in cases):
+            W = solve_entailment_graph(scores, lam, "greedy")
+            want = oracle.solve_entailment_graph(scores, lam, "greedy")
+            assert W.dtype == want.dtype and np.array_equal(W, want), (scores, lam)
+
+
+def test_exact_matches_oracle_on_near_zero_gains():
+    # gains within a few _TIE_EPS of zero: pruning and ties decide the answer
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        lam = float(rng.choice([0.0, 0.1]))
+        n = int(rng.integers(3, EXACT_NODE_LIMIT + 1))
+        for noise in (rng.normal(0, 1e-12, (n, n)), rng.integers(-2, 3, (n, n)) * 1e-12):
+            s = lam + noise
+            W = solve_entailment_graph(s, lam, "exact")
+            want = oracle.solve_entailment_graph(s, lam, "exact")
+            assert W.dtype == want.dtype and np.array_equal(W, want), (s, lam)
 
 
 def test_greedy_takes_a_move_of_zero_net_gain():

@@ -20,6 +20,8 @@ from segphrase.spt import (
     TruncationError,
     ValidationError,
     VersionMismatchError,
+    _rle_decode,
+    _rle_encode,
     load_table,
     normalize_phrase,
     save_table,
@@ -140,6 +142,26 @@ def test_exemplars_sorted_and_capped():
 
 
 # -- persistence ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("mask", [
+    [],
+    [0, 0, 0],
+    [1],
+    [1, 1, 0, 1],
+    [0] * 70000 + [1] * 3 + [0] * 5 + [1] * 100000,
+], ids=["empty", "single-run", "starts-with-1", "short-runs", "long-runs"])
+def test_rle_decode_inverts_encode(mask):
+    mask = np.array(mask, dtype=np.uint8)
+    first, runs = _rle_encode(mask)
+    assert runs.dtype == np.dtype("<u4") and first == (int(mask[0]) if len(mask) else 0)
+    out = _rle_decode(first, runs)
+    assert out.dtype == np.uint8 and np.array_equal(out, mask)
+
+
+def test_rle_decode_skips_empty_runs():
+    runs = np.array([2, 0, 1, 3], dtype="<u4")
+    assert _rle_decode(1, runs).tolist() == [1, 1, 1, 0, 0, 0]
+
 
 def test_empty_table_round_trip(tmp_path):
     path = tmp_path / "t.spt"
