@@ -243,6 +243,14 @@ def cmd_segment(args) -> int:
     embeddings = load_embeddings(args.embeddings)
     result = semantic_segment(img, detections, table, embeddings, config)
     save_mask_pgm(result.mask, args.out_mask)
+    if result.report and not result.labels.any():
+        # the default lambda's near-uniform Potts weights can wash out the
+        # pooled detections; the mask is kept, but not silently
+        print(
+            f"segphrase: notice: {len(result.report)} detection(s) above the "
+            f"threshold fused to an all-background mask (lambda {config.lam!r})",
+            file=sys.stderr,
+        )
     for row in result.report:
         print(
             json.dumps(
@@ -285,11 +293,19 @@ def cmd_relations(args) -> int:
     dataset = relations.parse_relations_dataset(
         args.dataset, "simrel" if args.mode == "simrel" else "pairs"
     )
+    # each distinct spelling is normalized once
+    normalized: dict[str, str] = {}
+
+    def normal(cell: str) -> str:
+        if cell not in normalized:
+            normalized[cell] = normalize_phrase(cell)
+        return normalized[cell]
+
     # phrases in order of first appearance; each row becomes its phrase
     # indices (x, y) or (x, y, z)
     universe: dict[str, int] = {}
     rows = [
-        tuple(universe.setdefault(normalize_phrase(p), len(universe)) for p in row[:-1])
+        tuple(universe.setdefault(normal(p), len(universe)) for p in row[:-1])
         for row in dataset
     ]
     phrases = list(universe)
@@ -314,7 +330,7 @@ def cmd_relations(args) -> int:
             choice = phrases[j] if s_y >= s_z else phrases[k]
             lines.append(f"{x},{y},{z},{s_y!r},{s_z!r},{choice}\n")
             # declaration: positive margin declares y, gold says which is right
-            scored.append((s_y - s_z, normalize_phrase(gold) == phrases[j]))
+            scored.append((s_y - s_z, normal(gold) == phrases[j]))
     else:
         header = "x,y,score,decision\n"
         for (x, y, gold), (i, j) in zip(dataset, rows):

@@ -20,7 +20,7 @@ VARIANCE_FLOOR = 1e-4
 _MAX_ITERS = 100
 _REL_TOL = 1e-6
 _DEAD_MASS = 1e-12
-# differences per block of the E-step's (rows, k, dim) temporary
+# differences per block of the E-step's (dim, k, cols) temporary
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -43,31 +43,93 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
-def _component_log_pdf(means, variances, points):
-    """(N, k) log N(points | component), diagonal covariances.
+def _component_log_pdf(means, variances, columns):
+    """(k, N) log N(point | component), diagonal covariances, for points
+    given as the (dim, N) array `columns`.
 
-    Rows go through in blocks of at most _BLOCK_ELEMENTS differences, so
-    the (rows, k, dim) temporary stays small; each row's quadratic form
-    is the same contiguous sum over dim as one broadcast over all N rows
-    would take, so the values are bit-equal to it.
+    (x - m)**2 / v is evaluated component-major, as (dim, k, cols) blocks
+    of at most _BLOCK_ELEMENTS differences, so each ufunc call runs over
+    long contiguous planes; the sum over dim is `_pairwise_sum`, so every
+    entry is bit-equal to the row-major (N, k, dim) broadcast summed with
+    `ndarray.sum` over dim.
     """
-    n, k = len(points), len(means)
-    quad = np.empty((n, k))
-    step = max(1, _BLOCK_ELEMENTS // max(1, k * points.shape[1]))
-    diff = np.empty((min(n, step), k, points.shape[1]))
-    for r in range(0, n, step):
-        d = diff[:min(step, n - r)]
-        np.subtract(points[r:r + step, None, :], means, out=d)
-        d *= d
-        d /= variances
-        d.sum(axis=2, out=quad[r:r + step])
-    log_norm = (np.log(2.0 * np.pi * variances)).sum(axis=1)
-    return -0.5 * (quad + log_norm[None, :])
+    dim, n = columns.shape
+    k = len(means)
+    out = np.empty((k, n))
+    step = max(1, _BLOCK_ELEMENTS // max(1, k * dim))
+    diff = np.empty((dim, k, min(n, step)))
+    means_t, variances_t = means.T[:, :, None], variances.T[:, :, None]
+    log_norm = np.log(2.0 * np.pi * variances).sum(axis=1)[:, None]
+    for c in range(0, n, step):
+        d = diff[:, :, :min(step, n - c)]
+        np.subtract(columns[:, None, c:c + step], means_t, out=d)
+        np.square(d, out=d)
+        d /= variances_t
+        np.add(_pairwise_sum(d), log_norm, out=out[:, c:c + step])
+    out *= -0.5
+    return out
 
 
-def _log_sum_exp(a, axis):
-    hi = np.max(a, axis=axis, keepdims=True)
-    return (hi + np.log(np.exp(a - hi).sum(axis=axis, keepdims=True))).squeeze(axis)
+def _pairwise_sum(a):
+    """Sum over axis 0, bit-equal to `ndarray.sum` along a contiguous axis
+    of length len(a) at every position of a[0]. `a` is overwritten.
+
+    The E-step's values depend on this reproducing the order of numpy's
+    float add reduction (the `pairwise_sum` of its add loops): start from
+    the identity 0.0; fewer than 8 terms add in sequence; up to 128 terms
+    go into 8 running sums whose tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    the leftover terms then extend; longer runs split at half rounded
+    down to a multiple of 8 and add the halves' sums. Done as whole-plane
+    adds, it costs one ufunc call per 8 planes instead of one short inner
+    loop per position.
+    `tests/test_gmm.py::test_pairwise_sum_matches_ndarray_sum_bitwise`
+    pins it against numpy for lengths 1 to 300; a numpy that sums in
+    another order fails there by name.
+    """
+    n = len(a)
+    if n >= 8:
+        res = _pairwise_block(a)
+        res += 0.0
+        return res
+    res = np.zeros(a.shape[1:])
+    for plane in a:
+        res += plane
+    return res
+
+
+def _pairwise_block(a):
+    """numpy's pairwise sum of 8 or more planes, in place; a view into a."""
+    n = len(a)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        res = _pairwise_block(a[:half])
+        res += _pairwise_block(a[half:])
+        return res
+    r = a[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r += a[i:i + 8]
+    np.add(r[0::2], r[1::2], out=r[0::2])
+    np.add(r[0::4], r[2::4], out=r[0::4])
+    res = r[0]
+    res += r[4]
+    for plane in a[end:]:
+        res += plane
+    return res
+
+
+def _log_sum_exp(planes):
+    """log of the sum of exp over axis 0 of the (k, N) `planes`, as
+    hi + log(sum(exp(planes - hi))) with hi the maximum; the sum is
+    `_pairwise_sum`, so it is bit-equal to the same expression on the
+    (N, k) transpose with `ndarray.sum` over k."""
+    hi = planes.max(axis=0)
+    shifted = planes - hi
+    total = _pairwise_sum(np.exp(shifted, out=shifted))
+    total = np.log(total, out=total)
+    total += hi
+    return total
 
 
 def _kmeans_pp(points, k, rng):
@@ -120,13 +182,14 @@ def fit(
         means = start.means.copy()
         variances = np.maximum(start.variances, VARIANCE_FLOOR)
 
+    columns = np.ascontiguousarray(points.T)
     squares = points * points
     prev_ll = -np.inf
     for iteration in range(_MAX_ITERS):
-        log_pdf = _component_log_pdf(means, variances, points)
+        log_joint = _component_log_pdf(means, variances, columns)
         # dead components keep a representable but negligible weight
-        log_joint = log_pdf + np.log(np.maximum(weights, 1e-300))[None, :]
-        log_norm = _log_sum_exp(log_joint, axis=1)
+        log_joint += np.log(np.maximum(weights, 1e-300))[:, None]
+        log_norm = _log_sum_exp(log_joint)
         ll = float(log_norm.sum())
         if ll + 1e-9 * (1.0 + abs(prev_ll)) < prev_ll:
             raise NumericalError(
@@ -136,7 +199,10 @@ def fit(
             break
         prev_ll = ll
 
-        resp = np.exp(log_joint - log_norm[:, None])
+        # (N, k) row-major, so the M-step's sums run in the order they
+        # always have
+        resp = np.subtract(log_joint.T, log_norm[:, None], out=np.empty((n, k)))
+        np.exp(resp, out=resp)
         mass = resp.sum(axis=0)
         alive = mass > _DEAD_MASS
         weights = mass / n
@@ -162,6 +228,8 @@ def log_density_many(mixture: GaussianMixture, points) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != mixture.dim:
         raise ValueError("points must be (N, dim) with matching dimension")
-    log_pdf = _component_log_pdf(mixture.means, mixture.variances, points)
-    log_w = np.log(np.maximum(mixture.weights, 1e-300))
-    return _log_sum_exp(log_pdf + log_w[None, :], axis=1)
+    log_pdf = _component_log_pdf(
+        mixture.means, mixture.variances, np.ascontiguousarray(points.T)
+    )
+    log_pdf += np.log(np.maximum(mixture.weights, 1e-300))[:, None]
+    return _log_sum_exp(log_pdf)

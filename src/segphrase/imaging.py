@@ -45,11 +45,9 @@ _KMEANS_BLOCK = 1 << 16
 # work of deciding one pixel on its own (`_full_pass`), in window elements:
 # about 1.3-2 us a pixel against 14-20 ns an element
 _REDO_COST = 100
-# slack of a pixel's need, in pixels: far above the rounding of
-# sqrt(d2) * interval (a few ulps), far below a pixel
+# slack of a pixel's need and of `_full_pass`'s seed spans, in pixels:
+# far above the rounding of a distance (a few ulps), far below a pixel
 _NEED_MARGIN = 1e-6
-# `_full_pass` buckets anchors in cells of side ceil(reach / this)
-_FULL_CELLS = 2
 
 
 @dataclass
@@ -285,7 +283,7 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
         flat = assign.ravel()
         need = _window_need(best.ravel(), interval, reach)
         redo = np.flatnonzero((need > crop) | (flat < 0))
-        flat[redo], best = _full_pass(redo, pixels, centers, scale2, reach, (h, w))
+        flat[redo], best = _full_pass(redo, pixels, centers, (cy, cx), scale2, reach, (h, w))
         need[redo] = _window_need(best, interval, reach)
     return assign
 
@@ -403,46 +401,42 @@ def _window_pass(padded, shape, centers, cols, scale2, reach, crop):
     return assign, dist
 
 
-def _full_pass(at, pixels, centers, scale2, reach, shape):
+def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
     """Winner of each raveled pixel in `at` among all the windows that
     cover it, by the same d2 and tie rule, and its d2 (the globally
-    nearest centre and inf if none does)."""
+    nearest centre and inf if none does).
+
+    grid = (ys, xs) holds the seed rows and columns, ascending: centre k
+    was seeded at (ys[k // len(xs)], xs[k % len(xs)]). Every anchor lies
+    within the largest anchor-to-seed distance of its seed, per axis, so
+    the windows covering a pixel belong to seeds within reach plus that
+    distance of it: a rectangle of the grid. Read row by row, its centres
+    run in ascending index, so argmin takes the lowest; rows and columns
+    past the grid's edge are clamped, which repeats them and keeps that.
+    """
     (pixel_x, pixel_y, pixel_i), (center_x, center_y, center_i) = pixels, centers
-    h, w = shape
-    n = len(center_x)
+    grid_y, grid_x = grid
+    cols = len(grid_x)
     winner = np.empty(len(at), dtype=np.int32)
     best = np.empty(len(at))
     if not at.size:
         return winner, best
     anchor_x, anchor_y = center_x.astype(int), center_y.astype(int)
-    # anchors bucketed in cells of side ceil(reach / r): the windows
-    # covering a pixel are anchored within r cells of its own
-    r = _FULL_CELLS
-    side = -(-reach // r)
-    ny, nx = (h - 1) // side + 1, (w - 1) // side + 1
-    cell = (anchor_y // side) * nx + anchor_x // side
-    order = np.argsort(cell, kind="stable")
-    counts = np.bincount(cell, minlength=ny * nx)
-    slot = np.arange(n) - (np.cumsum(counts) - counts)[cell[order]]
-    # members[y + r, x + r] lists the centres of cell (y, x), ascending,
-    # padded with n: a sentinel centre anchored out of every pixel's reach
-    members = np.full((ny + 2 * r, nx + 2 * r, counts.max()), n)
-    members[cell[order] // nx + r, cell[order] % nx + r, slot] = order
-    y, x = np.divmod(at, w)
-    own = (y // side) * nx + x // side
-    listed = np.flatnonzero(np.bincount(own, minlength=ny * nx))
-    row_of = np.empty(ny * nx, dtype=np.intp)
-    row_of[listed] = np.arange(len(listed))
-    near = np.lib.stride_tricks.sliding_window_view(members, (2 * r + 1, 2 * r + 1), axis=(0, 1))
-    near = np.sort(near[listed // nx, listed % nx].reshape(len(listed), -1), axis=1)
-    table = near[:, :max(1, int((near < n).sum(axis=1).max()))]
-    far = -2 * reach - 1
-    anchor_x, anchor_y = np.append(anchor_x, far), np.append(anchor_y, far)
-    center_x, center_y, center_i = (np.append(c, 0.0) for c in centers)
-    step = max(1, _KMEANS_BLOCK // table.shape[1])
+    span_y = reach + np.abs(anchor_y.reshape(-1, cols) - grid_y[:, None]).max() + _NEED_MARGIN
+    span_x = reach + np.abs(anchor_x.reshape(-1, cols) - grid_x).max() + _NEED_MARGIN
+    y, x = np.divmod(at, shape[1])
+    r0 = np.searchsorted(grid_y, y - span_y)
+    c0 = np.searchsorted(grid_x, x - span_x)
+    nr = max(1, int((np.searchsorted(grid_y, y + span_y, side="right") - r0).max()))
+    nc = max(1, int((np.searchsorted(grid_x, x + span_x, side="right") - c0).max()))
+    r = np.minimum(r0[:, None] + np.arange(nr), len(grid_y) - 1)
+    r *= cols
+    c = np.minimum(c0[:, None] + np.arange(nc), cols - 1)
+    table = (r[:, :, None] + c[:, None, :]).reshape(len(at), nr * nc)
+    step = max(1, _KMEANS_BLOCK // (nr * nc))
     for s in range(0, len(at), step):
         p, py, px = at[s:s + step], y[s:s + step, None], x[s:s + step, None]
-        near = table[row_of[own[s:s + step]]]
+        near = table[s:s + step]
         out = np.abs(anchor_x[near] - px) > reach
         out |= np.abs(anchor_y[near] - py) > reach
         # d2 in the scalar loop's order: (dx*dx + dy*dy) / scale2 + di*di
@@ -457,14 +451,12 @@ def _full_pass(at, pixels, centers, scale2, reach, shape):
         di *= di
         d2 += di
         d2[out] = np.inf
-        # candidates run ascending, so argmin takes the lowest index
         col = np.argmin(d2, axis=1)
         rows = np.arange(len(p))
         winner[s:s + step] = near[rows, col]
         best[s:s + step] = d2[rows, col]
     missing = at[best == np.inf]
     if missing.size:
-        center_x, center_y, center_i = centers
         d2 = (
             (pixel_x[missing, None] - center_x) ** 2 + (pixel_y[missing, None] - center_y) ** 2
         ) / scale2 + (
@@ -500,10 +492,11 @@ def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
     parent = np.arange(ncomp)
     alive = ncomp
 
-    def merge_phase(heap, eligible, limit):
+    def merge_phase(heap, below, limit):
         """Merge by the contract while `heap` holds entries and more
-        than `limit` components remain. Entries are (size, id); one goes
-        stale when its component grows or is merged away (size 0)."""
+        than `limit` components remain; a component stays eligible while
+        its size is below `below`. Entries are (size, id); one goes stale
+        when its component grows or is merged away (size 0)."""
         nonlocal alive
         heapq.heapify(heap)
         while heap and alive > limit:
@@ -511,7 +504,11 @@ def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
             nbrs = contact[src]
             if size != sizes[src] or not nbrs:
                 continue
-            dst = max(nbrs, key=lambda c: (nbrs[c], -c))
+            # the longest boundary, ties to the lower number
+            longest = dst = -1
+            for nbr, length in nbrs.items():
+                if length > longest or (length == longest and nbr < dst):
+                    longest, dst = length, nbr
             parent[src] = dst
             sizes[dst] += size
             sizes[src] = 0
@@ -525,13 +522,11 @@ def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
                     other = contact[nbr]
                     del other[src]
                     other[dst] = other.get(dst, 0) + length
-            if eligible(sizes[dst]):
+            if sizes[dst] < below:
                 heapq.heappush(heap, (sizes[dst], dst))
 
-    merge_phase([(s, c) for c, s in enumerate(sizes) if s < min_size],
-                lambda size: size < min_size, 1)
-    merge_phase([(s, c) for c, s in enumerate(sizes) if s],
-                lambda size: True, max_count)
+    merge_phase([(s, c) for c, s in enumerate(sizes) if s < min_size], min_size, 1)
+    merge_phase([(s, c) for c, s in enumerate(sizes) if s], math.inf, max_count)
 
     # resolve merge chains, then renumber groups by their first pixel:
     # component ids are already in raster order, so a group's first
@@ -551,32 +546,58 @@ def _label_components(assign: np.ndarray):
     """4-connected regions of equal value, numbered 0..n-1 in raster order
     of their first pixel (the order a raster-scan flood fill finds them).
 
-    Every pixel starts with its own raster index; taking the minimum
-    across equal-valued neighbours and jumping to the label's own label
-    repeats until nothing changes, which leaves each region labelled with
-    its first pixel. Labels only decrease, so an unchanged sum means a
-    fixed point.
+    Each row splits into runs of equal value, numbered in raster order.
+    Runs in adjacent rows join where they overlap and hold the same
+    value; each overlap is listed once, at its first column. The joins
+    then go through a union-find as array passes. Every run points to a
+    smaller-numbered run or to itself (a root). First each lower run
+    points to its smallest upper neighbour, which settles that join; then,
+    until every other join has both ends at one root, pointers jump to
+    their target's target until none changes, and each root still joined
+    to a smaller root points to the smallest. Pointers only decrease, so
+    an unchanged sum means no pointer moved, and each region ends at its
+    lowest run, the one that holds its first pixel.
     """
     h, w = assign.shape
-    flat = np.arange(h * w, dtype=np.int32)
-    lab = flat.reshape(h, w)
-    same_x = assign[:, 1:] == assign[:, :-1]
-    same_y = assign[1:] == assign[:-1]
-    total = -1
+    start = np.ones((h, w), dtype=bool)
+    np.not_equal(assign[:, 1:], assign[:, :-1], out=start[:, 1:])
+    run = np.cumsum(start, dtype=np.intp).reshape(h, w)
+    run -= 1
+    n = int(run[-1, -1]) + 1
+    same = assign[1:] == assign[:-1]
+    first = same.copy()
+    first[:, 1:] &= ~same[:, :-1] | start[1:, 1:]
+    # joins in raster order: lower runs ascend, and each lower run's upper
+    # runs ascend, so its first join names its smallest upper neighbour
+    upper, lower = run[:-1][first], run[1:][first]
+    label = np.arange(n)
+    head = np.ones(len(lower), dtype=bool)
+    np.not_equal(lower[1:], lower[:-1], out=head[1:])
+    label[lower[head]] = upper[head]
+    # a first join's ends share a root from here on; only the rest can
+    # still be open
+    np.logical_not(head, out=head)
+    upper, lower = upper[head], lower[head]
+    total = int(label.sum())
     while True:
-        np.minimum(lab[:, 1:], lab[:, :-1], out=lab[:, 1:], where=same_x)
-        np.minimum(lab[:, :-1], lab[:, 1:], out=lab[:, :-1], where=same_x)
-        np.minimum(lab[1:], lab[:-1], out=lab[1:], where=same_y)
-        np.minimum(lab[:-1], lab[1:], out=lab[:-1], where=same_y)
-        np.take(flat, flat, out=flat, mode="clip")
-        new_total = int(flat.sum(dtype=np.int64))
-        if new_total == total:
+        while True:
+            # in place: a pointer read after it jumped only jumps further;
+            # every index is in range, so "clip" just spares take's buffer
+            np.take(label, label, out=label, mode="clip")
+            jumped = int(label.sum())
+            if jumped == total:
+                break
+            total = jumped
+        a, b = label[upper], label[lower]
+        open_ = a != b
+        if not open_.any():
             break
-        total = new_total
-    first = flat == np.arange(h * w, dtype=np.int32)
-    ids = np.cumsum(first, dtype=np.int32)
+        upper, lower, a, b = upper[open_], lower[open_], a[open_], b[open_]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        total = int(label.sum())
+    ids = np.cumsum(label == np.arange(n), dtype=np.int32)
     ids -= 1
-    return ids[lab], int(ids[-1]) + 1
+    return ids[label][run], int(ids[-1]) + 1
 
 
 def _boundary_lengths(comp: np.ndarray, ncomp: int) -> list[dict[int, int]]:

@@ -339,6 +339,8 @@ def _table_from(index: dict, payload: bytes) -> SegmentPhraseTable:
             descriptor = _array(
                 payload, "<f8", rec["descriptor_len"], rec["descriptor_offset"]
             ).copy()
+            if not np.isfinite(descriptor).all():
+                raise ChecksumError(f"exemplar descriptor of {rec['phrase']!r} is not finite")
             widths.add(len(descriptor))
         table.exemplars.setdefault(rec["phrase"], []).append(
             ExemplarMask(rec["image_id"], rec["score"], mask, descriptor)

@@ -12,7 +12,14 @@ from segphrase.errors import DataError
 from segphrase.gmm import GaussianMixture
 from segphrase.imaging import load_image
 from segphrase.latent import SegmentationModel
-from segphrase.spt import ExemplarMask, PhraseKey, SegmentPhraseTable, load_table, save_table
+from segphrase.spt import (
+    ExemplarMask,
+    PhraseKey,
+    SegmentPhraseTable,
+    load_table,
+    normalize_phrase,
+    save_table,
+)
 
 
 # -- config round trip -------------------------------------------------------------
@@ -410,12 +417,43 @@ def test_degenerate_detection_boxes_give_background(tmp_path, workspace, capsys,
     ])
     captured = capsys.readouterr()
     assert rc == 0
-    assert captured.err == ""
+    # four detections survive the threshold and fuse to nothing: said once
+    assert captured.err == (
+        "segphrase: notice: 4 detection(s) above the threshold fused to an "
+        "all-background mask (lambda 0.05)\n"
+    )
     assert len(captured.out.splitlines()) == 4
     assert len(sizes) == 1 and sizes[0] > 0
     mask = load_image(mask_path)
     assert (mask.width, mask.height) == (48, 48)
     assert not mask.data.any()
+
+
+@pytest.mark.parametrize("box, empty", [("10 10 38 38", True), ("8 8 40 40", False)],
+                         ids=["fused-empty", "fused-foreground"])
+def test_detections_fused_to_background_print_one_notice(box, empty, tmp_path, workspace,
+                                                         capsys):
+    # at the default lambda one box fuses to an all-background mask and one
+    # does not; the mask, stdout and exit code are the same either way, and
+    # only the empty case adds one stderr line
+    table_path = tmp_path / "t.spt"
+    assert main(["train", str(workspace / "manifest.txt"), str(table_path), "--k", "1"]) == 0
+    (tmp_path / "dets.txt").write_text(f'"round object" {box} 1.0\n')
+    emb = tmp_path / "e.txt"
+    write_embeddings_file(emb)
+    capsys.readouterr()
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(tmp_path / "dets.txt"),
+        str(table_path), str(emb), str(tmp_path / "m.pgm"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert [json.loads(line)["phrase"] for line in captured.out.splitlines()] == ["round object"]
+    assert load_image(tmp_path / "m.pgm").data.any() != empty
+    assert captured.err == (
+        "segphrase: notice: 1 detection(s) above the threshold fused to an "
+        "all-background mask (lambda 0.05)\n" if empty else ""
+    )
 
 
 @pytest.fixture(scope="module")
@@ -565,6 +603,53 @@ def test_first_missing_phrase_in_dataset_order_exits_2(mode, graph, tmp_path, ca
     assert rc == 2 and not (tmp_path / "o.csv").exists()
     assert captured.err == (
         "segphrase: data error: no exemplars with descriptors for phrase 'zebra crossing'\n"
+    )
+
+
+@pytest.mark.parametrize("mode", ["entail", "simrel"])
+def test_relations_normalizes_each_spelling_once(mode, tmp_path, monkeypatch):
+    import segphrase.cli
+
+    write_two_phrase_table(tmp_path / "t.spt")
+    cells = ["a", "A", "b", "a", "B", "b", "A"]
+    if mode == "simrel":
+        rows = [f"{cells[i]}\t{cells[i + 1]}\t{cells[i + 2]}\t{cells[i + 1]}" for i in range(5)]
+    else:
+        rows = [f"{x}\t{y}\tentails" for x, y in zip(cells, cells[1:])]
+    (tmp_path / "d.tsv").write_text("\n".join(rows) + "\n")
+    seen = []
+
+    def counting(phrase):
+        seen.append(phrase)
+        return normalize_phrase(phrase)
+
+    monkeypatch.setattr(segphrase.cli, "normalize_phrase", counting)
+    assert main(["relations", mode, str(tmp_path / "d.tsv"), str(tmp_path / "o.csv"),
+                 "--table", str(tmp_path / "t.spt")]) == 0
+    assert sorted(seen) == sorted(set(cells))
+    lines = (tmp_path / "o.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(rows)
+    assert [line.split(",")[:2] for line in lines[1:]] == [row.split("\t")[:2] for row in rows]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["entail", "paraphrase"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_exemplar_descriptor_exits_2(mode, bad, tmp_path, capsys):
+    # a CRC-valid table whose descriptor holds a non-finite number is a
+    # data error, not a traceback from scoring
+    table = SegmentPhraseTable()
+    for phrase, vector in (("a", [1.0, 0.0]), ("b", [0.6, bad]), ("c", [0.0, 1.0])):
+        table.add_exemplar(phrase, ExemplarMask(phrase, 1.0, np.array([1]), np.array(vector)))
+    save_table(table, tmp_path / "t.spt")
+    gold = {"entail": "entails", "paraphrase": "paraphrase"}[mode]
+    (tmp_path / "d.tsv").write_text(f"a\tb\t{gold}\nb\tc\t{gold}\n")
+    rc = main(["relations", mode, str(tmp_path / "d.tsv"), str(tmp_path / "o.csv"),
+               "--table", str(tmp_path / "t.spt"), "--graph"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not (tmp_path / "o.csv").exists()
+    assert captured.err == (
+        "segphrase: data error: exemplar descriptor of 'b' is not finite\n"
     )
 
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import gmm_oracle
 from segphrase.gmm import (
     VARIANCE_FLOOR,
     GaussianMixture,
     TooFewSamplesError,
     _component_log_pdf,
+    _pairwise_sum,
     fit,
     log_density_many,
 )
@@ -114,9 +116,54 @@ def test_component_log_pdf_bit_equal_to_broadcast(n, k, dim):
     points = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
     means = rng.normal(size=(k, dim))
     variances = rng.uniform(VARIANCE_FLOOR, 5.0, size=(k, dim))
-    got = _component_log_pdf(means, variances, points)
-    assert got.shape == (n, k)
-    assert np.array_equal(got, _broadcast_log_pdf(means, variances, points))
+    got = _component_log_pdf(means, variances, np.ascontiguousarray(points.T))
+    assert got.shape == (k, n)
+    assert np.array_equal(got.T, _broadcast_log_pdf(means, variances, points))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_pairwise_sum_matches_ndarray_sum_bitwise():
+    # the E-step's sums over dim and over k depend on reproducing numpy's
+    # pairwise order exactly; a numpy that sums differently fails here
+    rng = np.random.default_rng(13)
+    for length in range(1, 301):
+        terms = rng.normal(size=(length, 6)) * 10.0 ** rng.integers(-6, 7, size=(length, 6))
+        terms[:, 4] = -0.0
+        terms[::3, 5] = -0.0
+        want = np.ascontiguousarray(terms.T).sum(axis=-1)
+        assert np.array_equal(_bits(_pairwise_sum(terms.copy())), _bits(want)), length
+
+
+def _clouds(n, dim, rng):
+    points = rng.normal(size=(n, dim)) * rng.uniform(0.05, 2.0, size=dim)
+    points[: n // 3] += rng.uniform(-3.0, 3.0, size=dim)
+    return points
+
+
+def _assert_same_mixture(got, want):
+    for field in ("weights", "means", "variances"):
+        assert np.array_equal(_bits(getattr(got, field)), _bits(getattr(want, field))), field
+
+
+@pytest.mark.parametrize("dim", [1, 3, 24, 130])
+@pytest.mark.parametrize("k", [1, 5, 8, 9])
+def test_fit_and_density_match_oracle_bitwise(dim, k):
+    # 600 points span several column blocks where dim * k is large
+    rng = np.random.default_rng(dim * 10 + k)
+    points = _clouds(600, dim, rng)
+    cold = fit(points, k, seed=[dim, k])
+    _assert_same_mixture(cold, gmm_oracle.fit(points, k, seed=[dim, k]))
+    # a warm refit from a perturbed start, on a shrunken pool
+    start = GaussianMixture(cold.weights, cold.means + 0.1, cold.variances * 2.0)
+    pool = points[::2]
+    _assert_same_mixture(fit(pool, k, seed=0, start=start),
+                         gmm_oracle.fit(pool, k, seed=0, start=start))
+    probe = _clouds(257, dim, rng) * 3.0
+    assert np.array_equal(_bits(log_density_many(cold, probe)),
+                          _bits(gmm_oracle.log_density_many(cold, probe)))
 
 
 def test_log_density_dimension_mismatch():

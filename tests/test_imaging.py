@@ -419,9 +419,57 @@ def test_full_pass_gives_uncovered_pixels_the_nearest_centre():
               np.full(w * h, 0.2))
     centers = (np.array([0.5, 4.0, 7.5]), np.array([0.5, 8.0, 7.5]), np.array([0.2, 0.85, 0.2]))
     at = np.array([4 * w + 4, 0, 8 * w + 4])
-    winner, best = imaging._full_pass(at, pixels, centers, 1.0, 2, (h, w))
+    grid = (np.array([4.0]), np.array([1.0, 4.0, 7.0]))
+    winner, best = imaging._full_pass(at, pixels, centers, grid, 1.0, 2, (h, w))
     assert winner.tolist() == [0, 0, 1]
     assert best.tolist() == [np.inf, 0.5, ((0.2 - 0.85) / 0.2) ** 2]
+
+
+def _full_pass_reference(at, pixels, centers, scale2, reach, w):
+    """Each pixel against every centre, one at a time: the smallest d2
+    among the windows covering it, lowest index on ties; else the
+    globally nearest centre and inf."""
+    winner, best = [], []
+    for p in at.tolist():
+        y, x = divmod(p, w)
+        top, covered, nearest = (np.inf, -1), (np.inf, -1), None
+        for k, (cx, cy, ci) in enumerate(zip(*centers)):
+            dx, dy = pixels[0][p] - cx, pixels[1][p] - cy
+            di = (pixels[2][p] - ci) / imaging._INTENSITY_SCALE
+            d2 = (dx * dx + dy * dy) / scale2 + di * di
+            if (d2, k) < top:
+                top = (d2, k)
+            if abs(int(cx) - x) <= reach and abs(int(cy) - y) <= reach and (d2, k) < covered:
+                covered = (d2, k)
+        winner.append(covered[1] if covered[1] >= 0 else top[1])
+        best.append(covered[0])
+    return winner, best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_full_pass_matches_reference_for_any_drift(seed):
+    # centres scattered anywhere, far from their seeds, with quantized
+    # intensities so that ties occur: the seed-grid rectangle must still
+    # hold every covering window and argmin the lowest index
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(4, 40, size=2))
+    rows, cols = (int(v) for v in rng.integers(1, 6, size=2))
+    grid = ((np.arange(rows) + 0.5) * h / rows - 0.5, (np.arange(cols) + 0.5) * w / cols - 0.5)
+    n = rows * cols
+    spread = [0.0, 2.0, 1e9][seed % 3]
+    seeds_x, seeds_y = np.tile(grid[1], rows), np.repeat(grid[0], cols)
+    centers = (np.clip(seeds_x + rng.uniform(-spread, spread, n), 0, w - 1),
+               np.clip(seeds_y + rng.uniform(-spread, spread, n), 0, h - 1),
+               rng.integers(0, 4, n) / 4)
+    pixels = (np.tile(np.arange(w, dtype=float), h), np.repeat(np.arange(h, dtype=float), w),
+              rng.integers(0, 4, w * h) / 4)
+    reach = int(rng.integers(1, 8))
+    scale2 = float(rng.choice([1.0, 2.25, 7.0]))
+    at = rng.permutation(w * h)[:int(rng.integers(1, w * h))]
+    winner, best = imaging._full_pass(at, pixels, centers, grid, scale2, reach, (h, w))
+    want_winner, want_best = _full_pass_reference(at, pixels, centers, scale2, reach, w)
+    assert winner.tolist() == want_winner
+    assert best.tolist() == want_best
 
 
 def test_one_ulp_apart_matches_oracle():
@@ -448,6 +496,65 @@ def test_connectivity_matches_oracle_on_label_grids(seed):
             assert n == want_n
             assert np.array_equal(labels, want_labels)
             assert n <= max(max_count, 1)
+
+
+def spiral_map(n):
+    """A one-pixel wall (1) spiralling in on a background (0): the
+    background is one corridor about n * n / 2 pixels long."""
+    grid = np.zeros((n, n), dtype=np.int32)
+    top, bottom, left, right = 0, n - 1, 0, n - 1
+    while top <= bottom and left <= right:
+        grid[top, left:right + 1] = 1
+        grid[top:bottom + 1, right] = 1
+        if top + 2 <= bottom:
+            grid[bottom, left:right + 1] = 1
+        if left + 2 <= right:
+            grid[top + 2:bottom + 1, left] = 1
+        top, bottom, left, right = top + 2, bottom - 2, left + 2, right - 2
+        if top <= bottom:
+            grid[top, left - 1] = 1
+    return grid
+
+
+def comb_map(n):
+    """Columns of 1 joined along the top row, with columns of 0 between."""
+    grid = np.zeros((n, n), dtype=np.int32)
+    grid[:, ::2] = 1
+    grid[0] = 1
+    return grid
+
+
+ADVERSARIAL_MAPS = {
+    "spiral": lambda: spiral_map(256),
+    "comb": lambda: comb_map(256),
+    "checkerboard": lambda: (np.add.outer(np.arange(256), np.arange(256)) % 2).astype(np.int32),
+    "noise3": lambda: np.random.default_rng(7).integers(0, 3, size=(256, 256)).astype(np.int32),
+    "one-row": lambda: np.random.default_rng(8).integers(0, 2, size=(1, 300)).astype(np.int32),
+    "one-column": lambda: np.random.default_rng(9).integers(0, 2, size=(300, 1)).astype(np.int32),
+    "one-pixel": lambda: np.zeros((1, 1), dtype=np.int32),
+}
+
+
+@pytest.mark.parametrize("name", list(ADVERSARIAL_MAPS))
+def test_connectivity_matches_oracle_on_adversarial_maps(name):
+    # long chains of runs (spiral, comb), one component per pixel
+    # (checkerboard), many small ones (noise) and degenerate shapes
+    grid = ADVERSARIAL_MAPS[name]()
+    h, w = grid.shape
+    want_labels, want_n = oracle_connectivity(grid, 1, h * w)
+    comp, n = imaging._label_components(grid)
+    assert n == want_n
+    assert np.array_equal(comp, want_labels)
+    labels, n = _enforce_connectivity(grid, 1, h * w)
+    assert n == want_n
+    assert np.array_equal(labels, want_labels)
+    if name in ("spiral", "comb", "one-row", "one-column"):
+        # few components: the oracle's merges are affordable
+        for min_size, max_count in ((300, 12), (2, 3)):
+            labels, n = _enforce_connectivity(grid, min_size, max_count)
+            want_labels, want_n = oracle_connectivity(grid, min_size, max_count)
+            assert n == want_n
+            assert np.array_equal(labels, want_labels)
 
 
 @pytest.mark.parametrize("seed,target", [(0, 12), (1, 30), (2, 7), (3, 200)])
