@@ -16,7 +16,7 @@ import sys
 
 from . import evaluation, relations
 from .config import Config, load_config
-from .errors import DataError, Error, NumericalError, open_text
+from .errors import DataError, Error, NumericalError, text_rows
 from .imaging import (
     extract_features,
     compute_superpixels,
@@ -149,29 +149,23 @@ def parse_train_manifest(path):
     first-appearance group order.
     """
     groups: dict[PhraseKey, tuple[str, list]] = {}
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                parts = shlex.split(line)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad quoting ({exc})") from exc
-            if len(parts) != 7:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'phrase component image x0 y0 x1 y1'"
-                )
-            try:
-                component = int(parts[1])
-                box = tuple(int(v) for v in parts[3:7])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer field") from exc
-            try:
-                key = PhraseKey.make(parts[0], component)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            groups.setdefault(key, (parts[0], []))[1].append((parts[2], box))
+    for lineno, parts in text_rows(path, shlex.split):
+        if len(parts) != 7:
+            raise DataError(
+                f"{path}:{lineno}: expected 'phrase component image x0 y0 x1 y1'"
+            )
+        try:
+            component = int(parts[1])
+            box = tuple(int(v) for v in parts[3:7])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-integer field") from exc
+        if "\0" in parts[2]:  # open() would raise ValueError
+            raise DataError(f"{path}:{lineno}: image path holds a NUL byte")
+        try:
+            key = PhraseKey.make(parts[0], component)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        groups.setdefault(key, (parts[0], []))[1].append((parts[2], box))
     if not groups:
         raise DataError(f"{path}: manifest is empty")
     return [
@@ -290,9 +284,7 @@ def cmd_relations(args) -> int:
     if not args.table:
         raise DataError("relations needs --table (or --scores with --graph)")
     table = load_table(args.table)
-    dataset = relations.parse_relations_dataset(
-        args.dataset, "simrel" if args.mode == "simrel" else "pairs"
-    )
+    dataset = relations.parse_relations_dataset(args.dataset, args.mode)
     # each distinct spelling is normalized once
     normalized: dict[str, str] = {}
 

@@ -10,7 +10,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import DataError, open_text
+from .errors import DataError, text_rows
 
 
 @dataclass
@@ -53,20 +53,17 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(Config)}
 
 def load_config(path) -> Config:
     values = {}
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value")
-            key, _, value = (t.strip() for t in line.partition("="))
-            if key not in _FIELDS:
-                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-            caster = int if _FIELDS[key] in ("int", int) else float
-            try:
-                values[key] = caster(value)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad value for {key}") from exc
+    # the text before an inline '#' comment
+    for lineno, line in text_rows(path, lambda line: line.split("#", 1)[0]):
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key=value")
+        key, _, value = (t.strip() for t in line.partition("="))
+        if key not in _FIELDS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        caster = int if _FIELDS[key] in ("int", int) else float
+        try:
+            values[key] = caster(value)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad value for {key}") from exc
     return Config(**values)
 

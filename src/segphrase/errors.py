@@ -29,3 +29,21 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text") from exc
+
+
+def text_rows(path, split=str.split):
+    """Yield (lineno, split(line)) for each line of a line-oriented text
+    input, read through open_text. Lines count from 1; a line is stripped
+    of surrounding whitespace first, and a blank line or one starting
+    with '#' is skipped. A ValueError from split (shlex's unclosed quote)
+    is a DataError naming file:line."""
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                fields = split(line)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad quoting ({exc})") from exc
+            yield lineno, fields

@@ -526,7 +526,8 @@ def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
                 heapq.heappush(heap, (sizes[dst], dst))
 
     merge_phase([(s, c) for c, s in enumerate(sizes) if s < min_size], min_size, 1)
-    merge_phase([(s, c) for c, s in enumerate(sizes) if s], math.inf, max_count)
+    if alive > max_count:  # else the surplus phase could pop nothing
+        merge_phase([(s, c) for c, s in enumerate(sizes) if s], math.inf, max_count)
 
     # resolve merge chains, then renumber groups by their first pixel:
     # component ids are already in raster order, so a group's first

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config
-from .errors import DataError, NumericalError, open_text
+from .errors import DataError, NumericalError, open_text, text_rows
 from .imaging import (
     Image,
     SuperpixelGraph,
@@ -108,21 +108,24 @@ def load_embeddings(path) -> EmbeddingTable:
     """Parse the 'vocab_size dim' header plus 'word v1 .. vD' rows.
 
     Every vector must be finite with a finite norm, else
-    NonFiniteVectorError naming the file and line.
+    NonFiniteVectorError naming the file and line. Blank lines are
+    skipped. The file is not read with errors.text_rows: the format has
+    no comment lines and a word may start with '#', so skipping '#' lines
+    would drop valid rows.
     """
     with open_text(path) as fh:
-        header = fh.readline().split()
+        rows = (raw.split() for raw in fh)
+        header = next(rows, [])
         if len(header) != 2:
-            raise EmbeddingFormatError("first line must be 'vocab_size dim'")
+            raise EmbeddingFormatError(f"{path}:1: first line must be 'vocab_size dim'")
         try:
             vocab_size, dim = int(header[0]), int(header[1])
         except ValueError as exc:
-            raise EmbeddingFormatError("non-integer header fields") from exc
+            raise EmbeddingFormatError(f"{path}:1: non-integer header fields") from exc
         if dim <= 0:
-            raise EmbeddingFormatError("dimension must be positive")
+            raise EmbeddingFormatError(f"{path}:1: dimension must be positive")
         vectors: dict[str, np.ndarray] = {}
-        for lineno, raw in enumerate(fh, 2):
-            parts = raw.split()
+        for lineno, parts in enumerate(rows, 2):
             if not parts:
                 continue
             word = parts[0].lower()
@@ -140,11 +143,11 @@ def load_embeddings(path) -> EmbeddingTable:
                 if not np.isfinite(np.linalg.norm(vec)):
                     raise NonFiniteVectorError(f"{path}:{lineno}: vector norm overflows")
             if word in vectors:
-                raise DuplicateWordError(f"duplicate word {word!r}")
+                raise DuplicateWordError(f"{path}:{lineno}: duplicate word {word!r}")
             vectors[word] = vec
     if len(vectors) != vocab_size:
         raise EmbeddingFormatError(
-            f"header promises {vocab_size} words, file has {len(vectors)}"
+            f"{path}: header promises {vocab_size} words, file has {len(vectors)}"
         )
     return EmbeddingTable(dim, vectors)
 
@@ -241,27 +244,17 @@ def fuse_and_cut(masks: list[WeightedMask], graph: SuperpixelGraph, lam: float) 
 def parse_detections(path) -> list[Detection]:
     """Detections file: 'phrase_quoted x0 y0 x1 y1 score' per line."""
     out = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                parts = shlex.split(line)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad quoting ({exc})") from exc
-            if len(parts) != 6:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'phrase x0 y0 x1 y1 score'"
-                )
-            try:
-                box = tuple(int(v) for v in parts[1:5])
-                score = float(parts[5])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad numeric field") from exc
-            if not np.isfinite(score):
-                raise DataError(f"{path}:{lineno}: detection score must be finite")
-            out.append(Detection(parts[0], box, score))
+    for lineno, parts in text_rows(path, shlex.split):
+        if len(parts) != 6:
+            raise DataError(f"{path}:{lineno}: expected 'phrase x0 y0 x1 y1 score'")
+        try:
+            box = tuple(int(v) for v in parts[1:5])
+            score = float(parts[5])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad numeric field") from exc
+        if not np.isfinite(score):
+            raise DataError(f"{path}:{lineno}: detection score must be finite")
+        out.append(Detection(parts[0], box, score))
     return out
 
 

@@ -96,8 +96,13 @@ def _residual_network(problem: MrfProblem):
     )
 
 
-def _max_flow(start, adj, to, cap, source, sink) -> float:
-    """Dinic's algorithm; pushes flow into cap in place."""
+def _max_flow(start, adj, to, cap, source, sink):
+    """Dinic's algorithm; pushes flow into cap in place.
+
+    Returns (flow value, levels). The levels are those of the last BFS,
+    run on the final residual graph, so the nodes with a level >= 0 are
+    exactly the ones reachable from source: the minimal cut's source side.
+    """
     n_nodes = len(start) - 1
     total = 0.0
     while True:
@@ -114,7 +119,7 @@ def _max_flow(start, adj, to, cap, source, sink) -> float:
                     level[v] = next_level
                     queue.append(v)
         if level[sink] < 0:
-            return total
+            return total, level
         it = start[:-1]
         while True:  # one augmenting path of the level graph per pass
             path: list[int] = []
@@ -152,22 +157,6 @@ def _max_flow(start, adj, to, cap, source, sink) -> float:
             total += pushed
 
 
-def _source_side(start, adj, to, cap, source) -> list[bool]:
-    """Nodes reachable from source in the residual graph (minimal cut side)."""
-    seen = [False] * (len(start) - 1)
-    seen[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for k in range(start[u], start[u + 1]):
-            eid = adj[k]
-            v = to[eid]
-            if not seen[v] and cap[eid] > _EPS:
-                seen[v] = True
-                queue.append(v)
-    return seen
-
-
 def solve_max_flow(problem: MrfProblem):
     """Run the min-cut construction; return (labeling, flow_value).
 
@@ -180,9 +169,8 @@ def solve_max_flow(problem: MrfProblem):
     n = problem.n
     source, sink = n, n + 1
     start, adj, to, cap = _residual_network(problem)
-    flow = _max_flow(start, adj, to, cap, source, sink)
-    seen = _source_side(start, adj, to, cap, source)
-    return np.array(seen[:n], dtype=np.int8), flow
+    flow, level = _max_flow(start, adj, to, cap, source, sink)
+    return (np.array(level[:n]) >= 0).astype(np.int8), flow
 
 
 def min_cut_infer(problem: MrfProblem) -> np.ndarray:

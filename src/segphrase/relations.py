@@ -25,13 +25,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, NumericalError, open_text
+from .errors import DataError, NumericalError, open_text, text_rows
 from .imaging import HIST_BINS, Image
 from .spt import SegmentPhraseTable, normalize_phrase
 
 SHAPE_BINS = 36
 EXACT_NODE_LIMIT = 6
 _TIE_EPS = 1e-12
+# each mode's gold labels; a simrel gold is one of the row's phrases
+_GOLD_LABELS = {
+    "entail": ("entails", "not-entails"),
+    "paraphrase": ("paraphrase", "not-paraphrase"),
+    "simrel": None,
+}
 
 
 class ZeroNormDescriptorError(NumericalError):
@@ -322,51 +328,54 @@ def graph_objective(scores, decisions, lam: float) -> float:
 
 def load_score_matrix(path) -> np.ndarray:
     """Score-matrix file: N >= 0 on the first line, then N whitespace rows
-    of finite values."""
+    of finite values. It is read as one token stream, not with
+    errors.text_rows: the format has no lines or comments, and a '#' is
+    a bad token."""
     with open_text(path) as fh:
         tokens = fh.read().split()
     if not tokens:
-        raise DataError("empty score-matrix file")
+        raise DataError(f"{path}: empty score-matrix file")
     try:
         n = int(tokens[0])
         values = np.array([float(t) for t in tokens[1:]])
     except ValueError as exc:
-        raise DataError(f"bad token in score matrix: {exc}") from exc
+        raise DataError(f"{path}: bad token in score matrix: {exc}") from exc
     if n < 0:
-        raise DataError(f"score-matrix size must be nonnegative, got {n}")
+        raise DataError(f"{path}: score-matrix size must be nonnegative, got {n}")
     if len(values) != n * n:
-        raise DataError(f"expected {n * n} matrix entries, found {len(values)}")
+        raise DataError(f"{path}: expected {n * n} matrix entries, found {len(values)}")
     if not np.isfinite(values).all():
-        raise DataError("score matrix entries must be finite")
+        raise DataError(f"{path}: score matrix entries must be finite")
     return values.reshape(n, n)
 
 
-def parse_relations_dataset(path, kind: str):
-    """Tab-separated gold files.
+def parse_relations_dataset(path, mode: str):
+    """Tab-separated gold file for a relations mode, read by text_rows:
+    surrounding whitespace, tabs included, is never part of a field, and
+    every field must be non-empty.
 
-    kind='pairs': lines 'x<TAB>y<TAB>gold' with gold in {entails,
-    not-entails, paraphrase, not-paraphrase}. kind='simrel': lines
-    'x<TAB>y<TAB>z<TAB>gold_choice'.
+    entail: lines 'x<TAB>y<TAB>gold' with gold entails or not-entails;
+    paraphrase: likewise with paraphrase or not-paraphrase; simrel: lines
+    'x<TAB>y<TAB>z<TAB>gold_choice' whose gold choice normalizes to y or z.
     """
-    valid = {"entails", "not-entails", "paraphrase", "not-paraphrase"}
+    if mode not in _GOLD_LABELS:
+        raise ValueError(f"unknown mode {mode!r}")
+    labels = _GOLD_LABELS[mode]
+    width = 3 if labels else 4
     out = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if kind == "simrel":
-                if len(parts) != 4:
-                    raise DataError(f"{path}:{lineno}: expected 4 tab fields")
-                out.append(tuple(p.strip() for p in parts))
-            else:
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 tab fields")
-                x, y, gold = (p.strip() for p in parts)
-                if gold not in valid:
-                    raise DataError(f"{path}:{lineno}: unknown gold label {gold!r}")
-                out.append((x, y, gold))
+    for lineno, parts in text_rows(path, lambda line: line.split("\t")):
+        if len(parts) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} tab fields")
+        row = tuple(p.strip() for p in parts)
+        if not all(row):
+            raise DataError(f"{path}:{lineno}: empty field")
+        gold = row[-1]
+        if labels is None:
+            if normalize_phrase(gold) not in map(normalize_phrase, row[1:3]):
+                raise DataError(f"{path}:{lineno}: gold choice {gold!r} is neither y nor z")
+        elif gold not in labels:
+            raise DataError(f"{path}:{lineno}: unknown gold label {gold!r} for mode {mode}")
+        out.append(row)
     if not out:
         raise DataError(f"{path}: dataset has no rows")
     return out

@@ -221,8 +221,15 @@ def test_train_segment_relations_pipeline(workspace, tmp_path, capsys):
     assert lines[3].endswith(",0.0,0")  # self-pair: zero score, diagonal decision
     assert (tmp_path / "rel.curve.csv").exists()
 
+    # the same pairs, with paraphrase gold labels
+    paraphrases = tmp_path / "para.tsv"
+    paraphrases.write_text(
+        "round object\tsquare object\tnot-paraphrase\n"
+        "square object\tround object\tnot-paraphrase\n"
+        "round object\tround object\tparaphrase\n"
+    )
     rc = main([
-        "relations", "paraphrase", str(dataset), str(out_csv),
+        "relations", "paraphrase", str(paraphrases), str(out_csv),
         "--table", str(table_path), "--tau", "0.5",
     ])
     assert rc == 0
@@ -606,6 +613,26 @@ def test_first_missing_phrase_in_dataset_order_exits_2(mode, graph, tmp_path, ca
     )
 
 
+@pytest.mark.parametrize("mode, row", [
+    ("paraphrase", "a\tb\tentails"),
+    ("entail", "a\tb\tnot-paraphrase"),
+    ("simrel", "a\tb\ta\tc"),
+    ("entail", "a\t\tentails"),
+], ids=["paraphrase-given-entails", "entail-given-paraphrase", "simrel-gold-not-y-or-z",
+        "empty-field"])
+def test_gold_that_does_not_fit_the_mode_exits_2(mode, row, tmp_path, capsys):
+    # each used to exit 0 scoring against the wrong truth (or fail later
+    # without naming the line)
+    write_two_phrase_table(tmp_path / "t.spt")
+    dataset = tmp_path / "d.tsv"
+    dataset.write_text(f"# gold\n{row}\n")
+    rc = main(["relations", mode, str(dataset), str(tmp_path / "o.csv"),
+               "--table", str(tmp_path / "t.spt")])
+    err = _data_error(rc, capsys.readouterr())
+    assert err.startswith(f"segphrase: data error: {dataset}:2: ")
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "o.curve.csv").exists()
+
+
 @pytest.mark.parametrize("mode", ["entail", "simrel"])
 def test_relations_normalizes_each_spelling_once(mode, tmp_path, monkeypatch):
     import segphrase.cli
@@ -794,6 +821,18 @@ def test_unclosed_quote_in_manifest_exits_2(workspace, tmp_path, capsys):
     rc = main(["train", str(manifest), str(tmp_path / "t.spt"), "--k", "1"])
     err = _data_error(rc, capsys.readouterr())
     assert err.startswith(f"segphrase: data error: {manifest}:2: bad quoting")
+    assert not (tmp_path / "t.spt").exists()
+
+
+def test_nul_byte_in_manifest_image_path_exits_2(workspace, tmp_path, capsys):
+    # open() refuses such a path with a ValueError, which used to escape
+    lines = (workspace / "round" / "manifest.txt").read_text().splitlines()
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(lines[0] + "\n" + lines[1].replace(".pgm", "\0.pgm") + "\n")
+    capsys.readouterr()
+    rc = main(["train", str(manifest), str(tmp_path / "t.spt"), "--k", "1"])
+    err = _data_error(rc, capsys.readouterr())
+    assert err == f"segphrase: data error: {manifest}:2: image path holds a NUL byte\n"
     assert not (tmp_path / "t.spt").exists()
 
 

@@ -15,6 +15,7 @@ from segphrase.latent import box_overlap, cut, em_learn, make_instance
 from segphrase.linguistics import (
     Detection,
     DuplicateWordError,
+    EmbeddingFormatError,
     EmbeddingTable,
     NonNumericTokenError,
     OovError,
@@ -72,8 +73,30 @@ def test_non_numeric_token_rejected(tmp_path):
 def test_duplicate_word_named_in_error(tmp_path):
     path = tmp_path / "e.txt"
     path.write_text("2 2\ndog 1 0\nDog 0 1\n")
-    with pytest.raises(DuplicateWordError, match="dog"):
+    with pytest.raises(DuplicateWordError, match="dog") as info:
         load_embeddings(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("2\ndog 1 0\n", ":1: first line"),
+    ("two 2\ndog 1 0\n", ":1: non-integer"),
+    ("1 0\ndog\n", ":1: dimension"),
+    ("3 2\ndog 1 0\ncat 0 1\n", ": header promises 3 words"),
+])
+def test_header_and_count_errors_name_the_file(text, where, tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text(text)
+    with pytest.raises(EmbeddingFormatError) as info:
+        load_embeddings(path)
+    assert str(info.value).startswith(f"{path}{where}")
+
+
+def test_words_starting_with_hash_are_vocabulary(tmp_path):
+    # word-vector files have no comment lines: '#' is a token like any other
+    path = tmp_path / "e.txt"
+    path.write_text("2 2\n#tag 1 0\n\ndog 0 1\n")
+    assert set(load_embeddings(path).vectors) == {"#tag", "dog"}
 
 
 # -- phrase_vector / similarity -----------------------------------------------------

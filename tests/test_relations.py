@@ -478,7 +478,29 @@ def test_load_score_matrix_wrong_count(tmp_path):
 def test_load_score_matrix_rejects_negative_size_and_non_finite(tmp_path, text):
     path = tmp_path / "s.txt"
     path.write_text(text)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as info:
+        load_score_matrix(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("", "empty score-matrix file"),
+    ("2\n0 x\n0 0\n", "bad token"),
+    ("1\n0 0\n", "expected 1 matrix entries, found 2"),
+], ids=["empty", "bad-token", "wrong-count"])
+def test_load_score_matrix_errors_name_the_file(text, reason, tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_score_matrix(path)
+    assert str(info.value).startswith(f"{path}: {reason}")
+
+
+def test_load_score_matrix_has_no_comment_lines(tmp_path):
+    # a token stream: '#' is a bad token, not the start of a comment
+    path = tmp_path / "s.txt"
+    path.write_text("# scores\n1\n0\n")
+    with pytest.raises(DataError, match="bad token"):
         load_score_matrix(path)
 
 
@@ -490,13 +512,44 @@ def test_load_score_matrix_empty_matrix(tmp_path):
 
 def test_parse_relations_dataset(tmp_path):
     path = tmp_path / "d.tsv"
-    path.write_text("horse running\thorse moving\tentails\na\tb\tnot-paraphrase\n")
-    rows = parse_relations_dataset(path, "pairs")
+    path.write_text("horse running\thorse moving\tentails\na\tb\tnot-entails\n")
+    rows = parse_relations_dataset(path, "entail")
     assert rows[0] == ("horse running", "horse moving", "entails")
     path2 = tmp_path / "bad.tsv"
     path2.write_text("a\tb\tmaybe\n")
     with pytest.raises(DataError):
-        parse_relations_dataset(path2, "pairs")
+        parse_relations_dataset(path2, "entail")
+
+
+def test_dataset_fields_never_hold_surrounding_whitespace(tmp_path):
+    # a line is stripped before it splits at tabs: a leading or trailing
+    # tab adds no empty field, and an indented '#' line is a comment
+    path = tmp_path / "d.tsv"
+    path.write_text("a\tb\tentails\t\n\t c \t d\tnot-entails\n  # x\ty\tentails\n\t#\n")
+    assert parse_relations_dataset(path, "entail") == [
+        ("a", "b", "entails"), ("c", "d", "not-entails"),
+    ]
+
+
+@pytest.mark.parametrize("mode, line, reason", [
+    ("entail", "a\tb\tparaphrase", "unknown gold label 'paraphrase' for mode entail"),
+    ("paraphrase", "a\tb\tentails", "unknown gold label 'entails' for mode paraphrase"),
+    ("paraphrase", "a\tb\tnot-entails", "unknown gold label"),
+    ("entail", "a\t \tentails", "empty field"),
+    ("simrel", "a\tb\tc\td", "gold choice 'd' is neither y nor z"),
+    ("simrel", "a\tb\tc\ta", "neither y nor z"),
+    ("simrel", "a\tb\tc\t ", "expected 4 tab fields"),
+    ("simrel", "a\t\tc\tc", "empty field"),
+], ids=["entail-paraphrase", "paraphrase-entails", "paraphrase-not-entails",
+        "entail-empty", "simrel-other", "simrel-x", "simrel-no-gold", "simrel-empty"])
+def test_gold_must_match_the_mode(mode, line, reason, tmp_path):
+    path = tmp_path / "d.tsv"
+    good = {"entail": "p\tq\tentails", "paraphrase": "p\tq\tparaphrase",
+            "simrel": "p\tq\tr\tQ"}[mode]
+    path.write_text(f"{good}\n# c\n{line}\n")
+    with pytest.raises(DataError) as info:
+        parse_relations_dataset(path, mode)
+    assert str(info.value).startswith(f"{path}:3: ") and reason in str(info.value)
 
 
 def test_parse_simrel_dataset(tmp_path):
