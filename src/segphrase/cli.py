@@ -264,8 +264,9 @@ def cmd_segment(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _curve_path(out_csv: str) -> str:
-    stem, dot, ext = out_csv.rpartition(".")
-    return f"{stem}.curve.{ext}" if dot else f"{out_csv}.curve"
+    """`rel.csv` -> `rel.curve.csv`; a name without extension gets `.curve`."""
+    stem, ext = os.path.splitext(out_csv)
+    return f"{stem}.curve{ext}"
 
 
 def _solve_graph(scores, lam):

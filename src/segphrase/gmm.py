@@ -155,15 +155,13 @@ def fit(
     *,
     start: GaussianMixture | None = None,
 ) -> GaussianMixture:
-    """EM fit of a k-component diagonal-covariance mixture.
+    """EM fit of a k-component diagonal-covariance mixture to (N, dim) samples.
 
     seed feeds the k-means++ initialization; when `start` is given the fit
     resumes from those parameters instead (and tolerates fewer samples
     than components, which a warm refit on a shrunken pool may see).
     """
     points = np.asarray(samples, dtype=np.float64)
-    if points.ndim != 2:
-        points = points.reshape(len(points), -1)
     n, dim = points.shape
     if start is None:
         if n < k:

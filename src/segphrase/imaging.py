@@ -262,11 +262,7 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     reach = max(1, int(math.ceil(2 * interval)))
 
     seed = (np.arange(h)[:, None] * rows // h * cols + np.arange(w) * cols // w).ravel()
-    need = _window_need(
-        ((pixel_x - centers_x[seed]) ** 2 + (pixel_y - centers_y[seed]) ** 2) / scale2
-        + ((pixel_i - centers_i[seed]) / _INTENSITY_SCALE) ** 2,
-        interval, reach,
-    )
+    need = _window_need(_d2(pixels, centers, seed, scale2), interval, reach)
     padded = np.pad(intensity, reach).ravel()
     for it in range(_KMEANS_ITERS):
         if it:
@@ -353,7 +349,7 @@ def _window_pass(padded, shape, centers, cols, scale2, reach, crop):
         y_lo, y_hi = int(by.min()), int(by.max())
         windows = (k1 - k0, side, side)
         size = (k1 - k0) * full
-        # d2 in the scalar loop's order: (dx*dx + dy*dy) / scale2 + di*di
+        # the same expression as `_d2`, made separable and in place
         dx = (bx[:, None] + offs).astype(np.float64)
         dx -= center_x[k0:k1, None]
         dx *= dx
@@ -414,14 +410,13 @@ def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
     run in ascending index, so argmin takes the lowest; rows and columns
     past the grid's edge are clamped, which repeats them and keeps that.
     """
-    (pixel_x, pixel_y, pixel_i), (center_x, center_y, center_i) = pixels, centers
     grid_y, grid_x = grid
     cols = len(grid_x)
     winner = np.empty(len(at), dtype=np.int32)
     best = np.empty(len(at))
     if not at.size:
         return winner, best
-    anchor_x, anchor_y = center_x.astype(int), center_y.astype(int)
+    anchor_x, anchor_y = centers[0].astype(int), centers[1].astype(int)
     span_y = reach + np.abs(anchor_y.reshape(-1, cols) - grid_y[:, None]).max() + _NEED_MARGIN
     span_x = reach + np.abs(anchor_x.reshape(-1, cols) - grid_x).max() + _NEED_MARGIN
     y, x = np.divmod(at, shape[1])
@@ -439,17 +434,7 @@ def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
         near = table[s:s + step]
         out = np.abs(anchor_x[near] - px) > reach
         out |= np.abs(anchor_y[near] - py) > reach
-        # d2 in the scalar loop's order: (dx*dx + dy*dy) / scale2 + di*di
-        d2 = pixel_x[p, None] - center_x[near]
-        d2 *= d2
-        dy = pixel_y[p, None] - center_y[near]
-        dy *= dy
-        d2 += dy
-        d2 /= scale2
-        di = pixel_i[p, None] - center_i[near]
-        di /= _INTENSITY_SCALE
-        di *= di
-        d2 += di
+        d2 = _d2([v[p, None] for v in pixels], centers, near, scale2)
         d2[out] = np.inf
         col = np.argmin(d2, axis=1)
         rows = np.arange(len(p))
@@ -457,13 +442,26 @@ def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
         best[s:s + step] = d2[rows, col]
     missing = at[best == np.inf]
     if missing.size:
-        d2 = (
-            (pixel_x[missing, None] - center_x) ** 2 + (pixel_y[missing, None] - center_y) ** 2
-        ) / scale2 + (
-            (pixel_i[missing, None] - center_i) / _INTENSITY_SCALE
-        ) ** 2
+        d2 = _d2([v[missing, None] for v in pixels], centers, slice(None), scale2)
         winner[best == np.inf] = np.argmin(d2, axis=1)
     return winner, best
+
+
+def _d2(pixels, centers, at, scale2):
+    """d2 of pixels (x, y, i) to the centres at index `at`, broadcast, in
+    the scalar loop's order: (dx*dx + dy*dy) / scale2 + di*di."""
+    (pixel_x, pixel_y, pixel_i), (center_x, center_y, center_i) = pixels, centers
+    d2 = pixel_x - center_x[at]
+    d2 *= d2
+    dy = pixel_y - center_y[at]
+    dy *= dy
+    d2 += dy
+    d2 /= scale2
+    di = pixel_i - center_i[at]
+    di /= _INTENSITY_SCALE
+    di *= di
+    d2 += di
+    return d2
 
 
 def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
@@ -488,7 +486,14 @@ def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
     """
     comp, ncomp = _label_components(assign)
     sizes = np.bincount(comp.ravel(), minlength=ncomp).tolist()
-    contact = _boundary_lengths(comp, ncomp)
+    if min(sizes) >= min_size and ncomp <= max_count:
+        return comp, ncomp
+    # per component, the number of pixel pairs it shares with each neighbour
+    contact: list[dict[int, int]] = [{} for _ in range(ncomp)]
+    pairs, lengths, _ = _label_pairs(comp, ncomp)
+    for lo, hi, length in zip(*pairs.T.tolist(), lengths.tolist()):
+        contact[lo][hi] = length
+        contact[hi][lo] = length
     parent = np.arange(ncomp)
     alive = ncomp
 
@@ -601,20 +606,28 @@ def _label_components(assign: np.ndarray):
     return ids[label][run], int(ids[-1]) + 1
 
 
-def _boundary_lengths(comp: np.ndarray, ncomp: int) -> list[dict[int, int]]:
-    """Per component, the number of 4-adjacent pixel pairs it shares with
-    each neighbouring component."""
-    keys = []
-    for a, b in ((comp[:, :-1], comp[:, 1:]), (comp[:-1], comp[1:])):
-        diff = a != b
-        a, b = a[diff], b[diff]
-        keys.append(np.minimum(a, b).astype(np.int64) * ncomp + np.maximum(a, b))
-    pairs, lengths = np.unique(np.concatenate(keys), return_counts=True)
-    contact: list[dict[int, int]] = [{} for _ in range(ncomp)]
-    for lo, hi, length in zip((pairs // ncomp).tolist(), (pairs % ncomp).tolist(), lengths.tolist()):
-        contact[lo][hi] = length
-        contact[hi][lo] = length
-    return contact
+def _label_pairs(labels: np.ndarray, n: int, values: np.ndarray | None = None):
+    """(pairs, counts, sums) of a map with labels 0..n-1: each adjacent
+    label pair (lo, hi), lo < hi, once, in ascending order; the number of
+    4-adjacent pixel pairs across it; given per-pixel values, the sum of
+    those pixel pairs' mean values (else None). Pixel pairs are taken,
+    and summed, left-right, then top-bottom, each in raster order.
+    """
+    keys, means = [], []
+    for a, b in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1], np.s_[1:])):
+        la, lb = labels[a], labels[b]
+        diff = la != lb
+        la, lb = la[diff], lb[diff]
+        keys.append(np.minimum(la, lb).astype(np.int64) * n + np.maximum(la, lb))
+        if values is not None:
+            means.append(0.5 * (values[a][diff] + values[b][diff]))
+    keys, sums = np.concatenate(keys), None
+    if values is None:  # the inverse would cost an argsort
+        uniq, counts = np.unique(keys, return_counts=True)
+    else:
+        uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        sums = np.bincount(inverse, weights=np.concatenate(means))
+    return np.column_stack([uniq // n, uniq % n]), counts, sums
 
 
 # ---------------------------------------------------------------------------
@@ -635,32 +648,39 @@ def _sobel_magnitude(intensity: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
+def histograms(values: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Per-label appearance histograms, shape (n, FEATURE_DIM).
+
+    values holds (N, channels) pixel values in [0, 1], labels their (N,)
+    int labels in 0..n-1. Each of three channels gets HIST_BINS bins, a
+    grayscale channel counting as all three, and each channel's block is
+    L1-normalized (all zeros for a label with no pixels).
+    """
+    channels = values.shape[1]
+    binned = np.minimum((values * HIST_BINS).astype(np.int64), HIST_BINS - 1)
+    base = labels * FEATURE_DIM
+    hist = np.zeros(n * FEATURE_DIM)
+    for ch in range(3):
+        hist += np.bincount(base + ch * HIST_BINS + binned[:, ch % channels],
+                            minlength=n * FEATURE_DIM)
+    hist = hist.reshape(n, 3, HIST_BINS)
+    block_sums = hist.sum(axis=2, keepdims=True)
+    np.divide(hist, block_sums, out=hist, where=block_sums > 0)
+    return hist.reshape(n, FEATURE_DIM)
+
+
 def extract_features(img: Image, smap: SuperpixelMap) -> SuperpixelGraph:
     """Per-superpixel histograms plus the boundary-weighted adjacency.
 
-    Descriptors are HIST_BINS-bin intensity histograms per channel
-    (grayscale is expanded to three identical channels, so D =
-    FEATURE_DIM = 24), each block L1-normalized. boundary_prob of an edge
-    is the mean Sobel gradient magnitude over the pixels incident to the
-    shared boundary, clamped to [0, 1].
+    Descriptors are the superpixels' `histograms` (D = FEATURE_DIM = 24).
+    boundary_prob of an edge is the mean Sobel gradient magnitude over the
+    pixels incident to the shared boundary, clamped to [0, 1].
     """
     if (img.height, img.width) != (smap.height, smap.width):
         raise ValueError("superpixel map does not match image dimensions")
     h, w, n = img.height, img.width, smap.n
-    bins, dim = HIST_BINS, FEATURE_DIM
-    data = img.data if img.channels == 3 else np.repeat(img.data, 3, axis=2)
     labels = smap.labels
-
-    binned = np.minimum((data * bins).astype(np.int64), bins - 1)
-    features = np.zeros((n, dim))
-    for ch in range(3):
-        idx = labels.ravel() * dim + ch * bins + binned[:, :, ch].ravel()
-        counts = np.bincount(idx, minlength=n * dim)
-        features += counts.reshape(n, dim)
-    features = features.reshape(n, 3, bins)
-    block_sums = features.sum(axis=2, keepdims=True)
-    np.divide(features, block_sums, out=features, where=block_sums > 0)
-    features = features.reshape(n, dim)
+    features = histograms(img.data.reshape(h * w, img.channels), labels.ravel(), n)
 
     areas = np.bincount(labels.ravel(), minlength=n).astype(np.int64)
     xs, ys = np.meshgrid(np.arange(w), np.arange(h))
@@ -668,34 +688,9 @@ def extract_features(img: Image, smap: SuperpixelMap) -> SuperpixelGraph:
     cy = np.bincount(labels.ravel(), weights=(ys + 0.5).ravel(), minlength=n) / areas
     centroids = np.column_stack([cx, cy])
 
-    grad = _sobel_magnitude(img.intensity())
-    pair_lo, pair_hi, pair_val = [], [], []
-    for la, lb, ga, gb in (
-        (labels[:, :-1], labels[:, 1:], grad[:, :-1], grad[:, 1:]),
-        (labels[:-1, :], labels[1:, :], grad[:-1, :], grad[1:, :]),
-    ):
-        diff = la != lb
-        lo = np.minimum(la[diff], lb[diff])
-        hi = np.maximum(la[diff], lb[diff])
-        pair_lo.append(lo)
-        pair_hi.append(hi)
-        pair_val.append(0.5 * (ga[diff] + gb[diff]))
-    lo = np.concatenate(pair_lo)
-    hi = np.concatenate(pair_hi)
-    val = np.concatenate(pair_val)
-
-    if lo.size:
-        key = lo.astype(np.int64) * n + hi
-        uniq, inverse = np.unique(key, return_inverse=True)
-        sums = np.bincount(inverse, weights=val, minlength=len(uniq))
-        counts = np.bincount(inverse, minlength=len(uniq))
-        edges = np.column_stack([uniq // n, uniq % n]).astype(np.int32)
-        boundary = np.clip(sums / counts, 0.0, 1.0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int32)
-        boundary = np.empty(0)
-
-    return SuperpixelGraph(smap, features, edges, boundary, areas, centroids)
+    pairs, counts, sums = _label_pairs(labels, n, _sobel_magnitude(img.intensity()))
+    boundary = np.clip(sums / counts, 0.0, 1.0)
+    return SuperpixelGraph(smap, features, pairs.astype(np.int32), boundary, areas, centroids)
 
 
 def labels_to_mask(labeling: np.ndarray, smap: SuperpixelMap) -> np.ndarray:

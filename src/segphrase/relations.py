@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, NumericalError, open_text, text_rows
-from .imaging import HIST_BINS, Image
+from .imaging import Image, histograms
 from .spt import SegmentPhraseTable, normalize_phrase
 
 SHAPE_BINS = 36
@@ -70,24 +70,16 @@ class PhraseExemplars:
 def exemplar_descriptor(image: Image, pixel_mask: np.ndarray) -> np.ndarray:
     """Appearance histogram of the masked pixels plus a radial shape profile.
 
-    Appearance: imaging.HIST_BINS intensity bins per channel (grayscale
-    replicated to three channels), as in the superpixel features. Shape: histogram of pixel distances from the mask centroid,
-    normalized by the largest distance, over 36 bins. Each histogram block
-    is L1-normalized.
+    Appearance: the masked pixels' `imaging.histograms`, as in the
+    superpixel features. Shape: histogram of pixel distances from the mask
+    centroid, normalized by the largest distance, over 36 bins. Each
+    histogram block is L1-normalized.
     """
     mask = np.asarray(pixel_mask).astype(bool)
     if mask.shape != (image.height, image.width):
         raise ValueError("mask dimensions do not match image")
-    data = image.data if image.channels == 3 else np.repeat(image.data, 3, axis=2)
-    blocks = []
-    fg = data[mask]  # (npix, 3)
-    for ch in range(3):
-        hist = np.zeros(HIST_BINS)
-        if len(fg):
-            bins = np.minimum((fg[:, ch] * HIST_BINS).astype(int), HIST_BINS - 1)
-            hist = np.bincount(bins, minlength=HIST_BINS).astype(np.float64)
-            hist /= hist.sum()
-        blocks.append(hist)
+    fg = image.data[mask]  # (npix, channels)
+    appearance = histograms(fg, np.zeros(len(fg), dtype=np.intp), 1)[0]
     shape = np.zeros(SHAPE_BINS)
     ys, xs = np.nonzero(mask)
     if len(xs):
@@ -100,8 +92,7 @@ def exemplar_descriptor(image: Image, pixel_mask: np.ndarray) -> np.ndarray:
         else:
             shape[0] = float(len(xs))
         shape /= shape.sum()
-    blocks.append(shape)
-    return np.concatenate(blocks)
+    return np.concatenate([appearance, shape])
 
 
 def exemplars_from_table(table: SegmentPhraseTable, phrase: str) -> PhraseExemplars:

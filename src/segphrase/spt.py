@@ -94,8 +94,6 @@ class SegmentPhraseTable:
         self.exemplars: dict[str, list[ExemplarMask]] = {}
 
     def insert(self, key: PhraseKey, model: SegmentationModel) -> None:
-        if not isinstance(key, PhraseKey):
-            key = PhraseKey.make(*key)
         self.entries[key] = model
         self.versions[key] = self.versions.get(key, 0) + 1
 

@@ -659,6 +659,27 @@ def test_relations_normalizes_each_spelling_once(mode, tmp_path, monkeypatch):
     assert [line.split(",")[:2] for line in lines[1:]] == [row.split("\t")[:2] for row in rows]
 
 
+@pytest.mark.parametrize("out_csv, curve", [
+    ("rel.csv", "rel.curve.csv"),
+    ("./rel", "rel.curve"),
+    ("out.d/rel", "out.d/rel.curve"),
+    (".hidden", ".hidden.curve"),
+])
+def test_curve_path_adds_curve_before_the_file_extension(out_csv, curve, tmp_path,
+                                                         monkeypatch):
+    # a dot in a directory name or a leading "./" is not an extension
+    write_two_phrase_table(tmp_path / "t.spt")
+    (tmp_path / "d.tsv").write_text("a\tb\tentails\n")
+    (tmp_path / "out.d").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["relations", "entail", "d.tsv", out_csv, "--table", "t.spt"]) == 0
+    assert (tmp_path / out_csv).read_text().startswith("x,y,score,decision\n")
+    assert (tmp_path / curve).read_text().startswith("fraction,")
+    assert sorted(p.name for p in tmp_path.rglob("*") if "curve" in p.name) == [
+        curve.rsplit("/", 1)[-1]
+    ]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["entail", "paraphrase"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -649,6 +649,71 @@ def test_descriptor_width_follows_bin_config():
     assert np.allclose(g.features.reshape(sm.n, 3, HIST_BINS).sum(axis=2), 1.0)
 
 
+def _features_oracle(img, smap):
+    """(features, edges, boundary_prob) of extract_features, pixel by pixel.
+
+    Histogram counts and pixel-pair counts are exact, so each division
+    rounds as the program's does. Each boundary sum adds its pixel pairs
+    left-right, then top-bottom, in raster order, as np.bincount does.
+    """
+    h, w, n = img.height, img.width, smap.n
+    labels = smap.labels
+    counts = [[[0] * HIST_BINS for _ in range(3)] for _ in range(n)]
+    for y in range(h):
+        for x in range(w):
+            for ch in range(3):
+                v = float(img.data[y, x, ch % img.channels])
+                counts[labels[y, x]][ch][min(int(v * HIST_BINS), HIST_BINS - 1)] += 1
+    features = np.array([
+        [c / sum(block) if sum(block) else 0.0 for block in blocks for c in block]
+        for blocks in counts
+    ])
+    intensity = img.intensity()
+    p = np.pad(intensity, 1, mode="edge")
+    grad = np.empty((h, w))
+    for y in range(h):
+        for x in range(w):
+            gx = (p[y, x + 2] + 2 * p[y + 1, x + 2] + p[y + 2, x + 2]) - (
+                p[y, x] + 2 * p[y + 1, x] + p[y + 2, x])
+            gy = (p[y + 2, x] + 2 * p[y + 2, x + 1] + p[y + 2, x + 2]) - (
+                p[y, x] + 2 * p[y, x + 1] + p[y, x + 2])
+            grad[y, x] = np.hypot(gx, gy)
+    sums, lengths = {}, {}
+    for dy, dx in ((0, 1), (1, 0)):
+        for y in range(h - dy):
+            for x in range(w - dx):
+                a, b = int(labels[y, x]), int(labels[y + dy, x + dx])
+                if a != b:
+                    key = (min(a, b), max(a, b))
+                    mean = 0.5 * (grad[y, x] + grad[y + dy, x + dx])
+                    sums[key] = sums.get(key, 0.0) + mean
+                    lengths[key] = lengths.get(key, 0) + 1
+    keys = sorted(sums)
+    edges = np.array(keys, dtype=np.int32).reshape(-1, 2)
+    boundary = np.array([min(max(sums[k] / lengths[k], 0.0), 1.0) for k in keys])
+    return features, edges, boundary
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("target", [1, 5, 40])
+def test_features_match_pixel_loop_oracle_bitwise(channels, target):
+    rng = np.random.default_rng(11 + channels)
+    h, w = 14, 17
+    # 8-bit levels, with exact bin edges, 0 and 1 among them
+    data = rng.integers(0, 256, size=(h, w, channels)) / 255.0
+    data[0, 0], data[1, 1], data[2, 2] = 0.0, 1.0, 0.5
+    img = Image(w, h, channels, data)
+    sm = (compute_superpixels(img, target) if target > 1
+          else SuperpixelMap(w, h, np.zeros((h, w), dtype=np.int32), 1))
+    g = extract_features(img, sm)
+    features, edges, boundary = _features_oracle(img, sm)
+    assert np.array_equal(g.features, features)
+    assert g.edges.dtype == np.int32 and np.array_equal(g.edges, edges)
+    assert np.array_equal(g.boundary_prob, boundary)
+    if target == 1:
+        assert g.edges.shape == (0, 2) and g.boundary_prob.shape == (0,)
+
+
 def test_labels_to_mask_lifts_ids():
     labels = np.array([[0, 1], [2, 3]], dtype=np.int32)
     sm = SuperpixelMap(2, 2, labels, 4)

@@ -152,6 +152,54 @@ def test_descriptor_empty_mask_is_zero():
     assert not d.any()
 
 
+def _descriptor_oracle(image, mask):
+    """exemplar_descriptor pixel by pixel. Every count and coordinate sum
+    is exact, so each division rounds as the program's does."""
+    bins, shape_bins = 8, relations.SHAPE_BINS
+    counts = [[0] * bins for _ in range(3)]
+    points = []
+    for y in range(image.height):
+        for x in range(image.width):
+            if mask[y, x]:
+                points.append((x, y))
+                for ch in range(3):
+                    v = float(image.data[y, x, ch % image.channels])
+                    counts[ch][min(int(v * bins), bins - 1)] += 1
+    out = [c / sum(block) if sum(block) else 0.0 for block in counts for c in block]
+    shape = [0.0] * shape_bins
+    if points:
+        cx = sum(x for x, _ in points) / len(points)
+        cy = sum(y for _, y in points) / len(points)
+        radii = [np.hypot(x - cx, y - cy) for x, y in points]
+        rmax = max(radii)
+        for r in radii:
+            shape[min(int(r / rmax * shape_bins), shape_bins - 1) if rmax > 0 else 0] += 1
+        shape = [s / len(points) for s in shape]
+    return np.array(out + shape)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("kind", ["empty", "one pixel", "blob", "full"])
+def test_descriptor_matches_pixel_loop_oracle_bitwise(channels, kind):
+    rng = np.random.default_rng(3 + channels)
+    h, w = 13, 16
+    # 8-bit levels, with exact bin edges, 0 and 1 among them
+    data = rng.integers(0, 256, size=(h, w, channels)) / 255.0
+    data[0, 0], data[1, 1], data[2, 2] = 0.0, 1.0, 0.5
+    img = Image(w, h, channels, data)
+    mask = np.zeros((h, w), dtype=bool)
+    if kind == "one pixel":
+        mask[4, 7] = True
+    elif kind == "blob":
+        mask[2:9, 3:12] = rng.random((7, 9)) < 0.7
+        mask[1, 1] = True
+    elif kind == "full":
+        mask[:] = True
+    d = exemplar_descriptor(img, mask)
+    assert d.shape == (24 + relations.SHAPE_BINS,)
+    assert np.array_equal(d, _descriptor_oracle(img, mask))
+
+
 # -- solver --------------------------------------------------------------------------
 
 def enumerate_best(scores, lam):
