@@ -381,6 +381,10 @@ def cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise DataError(f"bad synth parameters: {exc}") from exc
+    if any(c in args.phrase + args.out_dir for c in "\r\n"):  # one manifest line per scene
+        raise DataError("bad synth parameters: a line break in the phrase or out_dir")
+    # quoted as parse_train_manifest's shlex.split reads it back
+    phrase = '"' + args.phrase.replace("\\", "\\\\").replace('"', '\\"') + '"'
     os.makedirs(args.out_dir, exist_ok=True)
     manifest_lines = []
     for split, count, offset in (
@@ -400,7 +404,7 @@ def cmd_synth(args) -> int:
             if split == "train":
                 x0, y0, x1, y1 = scene.box
                 manifest_lines.append(
-                    f'"{args.phrase}" 0 {img_path} {x0} {y0} {x1} {y1}\n'
+                    f"{phrase} 0 {shlex.quote(img_path)} {x0} {y0} {x1} {y1}\n"
                 )
     with open(os.path.join(args.out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(manifest_lines)

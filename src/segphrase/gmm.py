@@ -5,7 +5,8 @@ deterministic. Variances are floored rather than allowed to collapse;
 the floored M-step is still the constrained maximizer, so the data
 log-likelihood is non-decreasing per iteration (checked internally).
 An existing mixture can be passed as the starting point, which is how
-the latent trainer keeps its refits warm across rounds.
+the latent trainer keeps its refits warm across rounds. The E-step is two
+matrix products, under the error bound that `_component_log_pdf` derives.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ VARIANCE_FLOOR = 1e-4
 _MAX_ITERS = 100
 _REL_TOL = 1e-6
 _DEAD_MASS = 1e-12
-# differences per block of the E-step's (dim, k, cols) temporary
-_BLOCK_ELEMENTS = 1 << 16
 
 
 class TooFewSamplesError(DataError):
@@ -43,93 +42,40 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
-def _component_log_pdf(means, variances, columns):
-    """(k, N) log N(point | component), diagonal covariances, for points
-    given as the (dim, N) array `columns`.
+def _component_log_pdf(means, variances, points, squares):
+    """(N, k) log N(point | component), diagonal covariances, for (N, dim)
+    `points` and their `squares`: -0.5 * (x*x @ (1/v).T - 2 x @ (m/v).T
+    + sum m*m/v + sum log 2 pi v), the -0.5 folded into the products'
+    factors (a power of two, so exact).
 
-    (x - m)**2 / v is evaluated component-major, as (dim, k, cols) blocks
-    of at most _BLOCK_ELEMENTS differences, so each ufunc call runs over
-    long contiguous planes; the sum over dim is `_pairwise_sum`, so every
-    entry is bit-equal to the row-major (N, k, dim) broadcast summed with
-    `ndarray.sum` over dim.
+    With Sx = sum x*x/v, Sm = sum m*m/v, T = sum |log 2 pi v| and u = eps/2,
+    each entry is within (dim + 4) eps (Sx + Sm + T) of the row-major
+    -0.5 * (sum (x - m)**2 / v + sum log 2 pi v) of `tests/gmm_oracle.py`,
+    to first order: a length-dim dot product whose factors carry r
+    roundings errs by at most (dim + r) u times its absolute terms' sum, in
+    any order, fused or not. In halved units the products cost
+    (dim + 2) u Sx/2, (dim + 1) u (Sx + Sm)/2 (as 2|x m| <= x*x + m*m) and
+    (dim + 1) u Sm/2, the three adds joining them u (2 Sx + 2 Sm + T); the
+    oracle's terms carry 4 roundings and sum to at most 2 (Sx + Sm), so it
+    errs by (dim + 4) u (Sx + Sm) + u T/2; both sum the logs alike. This
+    needs 1/v, m/v and m*m/v finite and normal, as v >= VARIANCE_FLOOR
+    ensures on bounded data (fits floor variances, `spt.load_table` rejects
+    lower ones; at v = 1e-320 1/v overflows and a point on its mean gives
+    nan). BLAS orders the sums, so last bits may vary by BLAS build.
     """
-    dim, n = columns.shape
-    k = len(means)
-    out = np.empty((k, n))
-    step = max(1, _BLOCK_ELEMENTS // max(1, k * dim))
-    diff = np.empty((dim, k, min(n, step)))
-    means_t, variances_t = means.T[:, :, None], variances.T[:, :, None]
-    log_norm = np.log(2.0 * np.pi * variances).sum(axis=1)[:, None]
-    for c in range(0, n, step):
-        d = diff[:, :, :min(step, n - c)]
-        np.subtract(columns[:, None, c:c + step], means_t, out=d)
-        np.square(d, out=d)
-        d /= variances_t
-        np.add(_pairwise_sum(d), log_norm, out=out[:, c:c + step])
-    out *= -0.5
+    half_precision = -0.5 / variances
+    scaled = means / variances
+    const = (means * scaled).sum(axis=1) + np.log(2.0 * np.pi * variances).sum(axis=1)
+    out = squares @ half_precision.T
+    out += points @ scaled.T
+    out -= 0.5 * const
     return out
 
 
-def _pairwise_sum(a):
-    """Sum over axis 0, bit-equal to `ndarray.sum` along a contiguous axis
-    of length len(a) at every position of a[0]. `a` is overwritten.
-
-    The E-step's values depend on this reproducing the order of numpy's
-    float add reduction (the `pairwise_sum` of its add loops): start from
-    the identity 0.0; fewer than 8 terms add in sequence; up to 128 terms
-    go into 8 running sums whose tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    the leftover terms then extend; longer runs split at half rounded
-    down to a multiple of 8 and add the halves' sums. Done as whole-plane
-    adds, it costs one ufunc call per 8 planes instead of one short inner
-    loop per position.
-    `tests/test_gmm.py::test_pairwise_sum_matches_ndarray_sum_bitwise`
-    pins it against numpy for lengths 1 to 300; a numpy that sums in
-    another order fails there by name.
-    """
-    n = len(a)
-    if n >= 8:
-        res = _pairwise_block(a)
-        res += 0.0
-        return res
-    res = np.zeros(a.shape[1:])
-    for plane in a:
-        res += plane
-    return res
-
-
-def _pairwise_block(a):
-    """numpy's pairwise sum of 8 or more planes, in place; a view into a."""
-    n = len(a)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        res = _pairwise_block(a[:half])
-        res += _pairwise_block(a[half:])
-        return res
-    r = a[:8]
-    end = n - n % 8
-    for i in range(8, end, 8):
-        r += a[i:i + 8]
-    np.add(r[0::2], r[1::2], out=r[0::2])
-    np.add(r[0::4], r[2::4], out=r[0::4])
-    res = r[0]
-    res += r[4]
-    for plane in a[end:]:
-        res += plane
-    return res
-
-
-def _log_sum_exp(planes):
-    """log of the sum of exp over axis 0 of the (k, N) `planes`, as
-    hi + log(sum(exp(planes - hi))) with hi the maximum; the sum is
-    `_pairwise_sum`, so it is bit-equal to the same expression on the
-    (N, k) transpose with `ndarray.sum` over k."""
-    hi = planes.max(axis=0)
-    shifted = planes - hi
-    total = _pairwise_sum(np.exp(shifted, out=shifted))
-    total = np.log(total, out=total)
-    total += hi
-    return total
+def _log_sum_exp(log_joint):
+    """log of the sum of exp over axis 1, shifted by each row's maximum."""
+    hi = log_joint.max(axis=1)
+    return hi + np.log(np.exp(log_joint - hi[:, None]).sum(axis=1))
 
 
 def _kmeans_pp(points, k, rng):
@@ -180,13 +126,12 @@ def fit(
         means = start.means.copy()
         variances = np.maximum(start.variances, VARIANCE_FLOOR)
 
-    columns = np.ascontiguousarray(points.T)
     squares = points * points
     prev_ll = -np.inf
     for iteration in range(_MAX_ITERS):
-        log_joint = _component_log_pdf(means, variances, columns)
+        log_joint = _component_log_pdf(means, variances, points, squares)
         # dead components keep a representable but negligible weight
-        log_joint += np.log(np.maximum(weights, 1e-300))[:, None]
+        log_joint += np.log(np.maximum(weights, 1e-300))
         log_norm = _log_sum_exp(log_joint)
         ll = float(log_norm.sum())
         if ll + 1e-9 * (1.0 + abs(prev_ll)) < prev_ll:
@@ -197,10 +142,7 @@ def fit(
             break
         prev_ll = ll
 
-        # (N, k) row-major, so the M-step's sums run in the order they
-        # always have
-        resp = np.subtract(log_joint.T, log_norm[:, None], out=np.empty((n, k)))
-        np.exp(resp, out=resp)
+        resp = np.exp(log_joint - log_norm[:, None])
         mass = resp.sum(axis=0)
         alive = mass > _DEAD_MASS
         weights = mass / n
@@ -226,8 +168,6 @@ def log_density_many(mixture: GaussianMixture, points) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != mixture.dim:
         raise ValueError("points must be (N, dim) with matching dimension")
-    log_pdf = _component_log_pdf(
-        mixture.means, mixture.variances, np.ascontiguousarray(points.T)
-    )
-    log_pdf += np.log(np.maximum(mixture.weights, 1e-300))[:, None]
+    log_pdf = _component_log_pdf(mixture.means, mixture.variances, points, points * points)
+    log_pdf += np.log(np.maximum(mixture.weights, 1e-300))
     return _log_sum_exp(log_pdf)

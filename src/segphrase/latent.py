@@ -275,11 +275,6 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
     return model
 
 
-def segment_with_model(model: SegmentationModel, graph: SuperpixelGraph) -> np.ndarray:
-    """One relabeling pass on a fresh graph, no box clamp."""
-    return cut(model, graph)
-
-
 def segment_instance(model: SegmentationModel, inst: TrainingInstance) -> np.ndarray:
     """Relabeling pass with the instance's outside-box superpixels fixed to 0."""
     return cut(model, inst.graph, inst.sp_in_box == 0.0)

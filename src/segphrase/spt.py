@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import Config
 from .errors import DataError
-from .gmm import GaussianMixture
+from .gmm import VARIANCE_FLOOR, GaussianMixture
 from .latent import ModelInfo, SegmentationModel
 
 MAGIC = b"SEGPHTBL"
@@ -54,8 +54,9 @@ class PhraseKey:
     component_id: int
 
     def __post_init__(self):
-        if not self.phrase or self.phrase != normalize_phrase(self.phrase):
-            raise ValidationError(f"phrase {self.phrase!r} is empty or unnormalized")
+        if not (isinstance(self.phrase, str) and self.phrase
+                and self.phrase == normalize_phrase(self.phrase)):
+            raise ValidationError(f"phrase {self.phrase!r} is not a normalized string")
         if self.component_id < 0:
             raise ValidationError("component_id must be nonnegative")
 
@@ -187,8 +188,11 @@ def _mixture_from(buf: bytes, offset: int, k: int, dim: int):
         raise ChecksumError("mixture weights are not a probability vector")
     if not np.isfinite(m).all():
         raise ChecksumError("mixture means are not finite")
-    if not (np.isfinite(v).all() and (v > 0.0).all()):
-        raise ChecksumError("mixture variances are not finite and positive")
+    # the E-step's error bound holds from the floor up, which every fit keeps
+    if not (np.isfinite(v).all() and (v >= VARIANCE_FLOOR).all()):
+        raise ChecksumError(
+            f"mixture variances are not finite and at least {VARIANCE_FLOOR}"
+        )
     return GaussianMixture(w, m, v), offset
 
 
@@ -311,7 +315,7 @@ def load_table(path) -> SegmentPhraseTable:
     # (missing or mistyped keys, offsets outside the payload) is caught here
     try:
         return _table_from(index, payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ChecksumError(f"malformed table index: {exc!r}") from exc
 
 
@@ -322,7 +326,10 @@ def _table_from(index: dict, payload: bytes) -> SegmentPhraseTable:
         fg, off = _mixture_from(payload, rec["offset"], rec["k_fg"], rec["dim"])
         bg, _ = _mixture_from(payload, off, rec["k_bg"], rec["dim"])
         info = ModelInfo(**rec["info"])
-        table.entries[key] = SegmentationModel(fg, bg, rec["lam"], info)
+        lam = rec["lam"]
+        if not 0 < lam < np.inf:  # as Config requires; nan fails too
+            raise ChecksumError(f"model lam {lam!r} is not positive and finite")
+        table.entries[key] = SegmentationModel(fg, bg, lam, info)
         table.versions[key] = rec["version"]
     widths = set()
     for rec in index["exemplars"]:

@@ -31,9 +31,9 @@ from segphrase.imaging import (
 from segphrase.latent import (
     ModelInfo,
     SegmentationModel,
+    cut,
     em_learn,
     make_instance,
-    segment_with_model,
 )
 from segphrase.linguistics import EmbeddingTable, WeightedMask, fuse_and_cut, message_pass
 from segphrase.mrf import MrfProblem, brute_force_infer, energy, min_cut_infer
@@ -104,7 +104,7 @@ def test_a2_latent_em_recovery():
     jaccards, precisions = [], []
     for scene in held_out:
         graph = _scene_graph(scene)
-        mask = labels_to_mask(segment_with_model(model, graph), graph.smap)
+        mask = labels_to_mask(cut(model, graph), graph.smap)
         m = seg_metrics(mask, scene.gt_mask)
         jaccards.append(m.jaccard)
         precisions.append(m.precision)

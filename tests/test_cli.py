@@ -170,6 +170,31 @@ def test_synth_writes_scenes_and_manifest(workspace):
     assert len(lines) == 3 and lines[0].startswith('"round object" 0 ')
 
 
+def test_synth_manifest_round_trips_phrase_and_path(tmp_path):
+    # a quote or backslash in the phrase and a space or quote in out_dir
+    # are read back by train exactly as given
+    phrase, out = 'big "red" \\car', tmp_path / "it's a dir"
+    assert main(["synth", str(out), "--count", "2", "--test-count", "0",
+                 "--size", "24", "--phrase", phrase]) == 0
+    [((got_phrase, component), items)] = parse_train_manifest(out / "manifest.txt")
+    assert (got_phrase, component) == (phrase, 0)
+    assert [path for path, _box in items] == [str(out / f"train_{i:03d}.pgm") for i in (0, 1)]
+    assert all(Path(path).is_file() for path, _box in items)
+    # plain phrases and paths are written unquoted, as before
+    assert main(["synth", str(tmp_path / "plain"), "--count", "1", "--test-count", "0",
+                 "--size", "24", "--phrase", "red car"]) == 0
+    line = (tmp_path / "plain" / "manifest.txt").read_text()
+    assert line.startswith(f'"red car" 0 {tmp_path / "plain" / "train_000.pgm"} ')
+
+
+@pytest.mark.parametrize("args", [["--phrase", "red\ncar"], ["--phrase", "red\rcar"]],
+                         ids=["newline", "carriage-return"])
+def test_synth_rejects_line_break_in_phrase(args, tmp_path, capsys):
+    assert main(["synth", str(tmp_path / "out"), *args]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "line break" in capsys.readouterr().err
+
+
 def test_train_segment_relations_pipeline(workspace, tmp_path, capsys):
     table_path = tmp_path / "models.spt"
     rc = main([
@@ -535,11 +560,15 @@ def test_model_feature_width_mismatch_exits_2(twin_table, workspace, tmp_path, c
     ([0.7], [0.0], [1.0]),
     ([1.5, -0.5], [0.0, 0.0], [1.0, 1.0]),
     ([np.nan], [0.0], [1.0]),
+    ([1.0], [0.0], [1e-320]),
+    ([1.0], [0.0], [0.99e-4]),
 ], ids=["negative-variance", "zero-variance", "inf-variance", "nan-mean",
-        "weights-off-simplex", "negative-weight", "nan-weight"])
+        "weights-off-simplex", "negative-weight", "nan-weight", "tiny-variance",
+        "below-floor-variance"])
 def test_table_with_bad_mixture_numbers_exits_2(weights, means, variances, twin_table,
                                                 workspace, tmp_path, capsys):
-    # a CRC-valid table whose mixture is no density is a data error, not a traceback
+    # a CRC-valid table whose mixture is no density, or has a variance below
+    # the floor that the E-step's error bound needs, is a data error, not a traceback
     _, emb = twin_table
     bad = GaussianMixture(np.array(weights), np.tile(np.array(means)[:, None], (1, 24)),
                           np.tile(np.array(variances)[:, None], (1, 24)))
@@ -561,13 +590,13 @@ def test_table_with_bad_mixture_numbers_exits_2(weights, means, variances, twin_
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("means, variances", [
-    (0.0, 1e-320),
     (1e300, 1.0),
-], ids=["tiny-variance", "huge-means"])
+], ids=["huge-means"])
 def test_table_with_overflowing_densities_exits_3(means, variances, twin_table, workspace,
                                                   tmp_path, capsys):
-    # finite, positive mixture numbers pass load_table, yet their densities
-    # overflow on every superpixel: a numerical failure, with no warning
+    # finite means and floored variances pass load_table, yet means of 1e300
+    # overflow the densities on every superpixel: a numerical failure, with
+    # no warning
     _, emb = twin_table
     bad = GaussianMixture(np.ones(1), np.full((1, 24), means), np.full((1, 24), variances))
     good = GaussianMixture(np.ones(1), np.zeros((1, 24)), np.ones((1, 24)))

@@ -22,7 +22,6 @@ from segphrase.latent import (
     init_labels,
     make_instance,
     segment_instance,
-    segment_with_model,
 )
 from segphrase.mrf import MrfProblem, energy, min_cut_infer
 
@@ -193,7 +192,7 @@ def test_em_learn_requires_instances():
         em_learn([], Config())
 
 
-# -- segment_with_model --------------------------------------------------------------
+# -- cut without a clamp -------------------------------------------------------------
 
 def _simple_model(fg_at, bg_at, dim=24):
     mk = lambda c: gmm.GaussianMixture(
@@ -214,7 +213,7 @@ def test_all_foreground_when_fg_density_dominates():
         ),
         lam=0.05,
     )
-    assert (segment_with_model(model, graph) == 1).all()
+    assert (cut(model, graph) == 1).all()
 
 
 def test_equal_models_tie_break_all_background():
@@ -222,7 +221,7 @@ def test_equal_models_tie_break_all_background():
     graph = extract_features(img, compute_superpixels(img, 4))
     g = gmm.fit(graph.features, 1, seed=0)
     model = SegmentationModel(g, g, lam=0.05)
-    assert (segment_with_model(model, graph) == 0).all()
+    assert (cut(model, graph) == 0).all()
 
 
 def test_dimension_mismatch_rejected():
@@ -230,7 +229,7 @@ def test_dimension_mismatch_rejected():
     graph = extract_features(img, compute_superpixels(img, 4))
     model = _simple_model(0.0, 1.0, dim=7)
     with pytest.raises(ValueError) as raised:
-        segment_with_model(model, graph)
+        cut(model, graph)
     assert isinstance(raised.value, DataError)  # the CLI exits 2
 
 
@@ -241,7 +240,7 @@ def test_held_out_two_texture_recovery():
     graph = extract_features(
         test.image, compute_superpixels(test.image, 200)
     )
-    mask = labels_to_mask(segment_with_model(model, graph), graph.smap)
+    mask = labels_to_mask(cut(model, graph), graph.smap)
     assert seg_metrics(mask, test.gt_mask).jaccard >= 0.9
 
 

@@ -86,6 +86,11 @@ def test_unnormalized_phrase_rejected():
         PhraseKey("Horse", 0)
 
 
+def test_non_string_phrase_rejected():
+    with pytest.raises(ValidationError):
+        PhraseKey(5, 0)
+
+
 # -- insert / query ----------------------------------------------------------------
 
 def test_insert_then_query_round_trips():
@@ -277,10 +282,15 @@ def _described(index):
     lambda ix: _described(ix)[0].update(descriptor_offset=ix["payload_len"]),
     lambda ix: ix["exemplars"][0].update(first=7),
     lambda ix: ix["exemplars"][0].update(n=ix["exemplars"][0]["n"] + 1),
+    lambda ix: ix["entries"][0].update(lam=float("nan")),
+    lambda ix: ix["entries"][0].update(lam=-1e308),
+    lambda ix: ix["entries"][0].update(lam=0.0),
+    lambda ix: ix["entries"][0].update(phrase=5),
 ], ids=["runs-offset-past-end", "runs-offset-negative", "n-runs-negative",
         "model-offset-past-end", "model-offset-negative", "missing-lam",
         "unknown-info-key", "string-k", "zero-k", "zero-dim", "missing-k-exemplars", "descriptor-len-5",
-        "descriptor-offset-past-end", "first-7", "runs-short-of-n"])
+        "descriptor-offset-past-end", "first-7", "runs-short-of-n", "nan-lam", "negative-lam",
+        "zero-lam", "integer-phrase"])
 def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
     path = tmp_path / "t.spt"
     save_table(random_table(5, n_entries=1, n_exemplars=3), path)
