@@ -2,13 +2,14 @@
 
 All randomness flows from --seed; identical inputs and seed produce
 byte-identical artifacts. Exit codes: 0 success, 1 usage, 2 data error,
-3 numerical failure.
+3 numerical failure. One parser serves every main call in a process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import shlex
@@ -115,8 +116,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every main call: building one costs more than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "train": cmd_train,
         "segment": cmd_segment,

@@ -10,6 +10,7 @@ with a hex editor; the numbers round-trip at full precision.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -48,15 +49,20 @@ def normalize_phrase(phrase: str) -> str:
     return " ".join(phrase.split()).lower()
 
 
+def _normalized(phrase) -> str:
+    """phrase, which must be a nonempty string that normalize_phrase keeps."""
+    if not (isinstance(phrase, str) and phrase and phrase == normalize_phrase(phrase)):
+        raise ValidationError(f"phrase {phrase!r} is not a normalized string")
+    return phrase
+
+
 @dataclass(frozen=True, order=True)
 class PhraseKey:
     phrase: str
     component_id: int
 
     def __post_init__(self):
-        if not (isinstance(self.phrase, str) and self.phrase
-                and self.phrase == normalize_phrase(self.phrase)):
-            raise ValidationError(f"phrase {self.phrase!r} is not a normalized string")
+        _normalized(self.phrase)
         if self.component_id < 0:
             raise ValidationError("component_id must be nonnegative")
 
@@ -166,34 +172,44 @@ def _mixture_bytes(g: GaussianMixture) -> bytes:
     )
 
 
-def _array(buf: bytes, dtype: str, count: int, offset: int) -> np.ndarray:
-    """count items of dtype at offset; the whole range must lie in buf."""
-    if not (count >= 0 and 0 <= offset <= len(buf) - np.dtype(dtype).itemsize * count):
-        raise ChecksumError(f"{count} items at offset {offset} run outside the payload")
-    return np.frombuffer(buf, dtype, count, offset)
+def _whole(value, low: int, what: str) -> int:
+    """value, which must be an int (a bool is not one) of at least low."""
+    if type(value) is not int or value < low:
+        raise ChecksumError(f"{what} {value!r} is not an integer >= {low}")
+    return value
 
 
-def _mixture_from(buf: bytes, offset: int, k: int, dim: int):
-    if not (k >= 1 and dim >= 1):
-        raise ChecksumError(f"mixture of {k} components in {dim} dimensions")
-    w = _array(buf, "<f8", k, offset).copy()
-    offset += 8 * k
-    m = _array(buf, "<f8", k * dim, offset).reshape(k, dim).copy()
-    offset += 8 * k * dim
-    v = _array(buf, "<f8", k * dim, offset).reshape(k, dim).copy()
-    offset += 8 * k * dim
-    # the CRC proves the bytes are as written, not that they form a mixture
-    if not (np.isfinite(w).all() and (w >= 0.0).all()
-            and abs(w.sum() - 1.0) <= _SIMPLEX_TOL):
-        raise ChecksumError("mixture weights are not a probability vector")
-    if not np.isfinite(m).all():
-        raise ChecksumError("mixture means are not finite")
-    # the E-step's error bound holds from the floor up, which every fit keeps
-    if not (np.isfinite(v).all() and (v >= VARIANCE_FLOOR).all()):
+def _finite(value, what: str):
+    """value, which must be a finite int or float (a bool is not one)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ChecksumError(f"{what} {value!r} is not a finite number")
+    return value
+
+
+def _mixture(values: np.ndarray, at: int, k: int, dim: int):
+    """The mixture stored at values[at:] (weights, means, variances) and
+    where it ends."""
+    end = at + k * (1 + 2 * dim)
+    means, variances = values[at + k : end].reshape(2, k, dim)
+    return GaussianMixture(values[at : at + k], means, variances), end
+
+
+def _word_index(payload: bytes, offset, count, words: int, what: str) -> int:
+    """offset // 4 for count items of `words` 4-byte words each at byte
+    offset, which must be 4-aligned with every item inside the payload."""
+    _whole(offset, 0, f"{what} offset")
+    _whole(count, 0, f"{what} count")
+    if offset % 4 or offset + 4 * words * count > len(payload):
         raise ChecksumError(
-            f"mixture variances are not finite and at least {VARIANCE_FLOOR}"
+            f"{what}: {count} items at offset {offset} do not lie 4-aligned in the payload"
         )
-    return GaussianMixture(w, m, v), offset
+    return offset // 4
+
+
+def _gather(starts: list[int], counts: np.ndarray) -> np.ndarray:
+    """Indices of counts[i] consecutive items from starts[i], for every i in turn."""
+    before = np.cumsum(counts) - counts
+    return np.repeat(np.array(starts, np.int64) - before, counts) + np.arange(counts.sum())
 
 
 def _rle_encode(mask: np.ndarray) -> tuple[int, np.ndarray]:
@@ -205,10 +221,12 @@ def _rle_encode(mask: np.ndarray) -> tuple[int, np.ndarray]:
     return int(mask[0]), np.diff(bounds).astype("<u4")
 
 
-def _rle_decode(first: int, runs: np.ndarray) -> np.ndarray:
-    """The 0/1 vector of runs alternating from first (a run may be empty)."""
-    values = (np.arange(len(runs)) + first) & 1
-    return np.repeat(values.astype(np.uint8), runs)
+def _rle_decode(first: np.ndarray, n_runs: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Many masks' 0/1 vectors, concatenated: mask i is the next n_runs[i]
+    of runs, alternating from label first[i] (a run may be empty)."""
+    before = np.cumsum(n_runs) - n_runs
+    labels = (np.arange(len(runs)) + np.repeat(first - before, n_runs)) & 1
+    return np.repeat(labels.astype(np.uint8), runs)
 
 
 def save_table(table: SegmentPhraseTable, path) -> None:
@@ -276,6 +294,26 @@ def save_table(table: SegmentPhraseTable, path) -> None:
 
 
 def load_table(path) -> SegmentPhraseTable:
+    """The table saved at path, decoded and checked in whole-table passes.
+
+    Besides its magic, version, length and CRC, a file must hold an index
+    that save_table could have written; anything else is a ChecksumError
+    (exit 2), however the CRC reads:
+    - k_exemplars, each version and each mixture's k and dim are ints of
+      at least 1; component ids, mask lengths and offsets ints of at
+      least 0 (a bool is no int); info counts are ints of at least 0,
+      info phrases and image ids strings, energies, scores and lam finite
+      numbers, lam also positive;
+    - every phrase is a normalized, nonempty string, and no (phrase,
+      component_id) has two entries;
+    - the entries' mixtures tile the payload from byte 0 in index order,
+      each as weights, means and variances; weights are nonnegative and
+      sum to 1 within 1e-9, means are finite and variances finite and at
+      least VARIANCE_FLOOR;
+    - mask runs and descriptors lie inside the payload at 4-aligned
+      offsets; a mask's first label is 0 or 1 and its runs add up to its
+      length; descriptors are finite, of one length of at least 1.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 + 8 + 4:
@@ -315,41 +353,129 @@ def load_table(path) -> SegmentPhraseTable:
     # (missing or mistyped keys, offsets outside the payload) is caught here
     try:
         return _table_from(index, payload)
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ChecksumError(f"malformed table index: {exc!r}") from exc
 
 
 def _table_from(index: dict, payload: bytes) -> SegmentPhraseTable:
-    table = SegmentPhraseTable(k_exemplars=index["k_exemplars"])
-    for rec in index["entries"]:
-        key = PhraseKey(rec["phrase"], rec["component_id"])
-        fg, off = _mixture_from(payload, rec["offset"], rec["k_fg"], rec["dim"])
-        bg, _ = _mixture_from(payload, off, rec["k_bg"], rec["dim"])
-        info = ModelInfo(**rec["info"])
-        lam = rec["lam"]
-        if not 0 < lam < np.inf:  # as Config requires; nan fails too
-            raise ChecksumError(f"model lam {lam!r} is not positive and finite")
-        table.entries[key] = SegmentationModel(fg, bg, lam, info)
-        table.versions[key] = rec["version"]
-    widths = set()
-    for rec in index["exemplars"]:
-        if rec["first"] not in (0, 1):
-            raise ChecksumError(f"mask starts with label {rec['first']!r}")
-        runs = _array(payload, "<u4", rec["n_runs"], rec["runs_offset"])
-        if runs.sum() != rec["n"]:  # checked before decoding allocates the mask
-            raise ChecksumError("mask run lengths do not add up")
-        mask = _rle_decode(rec["first"], runs)
-        descriptor = None
-        if "descriptor_offset" in rec:
-            descriptor = _array(
-                payload, "<f8", rec["descriptor_len"], rec["descriptor_offset"]
-            ).copy()
-            if not np.isfinite(descriptor).all():
-                raise ChecksumError(f"exemplar descriptor of {rec['phrase']!r} is not finite")
-            widths.add(len(descriptor))
-        table.exemplars.setdefault(rec["phrase"], []).append(
-            ExemplarMask(rec["image_id"], rec["score"], mask, descriptor)
-        )
-    if len(widths) > 1:
-        raise ChecksumError(f"exemplar descriptors differ in length: {sorted(widths)}")
+    table = SegmentPhraseTable(_whole(index["k_exemplars"], 1, "k_exemplars"))
+    _read_models(table, index["entries"], payload)
+    _read_exemplars(table, index["exemplars"], payload)
     return table
+
+
+def _model_info(fields) -> ModelInfo:
+    info = ModelInfo(**fields)  # an unknown key is a TypeError
+    if type(info.phrase) is not str:
+        raise ChecksumError(f"model info phrase {info.phrase!r} is not a string")
+    for name in ("component_id", "instances", "iterations"):
+        _whole(getattr(info, name), 0, f"model info {name}")
+    if type(info.energy_history) is not list:
+        raise ChecksumError(f"energy history {info.energy_history!r} is not a list")
+    for energy in info.energy_history:
+        _finite(energy, "energy")
+    return info
+
+
+def _read_models(table: SegmentPhraseTable, records, payload: bytes) -> None:
+    """Every model, its mixtures checked in one pass over the payload range
+    that they tile."""
+    heads = []
+    sizes = []  # weights, means, variances: mixture after mixture
+    end = 0
+    for rec in records:
+        key = PhraseKey(rec["phrase"], _whole(rec["component_id"], 0, "component_id"))
+        if key in table.versions:
+            raise ChecksumError(f"two models for {key.phrase!r} component {key.component_id}")
+        table.versions[key] = _whole(rec["version"], 1, "version")
+        lam = _finite(rec["lam"], "model lam")
+        if lam <= 0:
+            raise ChecksumError(f"model lam {lam!r} is not positive")
+        dim = _whole(rec["dim"], 1, "dim")
+        k_fg = _whole(rec["k_fg"], 1, "k_fg")
+        k_bg = _whole(rec["k_bg"], 1, "k_bg")
+        if _whole(rec["offset"], 0, "model offset") != end:
+            raise ChecksumError(f"model offset {rec['offset']} is not {end}, where the last ends")
+        heads.append((key, lam, _model_info(rec["info"]), dim, k_fg, k_bg))
+        sizes += (k_fg, k_fg * dim, k_fg * dim, k_bg, k_bg * dim, k_bg * dim)
+        end += 8 * (k_fg + k_bg) * (1 + 2 * dim)
+    if end > len(payload):
+        raise ChecksumError(f"models end at byte {end}, outside the payload")
+    values = np.frombuffer(payload, "<f8", end // 8).copy()
+    part = np.repeat(np.arange(len(sizes)) % 3, sizes)
+    weights = values[part == 0]
+    k = np.array(sizes[::3], np.int64)
+    # the CRC proves the bytes are as written, not that they form mixtures
+    if not (np.isfinite(weights).all() and (weights >= 0.0).all()
+            and (abs(np.add.reduceat(weights, np.cumsum(k) - k) - 1.0) <= _SIMPLEX_TOL).all()):
+        raise ChecksumError("mixture weights are not a probability vector")
+    if not np.isfinite(values[part == 1]).all():
+        raise ChecksumError("mixture means are not finite")
+    # the E-step's error bound holds from the floor up, which every fit keeps
+    variances = values[part == 2]
+    if not (np.isfinite(variances).all() and (variances >= VARIANCE_FLOOR).all()):
+        raise ChecksumError(
+            f"mixture variances are not finite and at least {VARIANCE_FLOOR}"
+        )
+    at = 0
+    for key, lam, info, dim, k_fg, k_bg in heads:
+        fg, at = _mixture(values, at, k_fg, dim)
+        bg, at = _mixture(values, at, k_bg, dim)
+        table.entries[key] = SegmentationModel(fg, bg, lam, info)
+
+
+def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes) -> None:
+    """Every exemplar: the masks decoded with one np.repeat over all runs,
+    the descriptors gathered and checked in one pass."""
+    heads = []  # (phrase, image_id, score)
+    lengths, firsts, run_at, n_runs = [], [], [], []
+    widths, desc_at = [], []  # a width of 0: no descriptor
+    for rec in records:
+        phrase = _normalized(rec["phrase"])
+        image_id = rec["image_id"]
+        if type(image_id) is not str:
+            raise ChecksumError(f"image_id {image_id!r} is not a string")
+        heads.append((phrase, image_id, _finite(rec["score"], "exemplar score")))
+        lengths.append(_whole(rec["n"], 0, "mask length"))
+        first = rec["first"]
+        if type(first) is not int or first not in (0, 1):
+            raise ChecksumError(f"mask starts with label {first!r}")
+        firsts.append(first)
+        run_at.append(_word_index(payload, rec["runs_offset"], rec["n_runs"], 1, "mask runs"))
+        n_runs.append(rec["n_runs"])
+        width = 0
+        if "descriptor_offset" in rec:
+            width = _whole(rec["descriptor_len"], 1, "descriptor_len")
+            desc_at.append(
+                _word_index(payload, rec["descriptor_offset"], width, 2, "descriptor")
+            )
+        widths.append(width)
+
+    words = np.frombuffer(payload, "<u4", len(payload) // 4)
+    counts = np.array(n_runs, np.int64)
+    runs = words[_gather(run_at, counts)]
+    ends = np.concatenate(([0], np.cumsum(runs, dtype=np.int64)))
+    before = np.cumsum(counts) - counts
+    # checked before decoding allocates the masks
+    if not np.array_equal(ends[before + counts] - ends[before], lengths):
+        raise ChecksumError("mask run lengths do not add up")
+    masks = _rle_decode(np.array(firsts, np.int64), counts, runs)
+
+    described = [w for w in widths if w]
+    descriptors = words[_gather(desc_at, 2 * np.array(described, np.int64))].view("<f8")
+    finite = np.isfinite(descriptors)
+    if not finite.all():
+        bad = np.searchsorted(np.cumsum(described), np.argmin(finite), side="right")
+        phrase = [h[0] for h, w in zip(heads, widths) if w][bad]
+        raise ChecksumError(f"exemplar descriptor of {phrase!r} is not finite")
+    if len(set(described)) > 1:
+        raise ChecksumError(f"exemplar descriptors differ in length: {sorted(set(described))}")
+
+    at = d = 0
+    for (phrase, image_id, score), n, width in zip(heads, lengths, widths):
+        descriptor = descriptors[d : d + width] if width else None
+        table.exemplars.setdefault(phrase, []).append(
+            ExemplarMask(image_id, score, masks[at : at + n], descriptor)
+        )
+        at += n
+        d += width

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segphrase import relations
+import segphrase
+from segphrase import cli, relations
 from segphrase.cli import main, parse_train_manifest
 from segphrase.config import Config, load_config
 from segphrase.errors import DataError
@@ -398,6 +402,86 @@ def test_help_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
     assert "--graph" in capsys.readouterr().out
+
+
+def _entail_dataset(tmp_path):
+    """A two-phrase table and entail dataset; the valid relations argv on them."""
+    write_two_phrase_table(tmp_path / "t.spt")
+    (tmp_path / "d.tsv").write_text("a\tb\tentails\nb\ta\tnot-entails\n")
+    return ["relations", "entail", str(tmp_path / "d.tsv"), str(tmp_path / "o.csv"),
+            "--table", str(tmp_path / "t.spt"), "--graph"]
+
+
+def test_shared_parser_survives_usage_help_and_data_errors(tmp_path, capsys):
+    argv = _entail_dataset(tmp_path)
+    outputs = (tmp_path / "o.csv", tmp_path / "o.curve.csv")
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from segphrase.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(segphrase.__file__).parents[1])},
+    )
+    expected = (0, fresh.stdout.decode(), *(path.read_bytes() for path in outputs))
+
+    def valid_run():
+        for path in outputs:
+            path.unlink()
+        capsys.readouterr()
+        rc = main(argv)
+        return (rc, capsys.readouterr().out, *(path.read_bytes() for path in outputs))
+
+    assert valid_run() == expected
+    for bad, code in ((["relations", "badmode", "x", "y"], 1), (["relations", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == code
+        assert valid_run() == expected
+    assert main([*argv[:2], str(tmp_path / "missing.tsv"), *argv[3:]]) == 2
+    assert valid_run() == expected
+
+
+def test_one_parser_serves_every_main_call(tmp_path, monkeypatch, capsys):
+    argv = _entail_dataset(tmp_path)
+    built = []
+
+    def counting(real=cli.build_parser):
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert [main(argv), main(["relations", "entail", "x", "y"]), main(argv)] == [0, 2, 0]
+        with pytest.raises(SystemExit):
+            main(["synth"])
+        assert main(argv) == 0
+    finally:
+        cli._parser.cache_clear()  # the next main call builds with the real build_parser
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda ix: ix["entries"][1].update(phrase="a"), "two models for 'a' component 0"),
+    (lambda ix: ix["exemplars"][1].update(phrase="B"), "'B' is not a normalized string"),
+    (lambda ix: [rec.update(descriptor_len=0) for rec in ix["exemplars"]],
+     "descriptor_len 0 is not an integer >= 1"),
+], ids=["duplicated-model", "unnormalized-exemplar-phrase", "zero-length-descriptors"])
+def test_structurally_malformed_table_exits_2(edit, reason, tmp_path, capsys):
+    # under a valid CRC these used to load: the last duplicate won, the
+    # exemplar sat under a key no query reaches, the empty descriptors
+    # ended in exit 3 (zero norm)
+    from test_spt import _edit_index
+
+    argv = _entail_dataset(tmp_path)
+    table = load_table(tmp_path / "t.spt")
+    good = GaussianMixture(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
+    for phrase in ("a", "b"):
+        table.insert(PhraseKey.make(phrase), SegmentationModel(good, good, 1.0))
+    save_table(table, tmp_path / "t.spt")
+    _edit_index(tmp_path / "t.spt", edit)
+    err = _data_error(main(argv), capsys.readouterr())
+    assert err.startswith("segphrase: data error: ") and reason in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_bad_detections_file_exits_2(tmp_path, workspace, capsys):

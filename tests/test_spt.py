@@ -1,4 +1,5 @@
 import json
+import random
 import struct
 import zlib
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from segphrase.errors import DataError
 from segphrase.gmm import GaussianMixture
 from segphrase.latent import ModelInfo, SegmentationModel
+import spt_oracle
 from segphrase.spt import (
     FORMAT_VERSION,
     MAGIC,
@@ -159,13 +161,15 @@ def test_rle_decode_inverts_encode(mask):
     mask = np.array(mask, dtype=np.uint8)
     first, runs = _rle_encode(mask)
     assert runs.dtype == np.dtype("<u4") and first == (int(mask[0]) if len(mask) else 0)
-    out = _rle_decode(first, runs)
+    out = _rle_decode(np.array([first]), np.array([len(runs)]), runs)
     assert out.dtype == np.uint8 and np.array_equal(out, mask)
 
 
 def test_rle_decode_skips_empty_runs():
-    runs = np.array([2, 0, 1, 3], dtype="<u4")
-    assert _rle_decode(1, runs).tolist() == [1, 1, 1, 0, 0, 0]
+    # two masks in one call: [2, 0, 1, 3] from 1, then [1, 2] from 0
+    runs = np.array([2, 0, 1, 3, 1, 2], dtype="<u4")
+    out = _rle_decode(np.array([1, 0]), np.array([4, 2]), runs)
+    assert out.tolist() == [1, 1, 1, 0, 0, 0] + [0, 1, 1]
 
 
 def test_empty_table_round_trip(tmp_path):
@@ -286,11 +290,25 @@ def _described(index):
     lambda ix: ix["entries"][0].update(lam=-1e308),
     lambda ix: ix["entries"][0].update(lam=0.0),
     lambda ix: ix["entries"][0].update(phrase=5),
+    lambda ix: ix["entries"][0].update(component_id=1.5),
+    lambda ix: ix["entries"][0].update(version="x"),
+    lambda ix: ix.update(k_exemplars="5"),
+    lambda ix: ix.update(k_exemplars=-3),
+    lambda ix: ix["exemplars"][0].update(image_id=7),
+    lambda ix: ix["entries"][0]["info"].update(energy_history="abc"),
+    lambda ix: ix["exemplars"][0].update(first=True),
+    lambda ix: ix["entries"][0].update(lam=True),
+    lambda ix: ix["exemplars"][0].update(runs_offset=ix["exemplars"][0]["runs_offset"] + 2),
+    lambda ix: ix["exemplars"][0].update(phrase="Bright  Square"),
+    lambda ix: [rec.update(descriptor_len=0) for rec in _described(ix)],
 ], ids=["runs-offset-past-end", "runs-offset-negative", "n-runs-negative",
         "model-offset-past-end", "model-offset-negative", "missing-lam",
         "unknown-info-key", "string-k", "zero-k", "zero-dim", "missing-k-exemplars", "descriptor-len-5",
         "descriptor-offset-past-end", "first-7", "runs-short-of-n", "nan-lam", "negative-lam",
-        "zero-lam", "integer-phrase"])
+        "zero-lam", "integer-phrase", "fractional-component-id", "string-version",
+        "string-k-exemplars", "negative-k-exemplars", "integer-image-id",
+        "string-energy-history", "boolean-first", "boolean-lam", "unaligned-runs-offset",
+        "unnormalized-exemplar-phrase", "zero-length-descriptors"])
 def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
     path = tmp_path / "t.spt"
     save_table(random_table(5, n_entries=1, n_exemplars=3), path)
@@ -299,6 +317,109 @@ def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
     _edit_index(path, edit)
     with pytest.raises(ChecksumError):
         load_table(path)
+
+
+def _same_dtypes(a, b):
+    """Every array of table a has the dtype of its counterpart in table b."""
+    for key, model in a.entries.items():
+        theirs = b.entries[key]
+        for ga, gb in ((model.theta_fg, theirs.theta_fg), (model.theta_bg, theirs.theta_bg)):
+            for name in ("weights", "means", "variances"):
+                if getattr(ga, name).dtype != getattr(gb, name).dtype:
+                    return False
+    for phrase, bucket in a.exemplars.items():
+        for x, y in zip(bucket, b.exemplars[phrase]):
+            if x.mask.dtype != y.mask.dtype:
+                return False
+            if x.descriptor is not None and x.descriptor.dtype != y.descriptor.dtype:
+                return False
+    return True
+
+
+def _fifty_entry_table():
+    rng = np.random.default_rng(4)
+    table = SegmentPhraseTable()
+    for i in range(50):
+        table.insert(PhraseKey.make(f"phrase {i}"), random_model(rng))
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    *(random_table(seed, n_entries=seed % 4, n_exemplars=seed % 5) for seed in range(12)),
+    _fifty_entry_table(),
+], ids=[*(f"random-{seed}" for seed in range(12)), "fifty-entries"])
+def test_array_decoder_matches_record_by_record_oracle(tmp_path, table):
+    path = tmp_path / "t.spt"
+    save_table(table, path)
+    ours = load_table(path)
+    theirs = spt_oracle.table_from(*spt_oracle.split_table(path))
+    assert ours.deep_equal(theirs) and theirs.deep_equal(table)
+    assert _same_dtypes(ours, theirs) and _same_dtypes(theirs, ours)
+
+
+def _leaves(node, path=()):
+    """(path, value) of every node under the index, the root excluded."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield path + (key,), child
+        yield from _leaves(child, path + (key,))
+
+
+def _mutate(index, rng):
+    """One random edit of the index: swap a value's type, negate a number,
+    shift an offset, drop a key or duplicate a record."""
+    nodes = list(_leaves(index))
+    kind = rng.choice(["swap", "negate", "shift", "drop", "duplicate"])
+
+    def parent(path):
+        node = index
+        for key in path[:-1]:
+            node = node[key]
+        return node
+
+    if kind == "swap":
+        path, _ = rng.choice(nodes)
+        parent(path)[path[-1]] = rng.choice(
+            [None, True, False, "x", "5", 1.5, -1, 0, 2**70, [], {}, [1.0], {"a": 1}]
+        )
+    elif kind == "negate":
+        numbers = [(p, v) for p, v in nodes if type(v) in (int, float)]
+        path, value = rng.choice(numbers)
+        parent(path)[path[-1]] = -value
+    elif kind == "shift":
+        offsets = [(p, v) for p, v in nodes if p[-1] in ("offset", "runs_offset",
+                                                         "descriptor_offset")]
+        path, value = rng.choice(offsets)
+        parent(path)[path[-1]] = value + rng.choice([-8, -4, -1, 1, 4, 8])
+    elif kind == "drop":
+        path, _ = rng.choice([(p, v) for p, v in nodes if isinstance(p[-1], str)])
+        del parent(path)[path[-1]]
+    else:
+        records = index[rng.choice(["entries", "exemplars"])]
+        at = rng.randrange(len(records))
+        records.insert(rng.randrange(len(records) + 1), json.loads(json.dumps(records[at])))
+
+
+def test_mutated_index_loads_round_trip_or_is_a_data_error(tmp_path):
+    # every mutant either loads into a table that saves and reloads
+    # deep-equal, or is a DataError: never another exception
+    rng = random.Random(17)
+    path, again = tmp_path / "t.spt", tmp_path / "again.spt"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for mutant in range(400):
+        save_table(random_table(mutant % 8, n_entries=2, n_exemplars=3), path)
+        _edit_index(path, lambda ix: _mutate(ix, rng))
+        try:
+            table = load_table(path)
+        except DataError:
+            outcomes["rejected"] += 1
+            continue
+        outcomes["loaded"] += 1
+        save_table(table, again)
+        assert load_table(again).deep_equal(table), mutant
+    assert min(outcomes.values()) > 20, outcomes
 
 
 @settings(max_examples=25, deadline=None)
