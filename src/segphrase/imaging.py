@@ -42,11 +42,8 @@ _INTENSITY_SCALE = 0.2
 _KMEANS_ITERS = 10
 # window elements evaluated per block of seed-grid rows (at least one row)
 _KMEANS_BLOCK = 1 << 16
-# work of deciding one pixel on its own (`_full_pass`), in window elements:
-# about 1.3-2 us a pixel against 14-20 ns an element
-_REDO_COST = 100
-# slack of a pixel's need and of `_full_pass`'s seed spans, in pixels:
-# far above the rounding of a distance (a few ulps), far below a pixel
+# slack of the crop's proof bound and of `_full_pass`'s seed spans, in
+# pixels: far above the rounding of a distance (a few ulps), far below a pixel
 _NEED_MARGIN = 1e-6
 
 
@@ -113,10 +110,8 @@ class SuperpixelGraph:
 # ---------------------------------------------------------------------------
 
 def _parse_netpbm_header(buf: bytes):
-    """Return (magic, width, height, maxval, payload_offset)."""
-    if len(buf) < 2:
-        raise MalformedHeaderError("file too short for a magic number")
-    magic = buf[:2].decode("ascii", errors="replace")
+    """Return (width, height, maxval, payload_offset) of the header after
+    the two-byte magic."""
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -139,23 +134,22 @@ def _parse_netpbm_header(buf: bytes):
     if pos >= len(buf):
         raise MalformedHeaderError("missing whitespace after maxval")
     pos += 1  # single whitespace byte separates header from payload
-    return magic, fields[0], fields[1], fields[2], pos
+    return fields[0], fields[1], fields[2], pos
 
 
 def load_image(path) -> Image:
     """Decode a binary PGM (P5) or PPM (P6) file, scaling values to [0, 1]."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    if len(buf) >= 2 and buf[:1] == b"P" and buf[:2] not in (b"P5", b"P6"):
-        raise UnsupportedMagicError(f"unsupported magic number {buf[:2]!r}")
-    magic, width, height, maxval, offset = _parse_netpbm_header(buf)
-    if magic not in ("P5", "P6"):
+    magic = buf[:2]
+    if magic not in (b"P5", b"P6"):
         raise UnsupportedMagicError(f"unsupported magic number {magic!r}")
+    width, height, maxval, offset = _parse_netpbm_header(buf)
     if width <= 0 or height <= 0:
         raise MalformedHeaderError("non-positive image dimensions")
     if not 0 < maxval <= 255:
         raise MalformedHeaderError(f"maxval {maxval} outside (0, 255]")
-    channels = 1 if magic == "P5" else 3
+    channels = 1 if magic == b"P5" else 3
     need = width * height * channels
     payload = buf[offset : offset + need]
     if len(payload) < need:
@@ -219,26 +213,22 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     the lowest index among equal d2. Pixels outside every window take the
     globally nearest centre.
 
-    Each iteration evaluates the windows cropped to +-c pixels around
-    their anchors (`_window_pass`). Let B_p be the smallest d2 the cropped
-    windows give pixel p. They found p's winner, with the lowest index
-    among equal d2, when p's need, ceil(sqrt(B_p) * interval +
-    _NEED_MARGIN), is at most c. The crop drops a covering centre for p
+    Every iteration evaluates the windows cropped to +-c pixels around
+    their anchors (`_window_pass`), c = `_crop(interval)`, one grid
+    interval as SLIC searches. The target is at most the pixel count, so
+    interval >= 1 and 1 <= c < reach. Let B_p be the smallest d2 the
+    cropped windows give pixel p. The crop drops a covering centre for p
     only when its anchor is more than c pixels from p in x or y; then its
     centre is too (the anchor is the centre rounded down), so its spatial
-    term exceeds (c / interval)**2, while B_p is at most ((c -
-    _NEED_MARGIN) / interval)**2. The margin dwarfs the rounding of both, and a computed
-    d2 is at least its computed spatial term (both terms are non-negative
-    and rounding is monotone), so a dropped centre can neither beat B_p
-    nor tie with it. Pixels whose need exceeds c (needs are capped at
-    reach, the whole window), and pixels no cropped window covers, are
-    decided again against all the windows covering them (`_full_pass`).
-
-    The crop of an iteration is the c that minimizes the windows' work,
-    n * (2c + 1)**2 elements, plus _REDO_COST elements per pixel decided
-    again (`_choose_crop`), with each pixel's need from the iteration
-    before as the estimate; before the first, its d2 to the seed of its
-    grid cell stands in for B_p.
+    term exceeds (c / interval)**2. So when B_p is at most ((c -
+    _NEED_MARGIN) / interval)**2, the cropped windows found p's winner,
+    with the lowest index among equal d2: the margin dwarfs the rounding
+    of both bounds, and a computed d2 is at least its computed spatial
+    term (both terms are non-negative and rounding is monotone), so a
+    dropped centre can neither beat B_p nor tie with it. This holds for
+    any crop, which moves only work, never a label. Pixels above the
+    bound, and pixels no cropped window covers (B_p = inf), are decided
+    again against all the windows covering them (`_full_pass`).
     """
     h, w = intensity.shape
     interval = math.sqrt(w * h / target_count)
@@ -259,10 +249,10 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     pixel_i = intensity.ravel()
     pixels = (pixel_x, pixel_y, pixel_i)
     scale2 = interval * interval
-    reach = max(1, int(math.ceil(2 * interval)))
+    reach = math.ceil(2 * interval)
+    crop = _crop(interval)
+    proven = ((crop - _NEED_MARGIN) / interval) ** 2
 
-    seed = (np.arange(h)[:, None] * rows // h * cols + np.arange(w) * cols // w).ravel()
-    need = _window_need(_d2(pixels, centers, seed, scale2), interval, reach)
     padded = np.pad(intensity, reach).ravel()
     for it in range(_KMEANS_ITERS):
         if it:
@@ -274,35 +264,17 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
             for center, values in zip(centers, pixels):
                 sums = np.bincount(flat, weights=values, minlength=n_centers)
                 center[used] = sums[used] / counts[used]
-        crop = _choose_crop(need, n_centers, reach)
         assign, best = _window_pass(padded, (h, w), centers, cols, scale2, reach, crop)
         flat = assign.ravel()
-        need = _window_need(best.ravel(), interval, reach)
-        redo = np.flatnonzero((need > crop) | (flat < 0))
-        flat[redo], best = _full_pass(redo, pixels, centers, (cy, cx), scale2, reach, (h, w))
-        need[redo] = _window_need(best, interval, reach)
+        redo = np.flatnonzero(best.ravel() > proven)
+        flat[redo] = _full_pass(redo, pixels, centers, (cy, cx), scale2, reach, (h, w))
     return assign
 
 
-def _window_need(best, interval, reach):
-    """Per pixel, the crop that holds every centre within sqrt(best)
-    intervals of it: ceil(sqrt(best) * interval + _NEED_MARGIN), capped
-    at reach, the whole window. best is overwritten."""
-    need = np.sqrt(best, out=best)
-    need *= interval
-    need += _NEED_MARGIN
-    np.minimum(need, reach, out=need)
-    np.ceil(need, out=need)
-    return need.astype(np.int32)
-
-
-def _choose_crop(need, n_centers, reach):
-    """The crop c in [1, reach] minimizing n * (2c + 1)**2 window elements
-    plus _REDO_COST for each pixel whose need exceeds c."""
-    at_least = np.bincount(need.ravel(), minlength=reach + 2)[::-1].cumsum()[::-1]
-    c = np.arange(1, reach + 1)
-    cost = n_centers * (2 * c + 1) ** 2 + _REDO_COST * at_least[c + 1]
-    return int(c[np.argmin(cost)])
+def _crop(interval):
+    """Half-width of the evaluated windows, one grid interval rounded; a
+    function of its own so that tests can force another crop."""
+    return round(interval)
 
 
 def _window_pass(padded, shape, centers, cols, scale2, reach, crop):
@@ -399,8 +371,8 @@ def _window_pass(padded, shape, centers, cols, scale2, reach, crop):
 
 def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
     """Winner of each raveled pixel in `at` among all the windows that
-    cover it, by the same d2 and tie rule, and its d2 (the globally
-    nearest centre and inf if none does).
+    cover it, by the same d2 and tie rule (the globally nearest centre if
+    none does).
 
     grid = (ys, xs) holds the seed rows and columns, ascending: centre k
     was seeded at (ys[k // len(xs)], xs[k % len(xs)]). Every anchor lies
@@ -415,7 +387,7 @@ def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
     winner = np.empty(len(at), dtype=np.int32)
     best = np.empty(len(at))
     if not at.size:
-        return winner, best
+        return winner
     anchor_x, anchor_y = centers[0].astype(int), centers[1].astype(int)
     span_y = reach + np.abs(anchor_y.reshape(-1, cols) - grid_y[:, None]).max() + _NEED_MARGIN
     span_x = reach + np.abs(anchor_x.reshape(-1, cols) - grid_x).max() + _NEED_MARGIN
@@ -440,11 +412,11 @@ def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
         rows = np.arange(len(p))
         winner[s:s + step] = near[rows, col]
         best[s:s + step] = d2[rows, col]
-    missing = at[best == np.inf]
-    if missing.size:
-        d2 = _d2([v[missing, None] for v in pixels], centers, slice(None), scale2)
-        winner[best == np.inf] = np.argmin(d2, axis=1)
-    return winner, best
+    missing = best == np.inf
+    if missing.any():
+        d2 = _d2([v[at[missing], None] for v in pixels], centers, slice(None), scale2)
+        winner[missing] = np.argmin(d2, axis=1)
+    return winner
 
 
 def _d2(pixels, centers, at, scale2):

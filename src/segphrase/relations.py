@@ -58,8 +58,12 @@ class PhraseExemplars:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """Row norms of the descriptors, computed at the first pair scored."""
-        norms = np.linalg.norm(self.descriptors, axis=1)
+        """Row norms of the descriptors, computed at the first pair scored;
+        a norm that overflows is a DataError naming the phrase."""
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            norms = np.linalg.norm(self.descriptors, axis=1)
+        if not np.isfinite(norms).all():
+            raise DataError(f"exemplar descriptor of {self.phrase!r}: norm overflows")
         if (norms == 0).any():
             raise ZeroNormDescriptorError(
                 f"zero-norm exemplar descriptor for phrase {self.phrase!r}"
@@ -113,7 +117,8 @@ def entail_score(x: PhraseExemplars, y: PhraseExemplars) -> float:
     the broad set matching back. Both directions read one cosine block,
     x's rows against y's; its transpose is bitwise the block y against x.
     """
-    c = (x.descriptors @ y.descriptors.T) / np.outer(x.norms, y.norms)
+    norms = np.outer(x.norms, y.norms)  # first: it rejects overflowing norms
+    c = (x.descriptors @ y.descriptors.T) / norms
     # each mean as np.mean computes it (sum, then divide by the count)
     return float(c.max(axis=1).sum() / len(c)) - float(c.max(axis=0).sum() / len(c.T))
 

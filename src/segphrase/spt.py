@@ -312,7 +312,9 @@ def load_table(path) -> SegmentPhraseTable:
       least VARIANCE_FLOOR;
     - mask runs and descriptors lie inside the payload at 4-aligned
       offsets; a mask's first label is 0 or 1 and its runs add up to its
-      length; descriptors are finite, of one length of at least 1.
+      length; descriptors are finite, of one length of at least 1;
+    - each phrase holds at most k_exemplars exemplars, in add_exemplar's
+      (-score, image_id) order.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -479,3 +481,11 @@ def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes) -> None:
         )
         at += n
         d += width
+    # add_exemplar keeps each bucket sorted by (-score, image_id), cut to k
+    for phrase, bucket in table.exemplars.items():
+        keys = [(-e.score, e.image_id) for e in bucket]
+        if len(keys) > table.k_exemplars or keys != sorted(keys):
+            raise ChecksumError(
+                f"exemplars of {phrase!r} are not at most {table.k_exemplars} "
+                "in (-score, image_id) order"
+            )

@@ -815,6 +815,28 @@ def test_non_finite_exemplar_descriptor_exits_2(mode, bad, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["entail", "paraphrase"])
+@pytest.mark.parametrize("other", [1.0, 1e160])
+def test_overflowing_exemplar_descriptor_norm_exits_2(mode, other, tmp_path, capsys):
+    # every entry is finite, but the norm overflows: scoring would read a
+    # cosine of 0 (the true one is 1) with a RuntimeWarning; with 1e160 on
+    # the other side, the cosine block's product would overflow too
+    table = SegmentPhraseTable()
+    for phrase, vector in (("a", np.full(60, 1e200)), ("b", np.full(60, other))):
+        table.add_exemplar(phrase, ExemplarMask(phrase, 1.0, np.array([1]), vector))
+    save_table(table, tmp_path / "t.spt")
+    gold = {"entail": "entails", "paraphrase": "paraphrase"}[mode]
+    (tmp_path / "d.tsv").write_text(f"a\tb\t{gold}\n")
+    rc = main(["relations", mode, str(tmp_path / "d.tsv"), str(tmp_path / "o.csv"),
+               "--table", str(tmp_path / "t.spt")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not (tmp_path / "o.csv").exists()
+    assert captured.err == (
+        "segphrase: data error: exemplar descriptor of 'a': norm overflows\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, score_file, reason", [
     (["relations", "paraphrase", "{d}/p.tsv", "{d}/o.csv", "--table", "{d}/t.spt",
       "--tau", "nan"], None, "paraphrase_tau"),

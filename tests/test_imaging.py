@@ -61,6 +61,14 @@ def test_load_rejects_p4(tmp_path):
         load_image(path)
 
 
+@pytest.mark.parametrize("blob", [b"", b"P", b"5\n", b"XY\n2 two\n255\n", b"p5\n1 1\n255\n\0"])
+def test_load_checks_the_magic_before_the_header(tmp_path, blob):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(UnsupportedMagicError):
+        load_image(path)
+
+
 def test_load_rejects_malformed_header(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 two\n255\n" + bytes(4))
@@ -240,9 +248,9 @@ def _spy(monkeypatch, name):
 
 
 def _crops_and_redos(monkeypatch):
-    """Spy on the crop of every k-means iteration and on the pixels that
+    """Spy on the crop of every k-means call and on the pixels each
     iteration decides again; returns (crops, redone pixel counts)."""
-    crops = _spy(monkeypatch, "_choose_crop")
+    crops = _spy(monkeypatch, "_crop")
     redos = _spy(monkeypatch, "_full_pass")
     return crops, redos
 
@@ -253,12 +261,23 @@ def test_cropped_windows_match_oracle(seed, monkeypatch):
     scene = make_scene(SceneConfig(size=128, noise=0.05, seed=seed))
     _assert_same_as_oracle(scene.image, 400)
     reach = _kmeans_grid(128, 128, 400)[2]
-    assert len(crops) == imaging._KMEANS_ITERS
+    assert len(crops) == 1
     assert all(int(crop) < reach for _, crop in crops)
     # the pixels whose best cropped d2 needs a wider window are few, and
     # some are decided again
     redone = [len(args[0]) for args, _ in redos]
     assert any(redone) and max(redone) < 0.05 * 128 * 128
+
+
+# the benchmark's own shapes: noisy 64 px training scenes at the default
+# target, and 256 px segment scenes at target 800 (the oracle takes about
+# 0.8 s a 256 px image)
+@pytest.mark.parametrize("size,noise,fg,target", [(64, 0.12, 0.62, 200), (256, 0.05, 0.75, 800)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_matches_oracle_at_bench_shapes(size, noise, fg, target, seed):
+    scene = make_scene(SceneConfig(size=size, noise=noise, fg_texture=fg, bg_texture=0.25,
+                                   seed=seed))
+    _assert_same_as_oracle(scene.image, target)
 
 
 @pytest.mark.parametrize("w,h,target", [(40, 3, 10), (3, 40, 10)])
@@ -394,22 +413,40 @@ def test_matches_oracle_on_small_mixed_images(seed):
 def test_every_crop_matches_oracle(crop, seed, monkeypatch):
     # the crop only moves work between the windows and the pixels decided
     # again: forced to its extremes, the labels stay the oracle's
-    monkeypatch.setattr(imaging, "_choose_crop",
-                        lambda need, n, reach: reach if crop == "reach" else crop)
+    def forced(interval):
+        return math.ceil(2 * interval) if crop == "reach" else crop
+
+    monkeypatch.setattr(imaging, "_crop", forced)
     dots = (np.random.default_rng(seed).random((40, 8)) < 0.05).astype(float)
     _assert_same_as_oracle(Image(8, 40, 1, dots[:, :, None]), 8)
     noise = np.random.default_rng(seed).random((24, 30, 1))
     _assert_same_as_oracle(Image(30, 24, 1, noise), 20)
 
 
-def test_window_need_bounds_the_distance_strictly():
-    # the need holds every centre within sqrt(best) intervals, with slack
-    # for rounding: a distance of exactly k pixels needs k + 1, up to the
-    # whole window
-    interval, reach = 2.0, 9
-    best = np.array([0.0, 1.0, 1.0 + 1e-12, 4.0, 6.25, 16.0, 100.0, np.inf])
-    need = imaging._window_need(best.copy(), interval, reach)
-    assert need.tolist() == [1, 3, 3, 5, 6, 9, 9, 9]
+@pytest.mark.parametrize("w,h,target", [(16, 16, 4), (20, 20, 7), (30, 18, 12)])
+def test_proven_threshold_is_strict(w, h, target, monkeypatch):
+    # a best cropped d2 of exactly (crop / interval)**2 is decided again,
+    # as is one a ulp above the proof's bound; the bound itself, and below,
+    # are kept
+    interval = math.sqrt(w * h / target)
+    crop = imaging._crop(interval)
+    bound = (crop / interval) ** 2
+    proven = ((crop - imaging._NEED_MARGIN) / interval) ** 2
+    assert proven < bound
+    real = imaging._window_pass
+
+    def tampered(*args):
+        assign, best = real(*args)
+        # uniform intensity: every true best d2 is well inside the bound
+        assert (best <= 0.5 * proven).all()
+        best.flat[:4] = bound, np.nextafter(proven, np.inf), proven, 0.0
+        return assign, best
+
+    monkeypatch.setattr(imaging, "_window_pass", tampered)
+    redos = _spy(monkeypatch, "_full_pass")
+    _assert_same_as_oracle(uniform_image(w, h, 0.3), target)
+    assert len(redos) == imaging._KMEANS_ITERS
+    assert all(args[0].tolist() == [0, 1] for args, _ in redos)
 
 
 def test_full_pass_gives_uncovered_pixels_the_nearest_centre():
@@ -420,19 +457,18 @@ def test_full_pass_gives_uncovered_pixels_the_nearest_centre():
     centers = (np.array([0.5, 4.0, 7.5]), np.array([0.5, 8.0, 7.5]), np.array([0.2, 0.85, 0.2]))
     at = np.array([4 * w + 4, 0, 8 * w + 4])
     grid = (np.array([4.0]), np.array([1.0, 4.0, 7.0]))
-    winner, best = imaging._full_pass(at, pixels, centers, grid, 1.0, 2, (h, w))
+    winner = imaging._full_pass(at, pixels, centers, grid, 1.0, 2, (h, w))
     assert winner.tolist() == [0, 0, 1]
-    assert best.tolist() == [np.inf, 0.5, ((0.2 - 0.85) / 0.2) ** 2]
 
 
 def _full_pass_reference(at, pixels, centers, scale2, reach, w):
     """Each pixel against every centre, one at a time: the smallest d2
     among the windows covering it, lowest index on ties; else the
-    globally nearest centre and inf."""
-    winner, best = [], []
+    globally nearest centre."""
+    winner = []
     for p in at.tolist():
         y, x = divmod(p, w)
-        top, covered, nearest = (np.inf, -1), (np.inf, -1), None
+        top, covered = (np.inf, -1), (np.inf, -1)
         for k, (cx, cy, ci) in enumerate(zip(*centers)):
             dx, dy = pixels[0][p] - cx, pixels[1][p] - cy
             di = (pixels[2][p] - ci) / imaging._INTENSITY_SCALE
@@ -442,8 +478,7 @@ def _full_pass_reference(at, pixels, centers, scale2, reach, w):
             if abs(int(cx) - x) <= reach and abs(int(cy) - y) <= reach and (d2, k) < covered:
                 covered = (d2, k)
         winner.append(covered[1] if covered[1] >= 0 else top[1])
-        best.append(covered[0])
-    return winner, best
+    return winner
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -466,10 +501,8 @@ def test_full_pass_matches_reference_for_any_drift(seed):
     reach = int(rng.integers(1, 8))
     scale2 = float(rng.choice([1.0, 2.25, 7.0]))
     at = rng.permutation(w * h)[:int(rng.integers(1, w * h))]
-    winner, best = imaging._full_pass(at, pixels, centers, grid, scale2, reach, (h, w))
-    want_winner, want_best = _full_pass_reference(at, pixels, centers, scale2, reach, w)
-    assert winner.tolist() == want_winner
-    assert best.tolist() == want_best
+    winner = imaging._full_pass(at, pixels, centers, grid, scale2, reach, (h, w))
+    assert winner.tolist() == _full_pass_reference(at, pixels, centers, scale2, reach, w)
 
 
 def test_one_ulp_apart_matches_oracle():

@@ -301,6 +301,9 @@ def _described(index):
     lambda ix: ix["exemplars"][0].update(runs_offset=ix["exemplars"][0]["runs_offset"] + 2),
     lambda ix: ix["exemplars"][0].update(phrase="Bright  Square"),
     lambda ix: [rec.update(descriptor_len=0) for rec in _described(ix)],
+    lambda ix: ix.update(k_exemplars=2),
+    lambda ix: ix["exemplars"].reverse(),
+    lambda ix: (ix.update(k_exemplars=2), ix["exemplars"].reverse()),
 ], ids=["runs-offset-past-end", "runs-offset-negative", "n-runs-negative",
         "model-offset-past-end", "model-offset-negative", "missing-lam",
         "unknown-info-key", "string-k", "zero-k", "zero-dim", "missing-k-exemplars", "descriptor-len-5",
@@ -308,7 +311,8 @@ def _described(index):
         "zero-lam", "integer-phrase", "fractional-component-id", "string-version",
         "string-k-exemplars", "negative-k-exemplars", "integer-image-id",
         "string-energy-history", "boolean-first", "boolean-lam", "unaligned-runs-offset",
-        "unnormalized-exemplar-phrase", "zero-length-descriptors"])
+        "unnormalized-exemplar-phrase", "zero-length-descriptors", "three-exemplars-at-k-2",
+        "ascending-scores", "three-ascending-at-k-2"])
 def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
     path = tmp_path / "t.spt"
     save_table(random_table(5, n_entries=1, n_exemplars=3), path)
