@@ -390,6 +390,8 @@ def cmd_synth(args) -> int:
         raise DataError(f"bad synth parameters: {exc}") from exc
     if any(c in args.phrase + args.out_dir for c in "\r\n"):  # one manifest line per scene
         raise DataError("bad synth parameters: a line break in the phrase or out_dir")
+    if not normalize_phrase(args.phrase):  # train rejects an empty phrase
+        raise DataError(f"bad synth parameters: phrase {args.phrase!r} is blank")
     # quoted as parse_train_manifest's shlex.split reads it back
     phrase = '"' + args.phrase.replace("\\", "\\\\").replace('"', '\\"') + '"'
     os.makedirs(args.out_dir, exist_ok=True)

@@ -60,6 +60,8 @@ def load_config(path) -> Config:
         key, _, value = (t.strip() for t in line.partition("="))
         if key not in _FIELDS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise DataError(f"{path}:{lineno}: duplicate config key {key!r}")
         caster = int if _FIELDS[key] in ("int", int) else float
         try:
             values[key] = caster(value)

@@ -4,7 +4,10 @@ One file holds everything: an 8-byte magic and format version, a JSON
 index describing every entry, a packed numeric payload (float64 mixture
 parameters, run-length-encoded superpixel masks, float64 descriptors),
 and a trailing CRC32 over the whole stream. The JSON part stays readable
-with a hex editor; the numbers round-trip at full precision.
+with a hex editor; the numbers round-trip at full precision. The payload
+regions lie back to back in index order, so every offset follows from
+the records before it, and load_table accepts only a file that
+save_table would write back byte for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ MAGIC = b"SEGPHTBL"
 FORMAT_VERSION = 1
 # how far a stored mixture's weights may sum from 1 (a fit's are within ulps)
 _SIMPLEX_TOL = 1e-9
+# the keys save_table writes in the index, a model record, its info and an exemplar record
+_INDEX_KEYS = {"k_exemplars", "entries", "exemplars", "payload_len"}
+_ENTRY_KEYS = {"phrase", "component_id", "version", "lam", "dim", "k_fg", "k_bg", "offset", "info"}
+_INFO_FIELDS = ("phrase", "component_id", "instances", "iterations", "energy_history")
+_EXEMPLAR_KEYS = {"phrase", "image_id", "score", "n", "first", "runs_offset", "n_runs"}
+_DESCRIBED_KEYS = _EXEMPLAR_KEYS | {"descriptor_offset", "descriptor_len"}
 
 
 class ValidationError(DataError):
@@ -194,22 +203,10 @@ def _mixture(values: np.ndarray, at: int, k: int, dim: int):
     return GaussianMixture(values[at : at + k], means, variances), end
 
 
-def _word_index(payload: bytes, offset, count, words: int, what: str) -> int:
-    """offset // 4 for count items of `words` 4-byte words each at byte
-    offset, which must be 4-aligned with every item inside the payload."""
-    _whole(offset, 0, f"{what} offset")
-    _whole(count, 0, f"{what} count")
-    if offset % 4 or offset + 4 * words * count > len(payload):
-        raise ChecksumError(
-            f"{what}: {count} items at offset {offset} do not lie 4-aligned in the payload"
-        )
-    return offset // 4
-
-
-def _gather(starts: list[int], counts: np.ndarray) -> np.ndarray:
-    """Indices of counts[i] consecutive items from starts[i], for every i in turn."""
-    before = np.cumsum(counts) - counts
-    return np.repeat(np.array(starts, np.int64) - before, counts) + np.arange(counts.sum())
+def _offset(value, end: int, what: str) -> None:
+    """Check that a region's stored offset is end: regions lie back to back."""
+    if type(value) is not int or value != end:
+        raise ChecksumError(f"{what} {value!r} is not {end}, where the last region ends")
 
 
 def _rle_encode(mask: np.ndarray) -> tuple[int, np.ndarray]:
@@ -247,13 +244,7 @@ def save_table(table: SegmentPhraseTable, path) -> None:
                 "k_fg": model.theta_fg.k,
                 "k_bg": model.theta_bg.k,
                 "offset": offset,
-                "info": {
-                    "phrase": model.info.phrase,
-                    "component_id": model.info.component_id,
-                    "instances": model.info.instances,
-                    "iterations": model.info.iterations,
-                    "energy_history": model.info.energy_history,
-                },
+                "info": {name: getattr(model.info, name) for name in _INFO_FIELDS},
             }
         )
     index_exemplars = []
@@ -296,25 +287,25 @@ def save_table(table: SegmentPhraseTable, path) -> None:
 def load_table(path) -> SegmentPhraseTable:
     """The table saved at path, decoded and checked in whole-table passes.
 
-    Besides its magic, version, length and CRC, a file must hold an index
-    that save_table could have written; anything else is a ChecksumError
-    (exit 2), however the CRC reads:
-    - k_exemplars, each version and each mixture's k and dim are ints of
-      at least 1; component ids, mask lengths and offsets ints of at
-      least 0 (a bool is no int); info counts are ints of at least 0,
-      info phrases and image ids strings, energies, scores and lam finite
-      numbers, lam also positive;
-    - every phrase is a normalized, nonempty string, and no (phrase,
-      component_id) has two entries;
-    - the entries' mixtures tile the payload from byte 0 in index order,
-      each as weights, means and variances; weights are nonnegative and
-      sum to 1 within 1e-9, means are finite and variances finite and at
-      least VARIANCE_FLOOR;
-    - mask runs and descriptors lie inside the payload at 4-aligned
-      offsets; a mask's first label is 0 or 1 and its runs add up to its
-      length; descriptors are finite, of one length of at least 1;
-    - each phrase holds at most k_exemplars exemplars, in add_exemplar's
-      (-score, image_id) order.
+    A file loads only if save_table writes the loaded table back to the
+    same bytes, up to how the JSON index is spelled (whitespace, key
+    order, escapes, number forms), and it passes the checks below;
+    anything else is a ChecksumError (exit 2), however the CRC reads:
+    - the index, its records and each model's info hold exactly the keys
+      save_table writes: ints (a bool is no int) for counts, ids, versions
+      and offsets, at least 1 for k_exemplars, versions, k, dim and
+      descriptor lengths; strings for image ids and info phrases; finite
+      numbers for energies, scores and lam, which is also positive;
+    - phrases are normalized and nonempty; model keys ascend; exemplar
+      records are non-decreasing in (phrase, -score, image_id), at most
+      k_exemplars per phrase;
+    - back to back from byte 0 to payload_len, the payload holds the
+      models' mixtures (weights, means, variances), then each exemplar's
+      mask runs and descriptor, each region at its stored offset;
+    - mixture weights are nonnegative and sum to 1 within 1e-9, means are
+      finite, variances finite and at least VARIANCE_FLOOR; mask runs are
+      nonzero and add up to the mask's length (an empty mask starts at
+      label 0); descriptors are finite and all of one length.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -340,19 +331,17 @@ def load_table(path) -> SegmentPhraseTable:
         raise ChecksumError("index has no valid payload_len")
     expected = payload_start + payload_len + 4
     if len(blob) < expected:
-        raise TruncationError(
-            f"file is {len(blob)} bytes, header promises {expected}"
-        )
+        raise TruncationError(f"file is {len(blob)} bytes, header promises {expected}")
+    if len(blob) > expected:
+        raise ChecksumError(f"{len(blob) - expected} bytes follow the CRC")
     (crc_stored,) = struct.unpack_from("<I", blob, expected - 4)
     crc_actual = zlib.crc32(blob[: expected - 4]) & 0xFFFFFFFF
     if crc_stored != crc_actual:
-        raise ChecksumError(
-            f"CRC mismatch: stored {crc_stored:#x}, computed {crc_actual:#x}"
-        )
+        raise ChecksumError(f"CRC mismatch: stored {crc_stored:#x}, computed {crc_actual:#x}")
 
     payload = blob[payload_start : expected - 4]
     # the CRC only proves the file is as written: a malformed index
-    # (missing or mistyped keys, offsets outside the payload) is caught here
+    # (missing or mistyped keys, misplaced regions) is caught here
     try:
         return _table_from(index, payload)
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
@@ -360,14 +349,20 @@ def load_table(path) -> SegmentPhraseTable:
 
 
 def _table_from(index: dict, payload: bytes) -> SegmentPhraseTable:
+    if set(index) != _INDEX_KEYS:
+        raise ChecksumError(f"index keys {sorted(index)} are not {sorted(_INDEX_KEYS)}")
+    if type(index["entries"]) is not list or type(index["exemplars"]) is not list:
+        raise ChecksumError("index entries or exemplars are not a list")
     table = SegmentPhraseTable(_whole(index["k_exemplars"], 1, "k_exemplars"))
-    _read_models(table, index["entries"], payload)
-    _read_exemplars(table, index["exemplars"], payload)
+    end = _read_models(table, index["entries"], payload)
+    _read_exemplars(table, index["exemplars"], payload, end)
     return table
 
 
 def _model_info(fields) -> ModelInfo:
-    info = ModelInfo(**fields)  # an unknown key is a TypeError
+    if set(fields) != set(_INFO_FIELDS):
+        raise ChecksumError(f"model info keys {sorted(fields)} are not {sorted(_INFO_FIELDS)}")
+    info = ModelInfo(**fields)
     if type(info.phrase) is not str:
         raise ChecksumError(f"model info phrase {info.phrase!r} is not a string")
     for name in ("component_id", "instances", "iterations"):
@@ -379,25 +374,25 @@ def _model_info(fields) -> ModelInfo:
     return info
 
 
-def _read_models(table: SegmentPhraseTable, records, payload: bytes) -> None:
+def _read_models(table: SegmentPhraseTable, records, payload: bytes) -> int:
     """Every model, its mixtures checked in one pass over the payload range
-    that they tile."""
+    that they tile from byte 0; returns where that range ends."""
     heads = []
     sizes = []  # weights, means, variances: mixture after mixture
     end = 0
     for rec in records:
+        if set(rec) != _ENTRY_KEYS:
+            raise ChecksumError(f"model record keys {sorted(rec)} are not save_table's")
         key = PhraseKey(rec["phrase"], _whole(rec["component_id"], 0, "component_id"))
-        if key in table.versions:
-            raise ChecksumError(f"two models for {key.phrase!r} component {key.component_id}")
+        if heads and key <= heads[-1][0]:  # save_table sorts the keys
+            raise ChecksumError(f"two models for {key.phrase!r} component {key.component_id}"
+                                if key == heads[-1][0] else f"model {key} is out of key order")
         table.versions[key] = _whole(rec["version"], 1, "version")
         lam = _finite(rec["lam"], "model lam")
         if lam <= 0:
             raise ChecksumError(f"model lam {lam!r} is not positive")
-        dim = _whole(rec["dim"], 1, "dim")
-        k_fg = _whole(rec["k_fg"], 1, "k_fg")
-        k_bg = _whole(rec["k_bg"], 1, "k_bg")
-        if _whole(rec["offset"], 0, "model offset") != end:
-            raise ChecksumError(f"model offset {rec['offset']} is not {end}, where the last ends")
+        dim, k_fg, k_bg = (_whole(rec[name], 1, name) for name in ("dim", "k_fg", "k_bg"))
+        _offset(rec["offset"], end, "model offset")
         heads.append((key, lam, _model_info(rec["info"]), dim, k_fg, k_bg))
         sizes += (k_fg, k_fg * dim, k_fg * dim, k_bg, k_bg * dim, k_bg * dim)
         end += 8 * (k_fg + k_bg) * (1 + 2 * dim)
@@ -416,62 +411,68 @@ def _read_models(table: SegmentPhraseTable, records, payload: bytes) -> None:
     # the E-step's error bound holds from the floor up, which every fit keeps
     variances = values[part == 2]
     if not (np.isfinite(variances).all() and (variances >= VARIANCE_FLOOR).all()):
-        raise ChecksumError(
-            f"mixture variances are not finite and at least {VARIANCE_FLOOR}"
-        )
+        raise ChecksumError(f"mixture variances are not finite and at least {VARIANCE_FLOOR}")
     at = 0
     for key, lam, info, dim, k_fg, k_bg in heads:
         fg, at = _mixture(values, at, k_fg, dim)
         bg, at = _mixture(values, at, k_bg, dim)
         table.entries[key] = SegmentationModel(fg, bg, lam, info)
+    return end
 
 
-def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes) -> None:
-    """Every exemplar: the masks decoded with one np.repeat over all runs,
-    the descriptors gathered and checked in one pass."""
+def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes, at: int) -> None:
+    """Every exemplar, its regions following the models' from byte at: the
+    masks decoded with one np.repeat over all runs, the descriptors in one pass."""
     heads = []  # (phrase, image_id, score)
-    lengths, firsts, run_at, n_runs = [], [], [], []
-    widths, desc_at = [], []  # a width of 0: no descriptor
+    lengths, firsts, widths = [], [], []  # a width of 0: no descriptor
+    sizes = []  # in 4-byte words: runs, descriptor, exemplar after exemplar
+    end = at
     for rec in records:
+        described = "descriptor_offset" in rec
+        if set(rec) != (_DESCRIBED_KEYS if described else _EXEMPLAR_KEYS):
+            raise ChecksumError(f"exemplar record keys {sorted(rec)} are not save_table's")
         phrase = _normalized(rec["phrase"])
         image_id = rec["image_id"]
         if type(image_id) is not str:
             raise ChecksumError(f"image_id {image_id!r} is not a string")
         heads.append((phrase, image_id, _finite(rec["score"], "exemplar score")))
-        lengths.append(_whole(rec["n"], 0, "mask length"))
+        n = _whole(rec["n"], 0, "mask length")
         first = rec["first"]
-        if type(first) is not int or first not in (0, 1):
-            raise ChecksumError(f"mask starts with label {first!r}")
-        firsts.append(first)
-        run_at.append(_word_index(payload, rec["runs_offset"], rec["n_runs"], 1, "mask runs"))
-        n_runs.append(rec["n_runs"])
+        # _rle_encode starts an empty mask at label 0
+        if type(first) is not int or first not in (0, 1) or first > n:
+            raise ChecksumError(f"mask of length {n} starts with label {first!r}")
+        _offset(rec["runs_offset"], end, "runs_offset")
+        n_runs = _whole(rec["n_runs"], 0, "n_runs")
         width = 0
-        if "descriptor_offset" in rec:
+        if described:
             width = _whole(rec["descriptor_len"], 1, "descriptor_len")
-            desc_at.append(
-                _word_index(payload, rec["descriptor_offset"], width, 2, "descriptor")
-            )
+            _offset(rec["descriptor_offset"], end + 4 * n_runs, "descriptor_offset")
+        end += 4 * n_runs + 8 * width
+        lengths.append(n)
+        firsts.append(first)
         widths.append(width)
+        sizes += (n_runs, 2 * width)
+    if end != len(payload):
+        raise ChecksumError(f"exemplars end at byte {end}, not at payload_len {len(payload)}")
 
-    words = np.frombuffer(payload, "<u4", len(payload) // 4)
-    counts = np.array(n_runs, np.int64)
-    runs = words[_gather(run_at, counts)]
+    counts = np.array(sizes, np.int64)
+    part = np.repeat(np.arange(len(sizes)) % 2, counts)
+    words = np.frombuffer(payload, "<u4", offset=at)
+    runs = words[part == 0]
+    n_runs = counts[::2]
     ends = np.concatenate(([0], np.cumsum(runs, dtype=np.int64)))
-    before = np.cumsum(counts) - counts
-    # checked before decoding allocates the masks
-    if not np.array_equal(ends[before + counts] - ends[before], lengths):
-        raise ChecksumError("mask run lengths do not add up")
-    masks = _rle_decode(np.array(firsts, np.int64), counts, runs)
+    # checked before decoding allocates the masks: each mask's runs end where it does
+    if not (runs.all() and np.array_equal(ends[np.cumsum(n_runs)], np.cumsum(lengths))):
+        raise ChecksumError("mask runs are not nonzero lengths adding up to the mask's")
+    masks = _rle_decode(np.array(firsts, np.int64), n_runs, runs)
 
-    described = [w for w in widths if w]
-    descriptors = words[_gather(desc_at, 2 * np.array(described, np.int64))].view("<f8")
+    descriptors = words[part == 1].view("<f8")
     finite = np.isfinite(descriptors)
     if not finite.all():
-        bad = np.searchsorted(np.cumsum(described), np.argmin(finite), side="right")
-        phrase = [h[0] for h, w in zip(heads, widths) if w][bad]
-        raise ChecksumError(f"exemplar descriptor of {phrase!r} is not finite")
-    if len(set(described)) > 1:
-        raise ChecksumError(f"exemplar descriptors differ in length: {sorted(set(described))}")
+        bad = np.repeat(np.arange(len(widths)), widths)[np.argmin(finite)]
+        raise ChecksumError(f"exemplar descriptor of {heads[bad][0]!r} is not finite")
+    if len(set(widths) - {0}) > 1:
+        raise ChecksumError(f"exemplar descriptors differ in length: {sorted(set(widths) - {0})}")
 
     at = d = 0
     for (phrase, image_id, score), n, width in zip(heads, lengths, widths):
@@ -481,11 +482,9 @@ def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes) -> None:
         )
         at += n
         d += width
-    # add_exemplar keeps each bucket sorted by (-score, image_id), cut to k
-    for phrase, bucket in table.exemplars.items():
-        keys = [(-e.score, e.image_id) for e in bucket]
-        if len(keys) > table.k_exemplars or keys != sorted(keys):
-            raise ChecksumError(
-                f"exemplars of {phrase!r} are not at most {table.k_exemplars} "
-                "in (-score, image_id) order"
-            )
+    # save_table writes the buckets by phrase, each as add_exemplar keeps
+    # it: sorted by (-score, image_id) and cut to k_exemplars
+    keys = [(phrase, -score, image_id) for phrase, image_id, score in heads]
+    if keys != sorted(keys) or any(len(b) > table.k_exemplars for b in table.exemplars.values()):
+        raise ChecksumError(f"exemplars are not in (phrase, -score, image_id) order, "
+                            f"at most {table.k_exemplars} per phrase")

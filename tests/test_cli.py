@@ -73,6 +73,13 @@ def test_config_rejects_unknown_key(tmp_path):
         load_config(tmp_path / "c.cfg")
 
 
+def test_config_rejects_duplicate_key(tmp_path):
+    # the last value used to win silently
+    (tmp_path / "c.cfg").write_text("lam = 1\n# note\nlam = 2\n")
+    with pytest.raises(DataError, match=r"c\.cfg:3: duplicate config key 'lam'"):
+        load_config(tmp_path / "c.cfg")
+
+
 def test_config_rejects_nonpositive(tmp_path):
     for text in ("lam = -0.5\n", "seed_shrink = 2\n"):
         (tmp_path / "c.cfg").write_text(text)
@@ -848,6 +855,7 @@ def test_overflowing_exemplar_descriptor_norm_exits_2(mode, other, tmp_path, cap
     (["synth", "{d}/out", "--size", "2"], None, "size"),
     (["synth", "{d}/out", "--count", "-1"], None, "count"),
     (["synth", "{d}/out", "--test-count", "-3"], None, "count"),
+    (["synth", "{d}/out", "--phrase", " \t "], None, "blank"),
     (["relations", "entail", "{d}/empty.tsv", "{d}/o.csv", "--table", "{d}/t.spt"],
      None, "no rows"),
     (["relations", "paraphrase", "{d}/comments.tsv", "{d}/o.csv", "--table",
@@ -857,8 +865,8 @@ def test_overflowing_exemplar_descriptor_norm_exits_2(mode, other, tmp_path, cap
     (["relations", "entail", "{d}/empty.tsv", "{d}/o.csv", "--table", "{d}/t.spt",
       "--graph"], None, "no rows"),
 ], ids=["tau-nan", "scores-negative-n", "scores-nan", "synth-noise", "synth-size",
-        "synth-count", "synth-test-count", "entail-empty", "paraphrase-comments",
-        "simrel-comments", "graph-empty"])
+        "synth-count", "synth-test-count", "synth-blank-phrase", "entail-empty",
+        "paraphrase-comments", "simrel-comments", "graph-empty"])
 def test_bad_parameters_exit_2(argv, score_file, reason, tmp_path, capsys):
     write_two_phrase_table(tmp_path / "t.spt")
     (tmp_path / "p.tsv").write_text("a\tb\tparaphrase\n")

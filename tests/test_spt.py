@@ -254,20 +254,30 @@ def test_index_without_valid_payload_len_fails_checksum(tmp_path, index):
 
 
 def _edit_index(path, edit):
-    """Apply edit to the saved table's JSON index and recompute the CRC."""
+    """Apply edit to the saved table's JSON index and recompute the CRC; an
+    edit that returns bytes also appends them to the payload."""
     blob = path.read_bytes()
     start = len(MAGIC) + 4 + 8
     (index_len,) = struct.unpack_from("<Q", blob, start - 8)
     index = json.loads(blob[start : start + index_len])
-    edit(index)
+    extra = edit(index)
     encoded = json.dumps(index, sort_keys=True).encode("utf-8")
     body = blob[: start - 8] + struct.pack("<Q", len(encoded)) + encoded
-    body += blob[start + index_len : -4]
+    body += blob[start + index_len : -4] + (extra if isinstance(extra, bytes) else b"")
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _described(index):
     return [rec for rec in index["exemplars"] if "descriptor_offset" in rec]
+
+
+def _gap_before_descriptor(index):
+    _described(index)[0]["descriptor_offset"] += 4
+
+
+def _swap(records, key):
+    """Swap the key's values between the first two records, offsets intact."""
+    records[0][key], records[1][key] = records[1][key], records[0][key]
 
 
 @pytest.mark.parametrize("edit", [
@@ -304,6 +314,17 @@ def _described(index):
     lambda ix: ix.update(k_exemplars=2),
     lambda ix: ix["exemplars"].reverse(),
     lambda ix: (ix.update(k_exemplars=2), ix["exemplars"].reverse()),
+    lambda ix: ix.update(payload_len=ix["payload_len"] + 8) or bytes(8),
+    lambda ix: _described(ix)[1].update(descriptor_offset=_described(ix)[0]["descriptor_offset"]),
+    _gap_before_descriptor,
+    lambda ix: _swap(ix["entries"], "phrase"),
+    lambda ix: _swap(ix["exemplars"], "score"),
+    lambda ix: ix["exemplars"][0].update(phrase="zzz"),
+    lambda ix: ix["entries"][0]["info"].pop("iterations"),
+    lambda ix: ix.update(note="x"),
+    lambda ix: ix["entries"][0].update(note="x"),
+    lambda ix: ix["exemplars"][0].update(note="x"),
+    lambda ix: _described(ix)[-1].pop("descriptor_offset"),
 ], ids=["runs-offset-past-end", "runs-offset-negative", "n-runs-negative",
         "model-offset-past-end", "model-offset-negative", "missing-lam",
         "unknown-info-key", "string-k", "zero-k", "zero-dim", "missing-k-exemplars", "descriptor-len-5",
@@ -312,14 +333,62 @@ def _described(index):
         "string-k-exemplars", "negative-k-exemplars", "integer-image-id",
         "string-energy-history", "boolean-first", "boolean-lam", "unaligned-runs-offset",
         "unnormalized-exemplar-phrase", "zero-length-descriptors", "three-exemplars-at-k-2",
-        "ascending-scores", "three-ascending-at-k-2"])
+        "ascending-scores", "three-ascending-at-k-2", "trailing-payload-bytes",
+        "aliased-descriptor", "gap-before-descriptor", "swapped-entry-phrases",
+        "swapped-exemplar-scores", "exemplar-phrase-out-of-order", "info-without-iterations",
+        "unknown-index-key", "unknown-entry-key", "unknown-exemplar-key",
+        "descriptor-len-without-offset"])
 def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
     path = tmp_path / "t.spt"
-    save_table(random_table(5, n_entries=1, n_exemplars=3), path)
+    save_table(random_table(5, n_entries=2, n_exemplars=3), path)
     _edit_index(path, lambda ix: None)
-    assert load_table(path).deep_equal(random_table(5, n_entries=1, n_exemplars=3))
+    assert load_table(path).deep_equal(random_table(5, n_entries=2, n_exemplars=3))
     _edit_index(path, edit)
     with pytest.raises(ChecksumError):
+        load_table(path)
+
+
+@pytest.mark.parametrize("records", ["entries", "exemplars"])
+@pytest.mark.parametrize("empty", [{}, ""], ids=["object", "string"])
+def test_empty_records_not_in_a_list_fail_checksum(tmp_path, records, empty):
+    # an empty table's payload is empty too, so only the type tells
+    path = tmp_path / "t.spt"
+    save_table(SegmentPhraseTable(), path)
+    _edit_index(path, lambda ix: ix.update({records: empty}))
+    with pytest.raises(ChecksumError, match="not a list"):
+        load_table(path)
+
+
+def _two_empty_runs_after_the_last(index):
+    index["exemplars"][-1]["n_runs"] += 2
+    index["payload_len"] += 8
+    return bytes(8)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ix: ix["exemplars"][0].update(first=1),
+    _two_empty_runs_after_the_last,
+], ids=["empty-mask-starting-at-1", "zero-length-runs"])
+def test_mask_runs_not_as_save_table_writes_fail_checksum(tmp_path, edit):
+    # the decoder reads these back to the same masks, but _rle_encode
+    # starts an empty mask at 0 and writes no empty run
+    table = SegmentPhraseTable()
+    table.add_exemplar("a", ExemplarMask("x", 2.0, np.array([], np.uint8)))
+    table.add_exemplar("a", ExemplarMask("y", 1.0, np.array([1, 1, 1])))
+    path = tmp_path / "t.spt"
+    save_table(table, path)
+    _edit_index(path, lambda ix: None)
+    assert load_table(path).deep_equal(table)
+    _edit_index(path, edit)
+    with pytest.raises(ChecksumError):
+        load_table(path)
+
+
+def test_bytes_after_the_crc_fail_checksum(tmp_path):
+    path = tmp_path / "t.spt"
+    save_table(random_table(6), path)
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(ChecksumError, match="4 bytes follow the CRC"):
         load_table(path)
 
 
@@ -358,6 +427,8 @@ def test_array_decoder_matches_record_by_record_oracle(tmp_path, table):
     ours = load_table(path)
     theirs = spt_oracle.table_from(*spt_oracle.split_table(path))
     assert ours.deep_equal(theirs) and theirs.deep_equal(table)
+    save_table(ours, tmp_path / "again.spt")
+    assert (tmp_path / "again.spt").read_bytes() == path.read_bytes()
     assert _same_dtypes(ours, theirs) and _same_dtypes(theirs, ours)
 
 
@@ -407,8 +478,8 @@ def _mutate(index, rng):
 
 
 def test_mutated_index_loads_round_trip_or_is_a_data_error(tmp_path):
-    # every mutant either loads into a table that saves and reloads
-    # deep-equal, or is a DataError: never another exception
+    # every mutant either loads into a table that saves back to the
+    # mutant's own bytes, or is a DataError: never another exception
     rng = random.Random(17)
     path, again = tmp_path / "t.spt", tmp_path / "again.spt"
     outcomes = {"loaded": 0, "rejected": 0}
@@ -422,6 +493,7 @@ def test_mutated_index_loads_round_trip_or_is_a_data_error(tmp_path):
             continue
         outcomes["loaded"] += 1
         save_table(table, again)
+        assert again.read_bytes() == path.read_bytes(), mutant
         assert load_table(again).deep_equal(table), mutant
     assert min(outcomes.values()) > 20, outcomes
 
@@ -433,3 +505,5 @@ def test_round_trip_property(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("spt") / "t.spt"
     save_table(table, path)
     assert load_table(path).deep_equal(table)
+    save_table(load_table(path), path.with_name("again.spt"))
+    assert path.with_name("again.spt").read_bytes() == path.read_bytes()
