@@ -73,9 +73,17 @@ def _component_log_pdf(means, variances, points, squares):
 
 
 def _log_sum_exp(log_joint):
-    """log of the sum of exp over axis 1, shifted by each row's maximum."""
-    hi = log_joint.max(axis=1)
-    return hi + np.log(np.exp(log_joint - hi[:, None]).sum(axis=1))
+    """log of the sum of exp over axis 1, shifted by each row's maximum.
+
+    The max and the sum run over axis 0 of a component-major copy, several
+    times faster than over the short axis 1 of the (N, k) array. numpy adds
+    the k terms left to right either way for k < 8, so the result is the
+    same to the bit; from k = 8 up axis 1 sums pairwise and the last bits
+    may differ, within the bounds that tests/test_gmm.py checks.
+    """
+    columns = log_joint.T.copy()
+    hi = columns.max(axis=0)
+    return hi + np.log(np.exp(columns - hi).sum(axis=0))
 
 
 def _kmeans_pp(points, k, rng):

@@ -1,13 +1,19 @@
 """Binary pairwise MRF: energy evaluation and exact MAP inference.
 
 The energy is sum of per-node label costs plus a nonnegative penalty per
-edge whose endpoints disagree (Potts form). Inference reduces to an s/t
-min cut: node costs become terminal capacities after subtracting the
-per-node minimum (so capacities stay nonnegative even for negative
-costs), disagreement penalties become symmetric inter-node capacities.
-The residual network is built with numpy in one pass, as CSR arc arrays,
-and handed to the Dinic loops as plain lists. A brute-force enumerator
-doubles as the testing oracle.
+edge whose endpoints disagree (Potts form). Inference first tries a
+persistency certificate: rounds that fix each node whose cost difference,
+with its decided neighbours folded in, beats its weight to undecided
+neighbours by more than a derived margin. When the rounds decide every
+node, those labels are the unique minimiser and exactly the ones the flow
+would return, so no network is built. Otherwise the whole problem goes
+to an s/t min cut: node costs become terminal capacities after
+subtracting the per-node minimum (so capacities stay nonnegative even
+for negative costs), disagreement penalties become symmetric inter-node
+capacities. The residual network is built with numpy in one pass, as CSR
+arc arrays, and handed to the Dinic loops as plain lists; each phase's
+BFS stops once the sink has its level. A brute-force enumerator doubles
+as the testing oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ class SubmodularityError(NumericalError):
 
 
 _EPS = 1e-11
+_UNIT_ROUNDOFF = 2.0**-53
 _BRUTE_FORCE_LIMIT = 24
 _CHUNK_BITS = 18
 
@@ -102,6 +109,10 @@ def _max_flow(start, adj, to, cap, source, sink):
     Returns (flow value, levels). The levels are those of the last BFS,
     run on the final residual graph, so the nodes with a level >= 0 are
     exactly the ones reachable from source: the minimal cut's source side.
+    A phase's BFS stops once the sink has its level. Every augmenting path
+    of the phase is exactly that long, so a node the full BFS would label
+    at or past the sink's level is only ever a dead end of the DFS, and
+    leaving it unlabelled changes no path, push or flow bit.
     """
     n_nodes = len(start) - 1
     total = 0.0
@@ -118,6 +129,8 @@ def _max_flow(start, adj, to, cap, source, sink):
                 if level[v] < 0 and cap[eid] > _EPS:
                     level[v] = next_level
                     queue.append(v)
+            if level[sink] >= 0:  # no augmenting path reaches past the sink
+                break
         if level[sink] < 0:
             return total, level
         it = start[:-1]
@@ -173,9 +186,79 @@ def solve_max_flow(problem: MrfProblem):
     return (np.array(level[:n]) >= 0).astype(np.int8), flow
 
 
+def _persistent_labels(problem: MrfProblem):
+    """The labels persistency decides, if it decides every node; else None.
+
+    Classic persistency (Hammer, Hansen & Simeone, Math. Programming 1984)
+    in rounds over the undecided nodes. Node i's d = c1 - c0, plus the
+    weight to each neighbour decided 0, minus the weight to each decided 1;
+    its slack is its weight to undecided neighbours. A round decides 0
+    where d > slack + delta and 1 where -d > slack + delta, against the
+    earlier rounds' decisions only. The rounds stop when one decides
+    nothing; negative weights decide nothing.
+
+    Gap: if every node is decided as x, take any other labelling y and
+    flip the nodes where it differs to x in round order. Each flip finds
+    its earlier-decided neighbours agreeing with x, so it lowers the energy
+    by at least |d| - slack > delta: x is the unique minimiser, and every
+    other labelling costs more than delta above it.
+
+    delta: with P = n + E (at least the arc pairs), C = sum |unary| +
+    2 sum weights and u = 2**-53, to first order in u:
+    - _max_flow stops with the arcs leaving its source side at residual
+      <= _EPS. With residuals recomputed exactly from the pushes, its cut
+      costs the flow value plus at most P _EPS, and the value is at most
+      the minimum cut.
+    - There are at most n + 1 phases of at most P paths (each saturates
+      one level-graph arc). A path updates each pair on it twice, each
+      update rounding by at most u times the pair's capacity, so the float
+      residuals drift by at most 2 (n + 1) P u C, counted against both cuts.
+    - Rounding the terminal capacities costs u C more, so the flow's cut
+      costs at most P _EPS + (4 (n + 1) P + 1) u C above the minimum.
+    - This function's own sums and comparisons err by at most
+      (4 E + 2) u C. With n >= 1 the rounding terms add up to at most
+      8 (n + 1) P u C, so x's exact gap exceeds what the flow can lose,
+      and the flow returns x too.
+    """
+    n = problem.n
+    weights = problem.weights
+    if weights.size and weights.min() < 0:
+        return None
+    pairs = n + len(weights)
+    capacity = float(np.abs(problem.unary).sum() + 2.0 * weights.sum())
+    delta = pairs * _EPS + 8.0 * (n + 1) * pairs * _UNIT_ROUNDOFF * capacity
+    ends = problem.edges.T.ravel()          # each edge once from either end
+    others = problem.edges[:, ::-1].T.ravel()
+    both = np.concatenate([weights, weights])
+    sign = np.array([1.0, -1.0, 0.0])       # neighbour at 0, at 1, undecided (-1)
+    base = problem.unary[:, 1] - problem.unary[:, 0]
+    labels = np.full(n, -1, dtype=np.int8)
+    undecided = np.ones(n, dtype=bool)
+    while undecided.any():
+        near = labels[others]
+        d = base + np.bincount(ends, both * sign[near], minlength=n)
+        bound = np.bincount(ends, both * (near < 0), minlength=n) + delta
+        zero = undecided & (d > bound)
+        one = undecided & (-d > bound)
+        if not (zero.any() or one.any()):
+            return None
+        labels[zero] = 0
+        labels[one] = 1
+        undecided &= ~(zero | one)
+    return labels
+
+
 def min_cut_infer(problem: MrfProblem) -> np.ndarray:
-    """Exact global minimizer of the energy via max-flow/min-cut."""
-    labeling, _ = solve_max_flow(problem)
+    """Exact global minimizer of the energy.
+
+    Persistency's labels when they decide every node (no network is
+    built); otherwise max-flow/min-cut on the whole problem, as
+    solve_max_flow gives it. Either way the labels are the ones
+    solve_max_flow returns.
+    """
+    labeling = _persistent_labels(problem)
+    if labeling is None:
+        labeling, _ = solve_max_flow(problem)
     return labeling
 
 

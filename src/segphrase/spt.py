@@ -203,6 +203,17 @@ def _mixture(values: np.ndarray, at: int, k: int, dim: int):
     return GaussianMixture(values[at : at + k], means, variances), end
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON object of these (key, value) pairs; json.loads would keep
+    the last of a repeated key's values, so a repeat is a ChecksumError."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ChecksumError(f"index object repeats the key {repeated!r}")
+    return obj
+
+
 def _offset(value, end: int, what: str) -> None:
     """Check that a region's stored offset is end: regions lie back to back."""
     if type(value) is not int or value != end:
@@ -291,6 +302,7 @@ def load_table(path) -> SegmentPhraseTable:
     same bytes, up to how the JSON index is spelled (whitespace, key
     order, escapes, number forms), and it passes the checks below;
     anything else is a ChecksumError (exit 2), however the CRC reads:
+    - no JSON object of the index repeats a key;
     - the index, its records and each model's info hold exactly the keys
       save_table writes: ints (a bool is no int) for counts, ids, versions
       and offsets, at least 1 for k_exemplars, versions, k, dim and
@@ -322,7 +334,9 @@ def load_table(path) -> SegmentPhraseTable:
     if payload_start > len(blob) - 4:
         raise TruncationError("index extends past end of file")
     try:
-        index = json.loads(blob[index_start:payload_start].decode("utf-8"))
+        index = json.loads(
+            blob[index_start:payload_start].decode("utf-8"), object_pairs_hook=_unique_keys
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ChecksumError(f"index is not valid JSON: {exc}") from exc
     # the CRC check below needs payload_len, so it is checked first

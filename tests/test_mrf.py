@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxflow_oracle import solve_max_flow as oracle_solve_max_flow
-from segphrase import gmm
+from segphrase import gmm, mrf
 from segphrase.config import Config
 from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import compute_superpixels, extract_features
-from segphrase.latent import em_learn, make_instance
+from segphrase.latent import em_learn, make_instance, segment_instance
 from segphrase.mrf import (
     MrfProblem,
     SubmodularityError,
@@ -181,18 +181,130 @@ def test_matches_oracle_on_edge_cases():
     _assert_same_as_oracle(make(4, [[1, 0], [0, 1], [1, 0], [0, 1]], [(0, 1), (2, 3)], [1.0, 1.0]))
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_matches_oracle_on_scene_graphs(seed):
+@pytest.fixture(scope="module", params=[1, 2])
+def scene_problems(request):
+    """A 256 px scene's full cut, the same with outside-box label-1 costs
+    raised by 1e6 (mixed magnitudes), and what a box-clamped cut needs."""
+    seed = request.param
     scene = make_scene(SceneConfig(size=256, seed=seed))
     graph = extract_features(scene.image, compute_superpixels(scene.image, 800))
-    model = em_learn([make_instance(graph, scene.box)], Config(gmm_k=2, seed=seed))
+    instance = make_instance(graph, scene.box)
+    model = em_learn([instance], Config(gmm_k=2, seed=seed))
     unary = np.column_stack([
         -gmm.log_density_many(model.theta_bg, graph.features),
         -gmm.log_density_many(model.theta_fg, graph.features),
     ])
     weights = np.exp(-model.lam * graph.boundary_prob)
-    _assert_same_as_oracle(make(graph.n, unary, graph.edges, weights))
-    # mixed magnitudes: outside-box label-1 costs raised by 1e6
-    outside = make_instance(graph, scene.box).sp_in_box == 0.0
-    unary[outside, 1] += 1e6
-    _assert_same_as_oracle(make(graph.n, unary, graph.edges, weights))
+    raised = unary.copy()
+    raised[instance.sp_in_box == 0.0, 1] += 1e6
+    problems = [make(graph.n, u, graph.edges, weights) for u in (unary, raised)]
+    return problems, model, instance
+
+
+def test_matches_oracle_on_scene_graphs(scene_problems):
+    for p in scene_problems[0]:
+        _assert_same_as_oracle(p)
+
+
+# -- persistency certificate ------------------------------------------------------
+
+def _flows_built(monkeypatch):
+    """Node counts of the problems whose residual network is built."""
+    built = []
+    network = mrf._residual_network
+
+    def spy(problem):
+        built.append(problem.n)
+        return network(problem)
+
+    monkeypatch.setattr(mrf, "_residual_network", spy)
+    return built
+
+
+def _delta(p):
+    """The certificate's margin as its docstring derives it."""
+    pairs = p.n + len(p.weights)
+    capacity = np.abs(p.unary).sum() + 2.0 * p.weights.sum()
+    return pairs * 1e-11 + 8.0 * (p.n + 1) * pairs * 2.0**-53 * capacity
+
+
+def _assert_labels_are_the_flows(p):
+    labeling = min_cut_infer(p)
+    assert labeling.dtype == np.int8
+    assert np.array_equal(labeling, solve_max_flow(p)[0])
+
+
+def test_certified_labels_are_the_flows_on_random_problems():
+    rng = np.random.default_rng(23)
+    certified = 0
+    for _ in range(300):
+        for p in (random_problem(rng, max_n=14, edge_p=0.2), tie_heavy_problem(rng)):
+            _assert_labels_are_the_flows(p)
+            certified += mrf._persistent_labels(p) is not None
+    assert 50 < certified < 550, certified  # both paths are exercised
+
+
+def test_exact_tie_with_slack_falls_through_to_the_flow(monkeypatch):
+    # each node's d equals its slack: the energies of 00, 01 and 11 tie
+    p = make(2, [[0, 1], [1, 0]], [(0, 1)], [1.0])
+    built = _flows_built(monkeypatch)
+    assert mrf._persistent_labels(p) is None
+    assert np.array_equal(min_cut_infer(p), [0, 0]) and built == [2]
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_certificate_decides_only_beyond_slack_plus_delta(label):
+    # two nodes with one cost difference t and one edge: both are decided
+    # in the first round exactly when t > w + delta, else neither is
+    w = 0.75
+    near = w + _delta(make(2, [[0, w], [0, w]], [(0, 1)], [w]))
+    sides = set()
+    for step in range(-4, 5):
+        t = near
+        for _ in range(abs(step)):
+            t = np.nextafter(t, np.inf if step > 0 else -np.inf)
+        row = [0.0, t] if label == 0 else [t, 0.0]
+        p = make(2, [row, row], [(0, 1)], [w])
+        certified = mrf._persistent_labels(p)
+        assert (certified is not None) == (t > w + _delta(p)), step
+        if certified is not None:
+            assert np.array_equal(certified, [label, label])
+        sides.add(certified is not None)
+        _assert_labels_are_the_flows(p)
+    assert sides == {True, False}
+
+
+def test_certified_labels_are_the_flows_across_capacity_spreads():
+    # unaries and weights spread log-uniformly over 1e-12 .. 1e6, so some
+    # cost differences sit below the flow's absolute _EPS
+    rng = np.random.default_rng(29)
+    certified = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 12))
+        unary = 10.0 ** rng.uniform(-12, 6, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        weights = 10.0 ** rng.uniform(-12, 6, size=len(pairs))
+        p = make(n, unary, pairs, weights)
+        _assert_labels_are_the_flows(p)
+        certified += mrf._persistent_labels(p) is not None
+    assert 40 < certified < 360, certified
+
+
+def test_scene_cuts_build_no_network(scene_problems, monkeypatch):
+    problems, model, instance = scene_problems
+    built = _flows_built(monkeypatch)
+    for p in problems:
+        min_cut_infer(p)
+    segment_instance(model, instance)
+    assert built == []
+
+
+def test_one_undecided_node_falls_back_to_the_whole_flow(monkeypatch):
+    # nodes 0-2 are decided in the first round; node 3, pulled equally
+    # toward 0 and 1 by its decided neighbours, is not
+    p = make(4, [[0, 9], [9, 0], [0, 5], [0, 0]], [(0, 2), (1, 2), (0, 3), (1, 3)],
+             [1.0, 1.0, 1.0, 1.0])
+    built = _flows_built(monkeypatch)
+    assert mrf._persistent_labels(p) is None
+    assert np.array_equal(min_cut_infer(p), solve_max_flow(p)[0])
+    assert built == [4, 4]

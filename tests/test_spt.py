@@ -253,18 +253,29 @@ def test_index_without_valid_payload_len_fails_checksum(tmp_path, index):
         load_table(path)
 
 
-def _edit_index(path, edit):
-    """Apply edit to the saved table's JSON index and recompute the CRC; an
-    edit that returns bytes also appends them to the payload."""
+def _edit_table(path, edit):
+    """Apply edit(index, payload) -> (index JSON text, payload) to the saved
+    table and recompute the index length and the CRC."""
     blob = path.read_bytes()
     start = len(MAGIC) + 4 + 8
     (index_len,) = struct.unpack_from("<Q", blob, start - 8)
     index = json.loads(blob[start : start + index_len])
-    extra = edit(index)
-    encoded = json.dumps(index, sort_keys=True).encode("utf-8")
-    body = blob[: start - 8] + struct.pack("<Q", len(encoded)) + encoded
-    body += blob[start + index_len : -4] + (extra if isinstance(extra, bytes) else b"")
+    text, payload = edit(index, blob[start + index_len : -4])
+    encoded = text.encode("utf-8")
+    body = blob[: start - 8] + struct.pack("<Q", len(encoded)) + encoded + payload
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _edit_index(path, edit):
+    """Apply edit to the saved table's JSON index; an edit that returns
+    bytes also appends them to the payload, one that returns a str gives
+    the index's JSON text."""
+    def edit_both(index, payload):
+        extra = edit(index)
+        text = extra if isinstance(extra, str) else json.dumps(index, sort_keys=True)
+        return text, payload + (extra if isinstance(extra, bytes) else b"")
+
+    _edit_table(path, edit_both)
 
 
 def _described(index):
@@ -273,6 +284,14 @@ def _described(index):
 
 def _gap_before_descriptor(index):
     _described(index)[0]["descriptor_offset"] += 4
+
+
+def _repeated_phrase_key(index):
+    """The first entry's phrase key written twice, {"phrase": "a",
+    "phrase": "a"}; keeping the last value would load the table as saved."""
+    text = json.dumps(index, sort_keys=True)
+    key = json.dumps({"phrase": index["entries"][0]["phrase"]})[1:-1]
+    return text.replace(key, f"{key}, {key}", 1)
 
 
 def _swap(records, key):
@@ -325,6 +344,7 @@ def _swap(records, key):
     lambda ix: ix["entries"][0].update(note="x"),
     lambda ix: ix["exemplars"][0].update(note="x"),
     lambda ix: _described(ix)[-1].pop("descriptor_offset"),
+    _repeated_phrase_key,
 ], ids=["runs-offset-past-end", "runs-offset-negative", "n-runs-negative",
         "model-offset-past-end", "model-offset-negative", "missing-lam",
         "unknown-info-key", "string-k", "zero-k", "zero-dim", "missing-k-exemplars", "descriptor-len-5",
@@ -337,7 +357,7 @@ def _swap(records, key):
         "aliased-descriptor", "gap-before-descriptor", "swapped-entry-phrases",
         "swapped-exemplar-scores", "exemplar-phrase-out-of-order", "info-without-iterations",
         "unknown-index-key", "unknown-entry-key", "unknown-exemplar-key",
-        "descriptor-len-without-offset"])
+        "descriptor-len-without-offset", "repeated-key"])
 def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
     path = tmp_path / "t.spt"
     save_table(random_table(5, n_entries=2, n_exemplars=3), path)
@@ -442,11 +462,44 @@ def _leaves(node, path=()):
         yield from _leaves(child, path + (key,))
 
 
-def _mutate(index, rng):
-    """One random edit of the index: swap a value's type, negate a number,
-    shift an offset, drop a key or duplicate a record."""
+def _regions(index, payload):
+    """Each record's payload bytes, as save_table lays them out: a model's
+    mixtures, an exemplar's mask runs and then its descriptor."""
+    def chunk(at, size):
+        return payload[at : at + size]
+
+    return {
+        "entries": [chunk(r["offset"], 8 * (r["k_fg"] + r["k_bg"]) * (1 + 2 * r["dim"]))
+                    for r in index["entries"]],
+        "exemplars": [chunk(r["runs_offset"], 4 * r["n_runs"] + 8 * r.get("descriptor_len", 0))
+                      for r in index["exemplars"]],
+    }
+
+
+def _relayout(index, regions):
+    """The payload of the records' regions back to back in index order,
+    every offset and payload_len moved to match."""
+    payload = b""
+    for rec, chunk in zip(index["entries"], regions["entries"]):
+        rec["offset"] = len(payload)
+        payload += chunk
+    for rec, chunk in zip(index["exemplars"], regions["exemplars"]):
+        rec["runs_offset"] = len(payload)
+        if "descriptor_offset" in rec:
+            rec["descriptor_offset"] = len(payload) + 4 * rec["n_runs"]
+        payload += chunk
+    index["payload_len"] = len(payload)
+    return payload
+
+
+def _mutate(index, payload, rng):
+    """One random edit of the index, and the payload to go with it. The
+    first five kinds leave the payload as it is: swap a value's type,
+    negate a number, shift an offset, drop a key, duplicate a record. The
+    last two keep the layout consistent: a record is duplicated or removed
+    together with its payload bytes, and every later offset moves."""
     nodes = list(_leaves(index))
-    kind = rng.choice(["swap", "negate", "shift", "drop", "duplicate"])
+    kind = rng.choice(["swap", "negate", "shift", "drop", "duplicate", "carry", "remove"])
 
     def parent(path):
         node = index
@@ -471,10 +524,23 @@ def _mutate(index, rng):
     elif kind == "drop":
         path, _ = rng.choice([(p, v) for p, v in nodes if isinstance(p[-1], str)])
         del parent(path)[path[-1]]
-    else:
+    elif kind == "duplicate":
         records = index[rng.choice(["entries", "exemplars"])]
         at = rng.randrange(len(records))
         records.insert(rng.randrange(len(records) + 1), json.loads(json.dumps(records[at])))
+    else:
+        regions = _regions(index, payload)
+        name = rng.choice(["entries", "exemplars"])
+        records, chunks = index[name], regions[name]
+        at = rng.randrange(len(records))
+        if kind == "carry":
+            to = rng.randrange(len(records) + 1)
+            records.insert(to, json.loads(json.dumps(records[at])))
+            chunks.insert(to, chunks[at])
+        else:
+            del records[at], chunks[at]
+        payload = _relayout(index, regions)
+    return payload
 
 
 def test_mutated_index_loads_round_trip_or_is_a_data_error(tmp_path):
@@ -482,10 +548,15 @@ def test_mutated_index_loads_round_trip_or_is_a_data_error(tmp_path):
     # mutant's own bytes, or is a DataError: never another exception
     rng = random.Random(17)
     path, again = tmp_path / "t.spt", tmp_path / "again.spt"
+
+    def mutated(index, payload):
+        payload = _mutate(index, payload, rng)
+        return json.dumps(index, sort_keys=True), payload
+
     outcomes = {"loaded": 0, "rejected": 0}
     for mutant in range(400):
         save_table(random_table(mutant % 8, n_entries=2, n_exemplars=3), path)
-        _edit_index(path, lambda ix: _mutate(ix, rng))
+        _edit_table(path, mutated)
         try:
             table = load_table(path)
         except DataError:
