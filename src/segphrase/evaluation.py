@@ -1,4 +1,4 @@
-"""Segmentation metrics, declaration-rate curves, and synthetic scenes.
+"""Declaration-rate curves and synthetic scenes.
 
 The scene generator is the testing substrate for the whole pipeline: a
 textured shape on a textured background with known pixel-exact ground
@@ -13,27 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imaging import Image
-
-
-@dataclass
-class SegMetrics:
-    precision: float  # fraction of pixels (fg and bg jointly) labeled correctly
-    jaccard: float    # foreground intersection over union
-
-
-def seg_metrics(pred, gt) -> SegMetrics:
-    """Pixel accuracy and foreground IoU against a ground-truth mask."""
-    pred = np.asarray(pred).astype(bool)
-    gt = np.asarray(gt).astype(bool)
-    if pred.shape != gt.shape:
-        raise ValueError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    precision = float((pred == gt).mean())
-    union = np.logical_or(pred, gt).sum()
-    if union == 0:
-        jaccard = 1.0  # both masks empty
-    else:
-        jaccard = float(np.logical_and(pred, gt).sum() / union)
-    return SegMetrics(precision, jaccard)
 
 
 # the fractions every CLI curve reports

@@ -138,7 +138,11 @@ def _parse_netpbm_header(buf: bytes):
 
 
 def load_image(path) -> Image:
-    """Decode a binary PGM (P5) or PPM (P6) file, scaling values to [0, 1]."""
+    """Decode a binary PGM (P5) or PPM (P6) file, scaling values to [0, 1].
+
+    Bytes after the raster are ignored: Netpbm allows several images in
+    one file, and this reads the first.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     magic = buf[:2]
@@ -156,7 +160,10 @@ def load_image(path) -> Image:
         raise TruncatedDataError(
             f"expected {need} pixel bytes, found {len(payload)}"
         )
-    arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(payload, dtype=np.uint8)
+    if maxval < 255 and samples.max() > maxval:
+        raise DataError(f"{path}: sample {samples.max()} above maxval {maxval}")
+    arr = samples.astype(np.float64) / maxval
     return Image(width, height, channels, arr.reshape(height, width, channels))
 
 

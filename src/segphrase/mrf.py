@@ -12,8 +12,7 @@ subtracting the per-node minimum (so capacities stay nonnegative even
 for negative costs), disagreement penalties become symmetric inter-node
 capacities. The residual network is built with numpy in one pass, as CSR
 arc arrays, and handed to the Dinic loops as plain lists; each phase's
-BFS stops once the sink has its level. A brute-force enumerator doubles
-as the testing oracle.
+BFS stops once the sink has its level.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ class SubmodularityError(NumericalError):
 
 _EPS = 1e-11
 _UNIT_ROUNDOFF = 2.0**-53
-_BRUTE_FORCE_LIMIT = 24
-_CHUNK_BITS = 18
 
 
 @dataclass
@@ -260,31 +257,3 @@ def min_cut_infer(problem: MrfProblem) -> np.ndarray:
     if labeling is None:
         labeling, _ = solve_max_flow(problem)
     return labeling
-
-
-def brute_force_infer(problem: MrfProblem) -> np.ndarray:
-    """Exhaustive minimizer; lexicographically smallest labeling among ties.
-
-    Vectorized over chunks of the 2^n label space; only usable for small n.
-    """
-    n = problem.n
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to n <= {_BRUTE_FORCE_LIMIT}")
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)  # node 0 = most significant
-    best_energy = np.inf
-    best_labeling = None
-    total = 1 << n
-    chunk = 1 << _CHUNK_BITS
-    e0 = problem.edges[:, 0] if len(problem.edges) else None
-    for lo in range(0, total, chunk):
-        ks = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-        labels = ((ks[:, None] >> shifts) & 1).astype(np.int8)
-        energies = labels @ problem.unary[:, 1] + (1 - labels) @ problem.unary[:, 0]
-        if e0 is not None:
-            disagree = labels[:, problem.edges[:, 0]] != labels[:, problem.edges[:, 1]]
-            energies += disagree @ problem.weights
-        idx = int(np.argmin(energies))
-        if energies[idx] < best_energy:  # strict: keeps the earliest (lex-smallest)
-            best_energy = float(energies[idx])
-            best_labeling = labels[idx].copy()
-    return best_labeling

@@ -153,11 +153,6 @@ def paraphrase_margin(score: float, tau: float) -> float:
     return tau - 2.0 * abs(score)
 
 
-def is_paraphrase(x: PhraseExemplars, y: PhraseExemplars, tau: float) -> bool:
-    """Both directions entail about equally: score gap within tau (inclusive)."""
-    return paraphrase_margin(entail_score(x, y), tau) >= 0
-
-
 # ---------------------------------------------------------------------------
 # Edge selection under transitivity
 # ---------------------------------------------------------------------------
@@ -300,26 +295,6 @@ def _solve_greedy(scores, lam) -> np.ndarray:
         for b in _bits(targets):
             col[b] |= sources
     return (reach & off).astype(np.int8)
-
-
-def transitivity_violations(decisions) -> int:
-    """Count of ordered distinct triples with W_xy + W_yz - W_xz > 1."""
-    w = np.asarray(decisions, dtype=np.int64)
-    count = 0
-    for y in range(len(w)):
-        lhs = w[:, y, None] + w[y] - w  # rows x, columns z; middle node y
-        lhs[y] = lhs[:, y] = 0  # x == y or z == y
-        np.fill_diagonal(lhs, 0)  # x == z
-        count += int((lhs > 1).sum())
-    return count
-
-
-def graph_objective(scores, decisions, lam: float) -> float:
-    """Objective value of a decision matrix: selected scores minus lam each."""
-    decisions = np.asarray(decisions, dtype=bool)
-    off = ~np.eye(len(decisions), dtype=bool)
-    sel = decisions & off
-    return float(np.asarray(scores)[sel].sum() - lam * sel.sum())
 
 
 def load_score_matrix(path) -> np.ndarray:

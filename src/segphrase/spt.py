@@ -4,10 +4,12 @@ One file holds everything: an 8-byte magic and format version, a JSON
 index describing every entry, a packed numeric payload (float64 mixture
 parameters, run-length-encoded superpixel masks, float64 descriptors),
 and a trailing CRC32 over the whole stream. The JSON part stays readable
-with a hex editor; the numbers round-trip at full precision. The payload
-regions lie back to back in index order, so every offset follows from
-the records before it, and load_table accepts only a file that
-save_table would write back byte for byte.
+with a hex editor; the numbers round-trip at full precision.
+
+One rule decides what loads: a file loads only if save_table writes the
+loaded table back to the same bytes. `_index` is the one statement of
+the index layout; save_table writes its text, and load_table compares
+the stored index with it.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ MAGIC = b"SEGPHTBL"
 FORMAT_VERSION = 1
 # how far a stored mixture's weights may sum from 1 (a fit's are within ulps)
 _SIMPLEX_TOL = 1e-9
-# the keys save_table writes in the index, a model record, its info and an exemplar record
-_INDEX_KEYS = {"k_exemplars", "entries", "exemplars", "payload_len"}
-_ENTRY_KEYS = {"phrase", "component_id", "version", "lam", "dim", "k_fg", "k_bg", "offset", "info"}
+# the ModelInfo fields that a model's index record holds
 _INFO_FIELDS = ("phrase", "component_id", "instances", "iterations", "energy_history")
-_EXEMPLAR_KEYS = {"phrase", "image_id", "score", "n", "first", "runs_offset", "n_runs"}
-_DESCRIBED_KEYS = _EXEMPLAR_KEYS | {"descriptor_offset", "descriptor_len"}
 
 
 class ValidationError(DataError):
@@ -130,44 +128,6 @@ class SegmentPhraseTable:
     def get_exemplars(self, phrase: str) -> list[ExemplarMask]:
         return self.exemplars.get(normalize_phrase(phrase), [])
 
-    def deep_equal(self, other: "SegmentPhraseTable") -> bool:
-        if self.k_exemplars != other.k_exemplars:
-            return False
-        if set(self.entries) != set(other.entries) or self.versions != other.versions:
-            return False
-        for key, model in self.entries.items():
-            if not _models_equal(model, other.entries[key]):
-                return False
-        if set(self.exemplars) != set(other.exemplars):
-            return False
-        for phrase, bucket in self.exemplars.items():
-            theirs = other.exemplars[phrase]
-            if len(bucket) != len(theirs):
-                return False
-            for a, b in zip(bucket, theirs):
-                if a.image_id != b.image_id or a.score != b.score:
-                    return False
-                if not np.array_equal(a.mask, b.mask):
-                    return False
-                if (a.descriptor is None) != (b.descriptor is None):
-                    return False
-                if a.descriptor is not None and not np.array_equal(
-                    a.descriptor, b.descriptor
-                ):
-                    return False
-        return True
-
-
-def _models_equal(a: SegmentationModel, b: SegmentationModel) -> bool:
-    for ga, gb in ((a.theta_fg, b.theta_fg), (a.theta_bg, b.theta_bg)):
-        if not (
-            np.array_equal(ga.weights, gb.weights)
-            and np.array_equal(ga.means, gb.means)
-            and np.array_equal(ga.variances, gb.variances)
-        ):
-            return False
-    return a.lam == b.lam and a.info == b.info
-
 
 # ---------------------------------------------------------------------------
 # Serialization
@@ -203,30 +163,13 @@ def _mixture(values: np.ndarray, at: int, k: int, dim: int):
     return GaussianMixture(values[at : at + k], means, variances), end
 
 
-def _unique_keys(pairs) -> dict:
-    """The JSON object of these (key, value) pairs; json.loads would keep
-    the last of a repeated key's values, so a repeat is a ChecksumError."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
-        raise ChecksumError(f"index object repeats the key {repeated!r}")
-    return obj
-
-
-def _offset(value, end: int, what: str) -> None:
-    """Check that a region's stored offset is end: regions lie back to back."""
-    if type(value) is not int or value != end:
-        raise ChecksumError(f"{what} {value!r} is not {end}, where the last region ends")
-
-
-def _rle_encode(mask: np.ndarray) -> tuple[int, np.ndarray]:
-    """(first value, run lengths) of a 0/1 vector."""
+def _rle_encode(mask: np.ndarray) -> np.ndarray:
+    """Run lengths of a 0/1 vector, alternating from its first label."""
     if len(mask) == 0:
-        return 0, np.empty(0, dtype="<u4")
+        return np.empty(0, dtype="<u4")
     changes = np.flatnonzero(np.diff(mask)) + 1
     bounds = np.concatenate(([0], changes, [len(mask)]))
-    return int(mask[0]), np.diff(bounds).astype("<u4")
+    return np.diff(bounds).astype("<u4")
 
 
 def _rle_decode(first: np.ndarray, n_runs: np.ndarray, runs: np.ndarray) -> np.ndarray:
@@ -237,56 +180,76 @@ def _rle_decode(first: np.ndarray, n_runs: np.ndarray, runs: np.ndarray) -> np.n
     return np.repeat(labels.astype(np.uint8), runs)
 
 
-def save_table(table: SegmentPhraseTable, path) -> None:
-    payload = bytearray()
-    index_entries = []
+def _index(table: SegmentPhraseTable, n_runs: dict[int, int]) -> bytes:
+    """The JSON index text that save_table writes for table, the one
+    statement of the layout; n_runs maps id() of each of the table's
+    exemplars to the number of its mask's runs.
+
+    The payload holds the models' mixtures in key order (foreground, then
+    background: weights, means, variances), then each phrase's exemplars
+    in bucket order (mask runs, then the descriptor if there is one),
+    back to back from byte 0, so every offset is the size of what comes
+    before it. A mask's runs alternate from its first label, 0 for an
+    empty mask.
+    """
+    at = 0
+    entries = []
     for key in sorted(table.entries):
         model = table.entries[key]
-        offset = len(payload)
-        payload += _mixture_bytes(model.theta_fg)
-        payload += _mixture_bytes(model.theta_bg)
-        index_entries.append(
+        k_fg, k_bg = model.theta_fg.k, model.theta_bg.k
+        entries.append(
             {
                 "phrase": key.phrase,
                 "component_id": key.component_id,
                 "version": table.versions[key],
                 "lam": model.lam,
                 "dim": model.dim,
-                "k_fg": model.theta_fg.k,
-                "k_bg": model.theta_bg.k,
-                "offset": offset,
+                "k_fg": k_fg,
+                "k_bg": k_bg,
+                "offset": at,
                 "info": {name: getattr(model.info, name) for name in _INFO_FIELDS},
             }
         )
-    index_exemplars = []
+        at += 8 * (k_fg + k_bg) * (1 + 2 * model.dim)
+    exemplars = []
     for phrase in sorted(table.exemplars):
         for ex in table.exemplars[phrase]:
-            first, runs = _rle_encode(ex.mask)
             rec = {
                 "phrase": phrase,
                 "image_id": ex.image_id,
                 "score": ex.score,
-                "n": int(len(ex.mask)),
-                "first": first,
-                "runs_offset": len(payload),
-                "n_runs": int(len(runs)),
+                "n": len(ex.mask),
+                "first": int(ex.mask[0]) if len(ex.mask) else 0,
+                "runs_offset": at,
+                "n_runs": n_runs[id(ex)],
             }
-            payload += runs.tobytes()
+            at += 4 * rec["n_runs"]
             if ex.descriptor is not None:
-                rec["descriptor_offset"] = len(payload)
-                rec["descriptor_len"] = int(len(ex.descriptor))
-                payload += np.asarray(ex.descriptor, "<f8").tobytes()
-            index_exemplars.append(rec)
-
-    index = json.dumps(
-        {
-            "k_exemplars": table.k_exemplars,
-            "entries": index_entries,
-            "exemplars": index_exemplars,
-            "payload_len": len(payload),
-        },
+                rec["descriptor_offset"] = at
+                rec["descriptor_len"] = len(ex.descriptor)
+                at += 8 * len(ex.descriptor)
+            exemplars.append(rec)
+    return json.dumps(
+        {"k_exemplars": table.k_exemplars, "entries": entries, "exemplars": exemplars,
+         "payload_len": at},
         sort_keys=True,
     ).encode("utf-8")
+
+
+def save_table(table: SegmentPhraseTable, path) -> None:
+    payload = bytearray()
+    for key in sorted(table.entries):
+        model = table.entries[key]
+        payload += _mixture_bytes(model.theta_fg) + _mixture_bytes(model.theta_bg)
+    n_runs = {}
+    for phrase in sorted(table.exemplars):
+        for ex in table.exemplars[phrase]:
+            runs = _rle_encode(ex.mask)
+            n_runs[id(ex)] = len(runs)
+            payload += runs.tobytes()
+            if ex.descriptor is not None:
+                payload += np.asarray(ex.descriptor, "<f8").tobytes()
+    index = _index(table, n_runs)
 
     body = MAGIC + struct.pack("<I", FORMAT_VERSION)
     body += struct.pack("<Q", len(index)) + index + bytes(payload)
@@ -299,25 +262,21 @@ def load_table(path) -> SegmentPhraseTable:
     """The table saved at path, decoded and checked in whole-table passes.
 
     A file loads only if save_table writes the loaded table back to the
-    same bytes, up to how the JSON index is spelled (whitespace, key
-    order, escapes, number forms), and it passes the checks below;
-    anything else is a ChecksumError (exit 2), however the CRC reads:
-    - no JSON object of the index repeats a key;
-    - the index, its records and each model's info hold exactly the keys
-      save_table writes: ints (a bool is no int) for counts, ids, versions
-      and offsets, at least 1 for k_exemplars, versions, k, dim and
-      descriptor lengths; strings for image ids and info phrases; finite
-      numbers for energies, scores and lam, which is also positive;
-    - phrases are normalized and nonempty; model keys ascend; exemplar
-      records are non-decreasing in (phrase, -score, image_id), at most
-      k_exemplars per phrase;
-    - back to back from byte 0 to payload_len, the payload holds the
-      models' mixtures (weights, means, variances), then each exemplar's
-      mask runs and descriptor, each region at its stored offset;
+    same bytes; anything else is a ChecksumError (exit 2), however the CRC
+    reads. Each payload region is decoded at its running position, the
+    exemplars go in through add_exemplar, and the stored index must then
+    be `_index` of the loaded table, byte for byte. Before that, what
+    sizes an allocation or reaches a computation is checked:
+    - ints (a bool is no int) for counts, ids, versions and first labels,
+      at least 1 for k_exemplars, versions, k, dim and descriptor
+      lengths; strings for image ids and info phrases; a list of finite
+      numbers for the energies; finite numbers for scores and lam, which
+      is also positive; phrases are normalized and nonempty;
+    - the regions end at payload_len;
     - mixture weights are nonnegative and sum to 1 within 1e-9, means are
       finite, variances finite and at least VARIANCE_FLOOR; mask runs are
-      nonzero and add up to the mask's length (an empty mask starts at
-      label 0); descriptors are finite and all of one length.
+      nonzero and add up to the mask's length; descriptors are finite and
+      all of one length.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -333,10 +292,9 @@ def load_table(path) -> SegmentPhraseTable:
     payload_start = index_start + index_len
     if payload_start > len(blob) - 4:
         raise TruncationError("index extends past end of file")
+    stored = blob[index_start:payload_start]
     try:
-        index = json.loads(
-            blob[index_start:payload_start].decode("utf-8"), object_pairs_hook=_unique_keys
-        )
+        index = json.loads(stored.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ChecksumError(f"index is not valid JSON: {exc}") from exc
     # the CRC check below needs payload_len, so it is checked first
@@ -353,29 +311,25 @@ def load_table(path) -> SegmentPhraseTable:
     if crc_stored != crc_actual:
         raise ChecksumError(f"CRC mismatch: stored {crc_stored:#x}, computed {crc_actual:#x}")
 
-    payload = blob[payload_start : expected - 4]
     # the CRC only proves the file is as written: a malformed index
-    # (missing or mistyped keys, misplaced regions) is caught here
+    # (missing or mistyped keys, regions past the payload) is caught here
+    payload = blob[payload_start : expected - 4]
     try:
-        return _table_from(index, payload)
+        table = SegmentPhraseTable(_whole(index["k_exemplars"], 1, "k_exemplars"))
+        end = _read_models(table, index["entries"], payload)
+        n_runs = _read_exemplars(table, index["exemplars"], payload, end)
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ChecksumError(f"malformed table index: {exc!r}") from exc
-
-
-def _table_from(index: dict, payload: bytes) -> SegmentPhraseTable:
-    if set(index) != _INDEX_KEYS:
-        raise ChecksumError(f"index keys {sorted(index)} are not {sorted(_INDEX_KEYS)}")
-    if type(index["entries"]) is not list or type(index["exemplars"]) is not list:
-        raise ChecksumError("index entries or exemplars are not a list")
-    table = SegmentPhraseTable(_whole(index["k_exemplars"], 1, "k_exemplars"))
-    end = _read_models(table, index["entries"], payload)
-    _read_exemplars(table, index["exemplars"], payload, end)
+    written = _index(table, n_runs)
+    if written != stored:
+        at = next((i for i, (a, b) in enumerate(zip(stored, written)) if a != b),
+                  min(len(stored), len(written)))
+        raise ChecksumError(f"index differs from save_table's at byte {at}: "
+                            f"stored {stored[at:at + 32]!r}, written {written[at:at + 32]!r}")
     return table
 
 
 def _model_info(fields) -> ModelInfo:
-    if set(fields) != set(_INFO_FIELDS):
-        raise ChecksumError(f"model info keys {sorted(fields)} are not {sorted(_INFO_FIELDS)}")
     info = ModelInfo(**fields)
     if type(info.phrase) is not str:
         raise ChecksumError(f"model info phrase {info.phrase!r} is not a string")
@@ -395,18 +349,12 @@ def _read_models(table: SegmentPhraseTable, records, payload: bytes) -> int:
     sizes = []  # weights, means, variances: mixture after mixture
     end = 0
     for rec in records:
-        if set(rec) != _ENTRY_KEYS:
-            raise ChecksumError(f"model record keys {sorted(rec)} are not save_table's")
         key = PhraseKey(rec["phrase"], _whole(rec["component_id"], 0, "component_id"))
-        if heads and key <= heads[-1][0]:  # save_table sorts the keys
-            raise ChecksumError(f"two models for {key.phrase!r} component {key.component_id}"
-                                if key == heads[-1][0] else f"model {key} is out of key order")
         table.versions[key] = _whole(rec["version"], 1, "version")
         lam = _finite(rec["lam"], "model lam")
         if lam <= 0:
             raise ChecksumError(f"model lam {lam!r} is not positive")
         dim, k_fg, k_bg = (_whole(rec[name], 1, name) for name in ("dim", "k_fg", "k_bg"))
-        _offset(rec["offset"], end, "model offset")
         heads.append((key, lam, _model_info(rec["info"]), dim, k_fg, k_bg))
         sizes += (k_fg, k_fg * dim, k_fg * dim, k_bg, k_bg * dim, k_bg * dim)
         end += 8 * (k_fg + k_bg) * (1 + 2 * dim)
@@ -434,38 +382,27 @@ def _read_models(table: SegmentPhraseTable, records, payload: bytes) -> int:
     return end
 
 
-def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes, at: int) -> None:
+def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes, at: int) -> dict:
     """Every exemplar, its regions following the models' from byte at: the
-    masks decoded with one np.repeat over all runs, the descriptors in one pass."""
+    masks decoded with one np.repeat over all runs, the descriptors in one
+    pass. Returns each exemplar's run count by id(), as _index takes it."""
     heads = []  # (phrase, image_id, score)
     lengths, firsts, widths = [], [], []  # a width of 0: no descriptor
     sizes = []  # in 4-byte words: runs, descriptor, exemplar after exemplar
     end = at
     for rec in records:
-        described = "descriptor_offset" in rec
-        if set(rec) != (_DESCRIBED_KEYS if described else _EXEMPLAR_KEYS):
-            raise ChecksumError(f"exemplar record keys {sorted(rec)} are not save_table's")
-        phrase = _normalized(rec["phrase"])
         image_id = rec["image_id"]
         if type(image_id) is not str:
             raise ChecksumError(f"image_id {image_id!r} is not a string")
-        heads.append((phrase, image_id, _finite(rec["score"], "exemplar score")))
-        n = _whole(rec["n"], 0, "mask length")
-        first = rec["first"]
-        # _rle_encode starts an empty mask at label 0
-        if type(first) is not int or first not in (0, 1) or first > n:
-            raise ChecksumError(f"mask of length {n} starts with label {first!r}")
-        _offset(rec["runs_offset"], end, "runs_offset")
+        heads.append((_normalized(rec["phrase"]), image_id,
+                      _finite(rec["score"], "exemplar score")))
+        lengths.append(_whole(rec["n"], 0, "mask length"))
+        firsts.append(_whole(rec["first"], 0, "first label"))
         n_runs = _whole(rec["n_runs"], 0, "n_runs")
-        width = 0
-        if described:
-            width = _whole(rec["descriptor_len"], 1, "descriptor_len")
-            _offset(rec["descriptor_offset"], end + 4 * n_runs, "descriptor_offset")
-        end += 4 * n_runs + 8 * width
-        lengths.append(n)
-        firsts.append(first)
+        width = _whole(rec["descriptor_len"], 1, "descriptor_len") if "descriptor_len" in rec else 0
         widths.append(width)
         sizes += (n_runs, 2 * width)
+        end += 4 * n_runs + 8 * width
     if end != len(payload):
         raise ChecksumError(f"exemplars end at byte {end}, not at payload_len {len(payload)}")
 
@@ -488,17 +425,13 @@ def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes, at: int)
     if len(set(widths) - {0}) > 1:
         raise ChecksumError(f"exemplar descriptors differ in length: {sorted(set(widths) - {0})}")
 
+    exemplars = []
     at = d = 0
     for (phrase, image_id, score), n, width in zip(heads, lengths, widths):
         descriptor = descriptors[d : d + width] if width else None
-        table.exemplars.setdefault(phrase, []).append(
-            ExemplarMask(image_id, score, masks[at : at + n], descriptor)
-        )
+        exemplars.append((phrase, ExemplarMask(image_id, score, masks[at : at + n], descriptor)))
         at += n
         d += width
-    # save_table writes the buckets by phrase, each as add_exemplar keeps
-    # it: sorted by (-score, image_id) and cut to k_exemplars
-    keys = [(phrase, -score, image_id) for phrase, image_id, score in heads]
-    if keys != sorted(keys) or any(len(b) > table.k_exemplars for b in table.exemplars.values()):
-        raise ChecksumError(f"exemplars are not in (phrase, -score, image_id) order, "
-                            f"at most {table.k_exemplars} per phrase")
+    for phrase, ex in exemplars:
+        table.add_exemplar(phrase, ex)
+    return {id(ex): count for (_, ex), count in zip(exemplars, n_runs.tolist())}

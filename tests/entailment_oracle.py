@@ -5,13 +5,15 @@ triple-index lists and closure sets; and the triple-loop violation
 count. Kept as first written, except that the greedy solver sums a
 move's net gain in the program's order, so tests can check
 `segphrase.relations` against them bit for bit and decision for
-decision.
+decision. Also the test-only views of the program's answers: a decision
+matrix's objective and the paraphrase decision of one pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from segphrase import relations
 from segphrase.relations import _TIE_EPS, EXACT_NODE_LIMIT, ZeroNormDescriptorError
 
 
@@ -182,3 +184,17 @@ def transitivity_violations(decisions) -> int:
                     if decisions[x, y] + decisions[y, z] - decisions[x, z] > 1:
                         count += 1
     return count
+
+
+def graph_objective(scores, decisions, lam: float) -> float:
+    """Objective value of a decision matrix: selected scores minus lam each."""
+    decisions = np.asarray(decisions, dtype=bool)
+    off = ~np.eye(len(decisions), dtype=bool)
+    sel = decisions & off
+    return float(np.asarray(scores)[sel].sum() - lam * sel.sum())
+
+
+def is_paraphrase(x, y, tau: float) -> bool:
+    """Both directions entail about equally: the program's score gap within
+    tau (inclusive), the rule `segphrase relations paraphrase` applies."""
+    return relations.paraphrase_margin(relations.entail_score(x, y), tau) >= 0

@@ -1,6 +1,7 @@
 """Reference max-flow: the original per-edge `add_edge` residual network
 and Dinic loops, kept verbatim so tests can check the array-built
-`segphrase.mrf` network against it flow for flow.
+`segphrase.mrf` network against it flow for flow; and the brute-force
+minimizer that checks the cut's energy on small problems.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import numpy as np
 from segphrase.mrf import MrfProblem, SubmodularityError
 
 _EPS = 1e-11
+_BRUTE_FORCE_LIMIT = 24
+_CHUNK_BITS = 18
 
 
 class _FlowNetwork:
@@ -126,3 +129,31 @@ def solve_max_flow(problem: MrfProblem):
     flow = net.max_flow(source, sink)
     labeling = net.source_side(source)[:n].astype(np.int8)
     return labeling, flow
+
+
+def brute_force_infer(problem: MrfProblem) -> np.ndarray:
+    """Exhaustive minimizer; lexicographically smallest labeling among ties.
+
+    Vectorized over chunks of the 2^n label space; only usable for small n.
+    """
+    n = problem.n
+    if n > _BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force limited to n <= {_BRUTE_FORCE_LIMIT}")
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)  # node 0 = most significant
+    best_energy = np.inf
+    best_labeling = None
+    total = 1 << n
+    chunk = 1 << _CHUNK_BITS
+    e0 = problem.edges[:, 0] if len(problem.edges) else None
+    for lo in range(0, total, chunk):
+        ks = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
+        labels = ((ks[:, None] >> shifts) & 1).astype(np.int8)
+        energies = labels @ problem.unary[:, 1] + (1 - labels) @ problem.unary[:, 0]
+        if e0 is not None:
+            disagree = labels[:, problem.edges[:, 0]] != labels[:, problem.edges[:, 1]]
+            energies += disagree @ problem.weights
+        idx = int(np.argmin(energies))
+        if energies[idx] < best_energy:  # strict: keeps the earliest (lex-smallest)
+            best_energy = float(energies[idx])
+            best_labeling = labels[idx].copy()
+    return best_labeling

@@ -3,6 +3,10 @@ checked and each exemplar mask run-length decoded with its own small
 numpy calls. Kept as first written, so tests can check that
 `segphrase.spt.load_table`'s whole-table array passes build the same
 table, with the same dtypes, from every valid file.
+
+Also `deep_equal`, the field-by-field comparison of two in-memory tables:
+equal saved bytes only prove that saving a loaded table gives the file
+back, not that the file kept every field of the table that was saved.
 """
 
 from __future__ import annotations
@@ -22,6 +26,44 @@ from segphrase.spt import (
     PhraseKey,
     SegmentPhraseTable,
 )
+
+
+def _models_equal(a: SegmentationModel, b: SegmentationModel) -> bool:
+    for ga, gb in ((a.theta_fg, b.theta_fg), (a.theta_bg, b.theta_bg)):
+        if not (
+            np.array_equal(ga.weights, gb.weights)
+            and np.array_equal(ga.means, gb.means)
+            and np.array_equal(ga.variances, gb.variances)
+        ):
+            return False
+    return a.lam == b.lam and a.info == b.info
+
+
+def deep_equal(a: SegmentPhraseTable, b: SegmentPhraseTable) -> bool:
+    """Whether the two tables hold equal k, versions, models and exemplars."""
+    if a.k_exemplars != b.k_exemplars:
+        return False
+    if set(a.entries) != set(b.entries) or a.versions != b.versions:
+        return False
+    for key, model in a.entries.items():
+        if not _models_equal(model, b.entries[key]):
+            return False
+    if set(a.exemplars) != set(b.exemplars):
+        return False
+    for phrase, bucket in a.exemplars.items():
+        theirs = b.exemplars[phrase]
+        if len(bucket) != len(theirs):
+            return False
+        for x, y in zip(bucket, theirs):
+            if x.image_id != y.image_id or x.score != y.score:
+                return False
+            if not np.array_equal(x.mask, y.mask):
+                return False
+            if (x.descriptor is None) != (y.descriptor is None):
+                return False
+            if x.descriptor is not None and not np.array_equal(x.descriptor, y.descriptor):
+                return False
+    return True
 
 
 def split_table(path) -> tuple[dict, bytes]:

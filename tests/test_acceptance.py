@@ -18,7 +18,6 @@ from segphrase.evaluation import (
     SceneConfig,
     declaration_curve,
     make_scene,
-    seg_metrics,
 )
 from segphrase.gmm import GaussianMixture
 from segphrase.imaging import (
@@ -36,7 +35,7 @@ from segphrase.latent import (
     make_instance,
 )
 from segphrase.linguistics import EmbeddingTable, WeightedMask, fuse_and_cut, message_pass
-from segphrase.mrf import MrfProblem, brute_force_infer, energy, min_cut_infer
+from segphrase.mrf import MrfProblem, energy, min_cut_infer
 from segphrase.spt import (
     ChecksumError,
     ExemplarMask,
@@ -47,6 +46,11 @@ from segphrase.spt import (
     load_table,
     save_table,
 )
+
+from entailment_oracle import graph_objective, is_paraphrase, transitivity_violations
+from maxflow_oracle import brute_force_infer
+from seg_metrics import seg_metrics
+from spt_oracle import deep_equal
 
 
 def report(tag, ok, detail):
@@ -280,11 +284,11 @@ def test_a6_solver_exactness():
             np.fill_diagonal(scores, 0.0)
             lam = float(rng.uniform(0, 0.3))
             decisions = relations.solve_entailment_graph(scores, lam, "exact")
-            assert relations.transitivity_violations(decisions) == 0
+            assert transitivity_violations(decisions) == 0
             gains = np.array([scores[p] - lam for p in pairs])
             oracle = float((feasible @ gains).max())
             worst = max(
-                worst, abs(relations.graph_objective(scores, decisions, lam) - oracle)
+                worst, abs(graph_objective(scores, decisions, lam) - oracle)
             )
     elapsed = time.time() - start
     report(
@@ -304,7 +308,7 @@ def test_a7_closure_edge_selected():
     scores[0, 2], scores[2, 0] = -0.05, 0.05
     decisions = relations.solve_entailment_graph(scores, 0.1, "exact")
     taken = decisions[0, 1] and decisions[1, 2] and decisions[0, 2]
-    objective = relations.graph_objective(scores, decisions, 0.1)
+    objective = graph_objective(scores, decisions, 0.1)
     report(
         "A7",
         bool(taken) and objective == pytest.approx(1.35),
@@ -323,10 +327,10 @@ def test_a8_paraphrase_symmetry_and_boundary():
         x = _random_exemplars(rng, "x")
         y = _random_exemplars(rng, "y")
         tau = float(rng.uniform(0.001, 0.5))
-        ok &= relations.is_paraphrase(x, y, tau) == relations.is_paraphrase(y, x, tau)
+        ok &= is_paraphrase(x, y, tau) == is_paraphrase(y, x, tau)
         gap = 2 * abs(relations.entail_score(x, y))
         if gap > 0:
-            ok &= relations.is_paraphrase(x, y, gap)  # boundary inclusive
+            ok &= is_paraphrase(x, y, gap)  # boundary inclusive
             boundary_checked += 1
     report(
         "A8",
@@ -401,7 +405,7 @@ def test_a10_round_trip_fidelity(tmp_path):
         table = _random_table(rng)
         path = tmp_path / f"t{i}.spt"
         save_table(table, path)
-        ok &= load_table(path).deep_equal(table)
+        ok &= deep_equal(load_table(path), table)
 
     path = tmp_path / "corrupt.spt"
     save_table(_random_table(rng), path)

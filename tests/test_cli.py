@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from entailment_oracle import is_paraphrase
 
 import segphrase
 from segphrase import cli, relations
@@ -277,7 +278,7 @@ def test_train_segment_relations_pipeline(workspace, tmp_path, capsys):
         assert float(score) == relations.paraphrase_margin(
             relations.entail_score(ex, ey), 0.5
         )
-        assert int(decision) == int(relations.is_paraphrase(ex, ey, 0.5))
+        assert int(decision) == int(is_paraphrase(ex, ey, 0.5))
 
     simrel = tmp_path / "sim.tsv"
     simrel.write_text("round object\tsquare object\tround object\tsquare object\n")
@@ -313,6 +314,29 @@ def test_missing_image_exits_2(tmp_path, capsys):
     rc = main(["train", str(manifest), str(tmp_path / "out.spt")])
     assert rc == 2
     assert "img.pgm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "segment"])
+def test_sample_above_maxval_exits_2(command, twin_table, tmp_path, capsys):
+    # scaled by maxval, a sample of 255 over maxval 100 used to end in a
+    # ValueError traceback (exit 1)
+    image = tmp_path / "bright.pgm"
+    image.write_bytes(b"P5\n4 4\n100\n" + b"\xff" * 16)
+    if command == "train":
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f'"p q" 0 {image} 0 0 4 4\n')
+        out = tmp_path / "t.spt"
+        argv = ["train", str(manifest), str(out)]
+    else:
+        table_path, emb = twin_table
+        detections = tmp_path / "dets.txt"
+        detections.write_text('"round" 0 0 4 4 0.9\n')
+        out = tmp_path / "m.pgm"
+        argv = ["segment", str(image), str(detections), str(table_path), str(emb), str(out)]
+    capsys.readouterr()
+    err = _data_error(main(argv), capsys.readouterr())
+    assert err == f"segphrase: data error: {image}: sample 255 above maxval 100\n"
+    assert not out.exists()
 
 
 def test_training_input_is_all_or_nothing(tmp_path, workspace, capsys):
@@ -468,7 +492,9 @@ def test_one_parser_serves_every_main_call(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("edit, reason", [
-    (lambda ix: ix["entries"][1].update(phrase="a"), "two models for 'a' component 0"),
+    # the second 'a' record stands where save_table's entries end
+    (lambda ix: ix["entries"][1].update(phrase="a"),
+     "index differs from save_table's at byte 216: stored b', {\"component_id\": 0"),
     (lambda ix: ix["exemplars"][1].update(phrase="B"), "'B' is not a normalized string"),
     (lambda ix: [rec.update(descriptor_len=0) for rec in ix["exemplars"]],
      "descriptor_len 0 is not an integer >= 1"),

@@ -6,9 +6,9 @@ from segphrase.evaluation import (
     SceneConfig,
     declaration_curve,
     make_scene,
-    seg_metrics,
     write_curve_csv,
 )
+from seg_metrics import seg_metrics
 
 
 # -- seg_metrics -----------------------------------------------------------------

@@ -1,11 +1,13 @@
 import copy
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from segphrase import imaging
+from segphrase.errors import DataError
 from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import (
     FEATURE_DIM,
@@ -88,6 +90,30 @@ def test_load_handles_comments_and_maxval_scaling(tmp_path):
     path.write_bytes(b"P5\n# a comment\n2 1\n100\n" + bytes([50, 100]))
     img = load_image(path)
     assert np.allclose(img.data.ravel(), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("header, raster, sample", [
+    (b"P5\n4 4\n100\n", bytes([0xFF] * 16), 255),
+    (b"P5\n4 4\n100\n", bytes([100] * 15 + [101]), 101),
+    (b"P6\n2 1\n1\n", bytes([0, 1, 1, 1, 0, 2]), 2),
+], ids=["p5-all-255", "p5-one-over", "p6-one-over"])
+def test_load_rejects_a_sample_above_maxval(tmp_path, header, raster, sample):
+    # Netpbm samples lie in [0, maxval]; scaled by maxval they would leave [0, 1]
+    path = tmp_path / "a.pgm"
+    path.write_bytes(header + raster)
+    maxval = int(header.split()[-1])
+    message = f"{path}: sample {sample} above maxval {maxval}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_image(path)
+
+
+def test_load_reads_the_first_of_several_images(tmp_path):
+    # Netpbm allows several images in one file: the bytes after the first
+    # raster are not read
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5\n2 1\n255\n" + bytes([51, 255]) + b"P5\n1 1\n255\n" + bytes([7]))
+    img = load_image(path)
+    assert (img.width, img.height) == (2, 1) and np.allclose(img.data.ravel(), [0.2, 1.0])
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from seg_metrics import seg_metrics
 
 from segphrase import gmm, latent
 from segphrase.config import Config
 from segphrase.errors import DataError, NumericalError
-from segphrase.evaluation import SceneConfig, make_scene, seg_metrics
+from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import (
     Image,
     compute_superpixels,

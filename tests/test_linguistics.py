@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from seg_metrics import seg_metrics
 
 from segphrase.config import Config
-from segphrase.evaluation import SceneConfig, make_scene, seg_metrics
+from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import (
     SuperpixelGraph,
     SuperpixelMap,

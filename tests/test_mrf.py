@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxflow_oracle import brute_force_infer
 from maxflow_oracle import solve_max_flow as oracle_solve_max_flow
 from segphrase import gmm, mrf
 from segphrase.config import Config
@@ -12,7 +13,6 @@ from segphrase.latent import em_learn, make_instance, segment_instance
 from segphrase.mrf import (
     MrfProblem,
     SubmodularityError,
-    brute_force_infer,
     energy,
     min_cut_infer,
     solve_max_flow,

@@ -159,8 +159,9 @@ def test_exemplars_sorted_and_capped():
 ], ids=["empty", "single-run", "starts-with-1", "short-runs", "long-runs"])
 def test_rle_decode_inverts_encode(mask):
     mask = np.array(mask, dtype=np.uint8)
-    first, runs = _rle_encode(mask)
-    assert runs.dtype == np.dtype("<u4") and first == (int(mask[0]) if len(mask) else 0)
+    runs = _rle_encode(mask)
+    assert runs.dtype == np.dtype("<u4") and runs.all()
+    first = int(mask[0]) if len(mask) else 0
     out = _rle_decode(np.array([first]), np.array([len(runs)]), runs)
     assert out.dtype == np.uint8 and np.array_equal(out, mask)
 
@@ -176,7 +177,7 @@ def test_empty_table_round_trip(tmp_path):
     path = tmp_path / "t.spt"
     table = SegmentPhraseTable()
     save_table(table, path)
-    assert load_table(path).deep_equal(table)
+    assert spt_oracle.deep_equal(load_table(path), table)
 
 
 def test_fifty_entry_round_trip(tmp_path):
@@ -185,7 +186,7 @@ def test_fifty_entry_round_trip(tmp_path):
     for i in range(50):
         table.insert(PhraseKey.make(f"phrase {i}"), random_model(rng))
     save_table(table, tmp_path / "t.spt")
-    assert load_table(tmp_path / "t.spt").deep_equal(table)
+    assert spt_oracle.deep_equal(load_table(tmp_path / "t.spt"), table)
 
 
 def test_flipped_magic_is_version_mismatch(tmp_path):
@@ -360,9 +361,10 @@ def _swap(records, key):
         "descriptor-len-without-offset", "repeated-key"])
 def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
     path = tmp_path / "t.spt"
-    save_table(random_table(5, n_entries=2, n_exemplars=3), path)
+    table = random_table(5, n_entries=2, n_exemplars=3)
+    save_table(table, path)
     _edit_index(path, lambda ix: None)
-    assert load_table(path).deep_equal(random_table(5, n_entries=2, n_exemplars=3))
+    assert spt_oracle.deep_equal(load_table(path), table)
     _edit_index(path, edit)
     with pytest.raises(ChecksumError):
         load_table(path)
@@ -375,7 +377,35 @@ def test_empty_records_not_in_a_list_fail_checksum(tmp_path, records, empty):
     path = tmp_path / "t.spt"
     save_table(SegmentPhraseTable(), path)
     _edit_index(path, lambda ix: ix.update({records: empty}))
-    with pytest.raises(ChecksumError, match="not a list"):
+    # the error names the byte of the [] that save_table writes there:
+    # {"entries": [], "exemplars": [], "k_exemplars": 10, "payload_len": 0}
+    at = {"entries": 12, "exemplars": 29}[records]
+    with pytest.raises(ChecksumError, match=f"index differs from save_table's at byte {at}:"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("respell", [
+    lambda text: json.dumps(json.loads(text), sort_keys=True, indent=1),
+    lambda text: json.dumps(dict(reversed(json.loads(text).items()))),
+    lambda text: text.replace('"score": 1.0', '"score": 1e0'),
+    lambda text: text.replace('"image_id": "a"', '"image_id": "\\u0061"'),
+], ids=["whitespace", "key-order", "exponent", "unicode-escape"])
+def test_respelled_index_fails_checksum(tmp_path, respell):
+    # the same JSON value as save_table's index, spelled another way
+    table = SegmentPhraseTable()
+    table.insert(PhraseKey.make("a"), random_model(np.random.default_rng(7), phrase="a"))
+    table.add_exemplar("a", ExemplarMask("a", 1.0, np.array([1, 0]), np.ones(3)))
+    path = tmp_path / "t.spt"
+    save_table(table, path)
+
+    def edit(index, payload):
+        text = json.dumps(index, sort_keys=True)
+        respelled = respell(text)
+        assert respelled != text and json.loads(respelled) == index
+        return respelled, payload
+
+    _edit_table(path, edit)
+    with pytest.raises(ChecksumError, match="index differs from save_table's at byte"):
         load_table(path)
 
 
@@ -398,7 +428,7 @@ def test_mask_runs_not_as_save_table_writes_fail_checksum(tmp_path, edit):
     path = tmp_path / "t.spt"
     save_table(table, path)
     _edit_index(path, lambda ix: None)
-    assert load_table(path).deep_equal(table)
+    assert spt_oracle.deep_equal(load_table(path), table)
     _edit_index(path, edit)
     with pytest.raises(ChecksumError):
         load_table(path)
@@ -446,7 +476,7 @@ def test_array_decoder_matches_record_by_record_oracle(tmp_path, table):
     save_table(table, path)
     ours = load_table(path)
     theirs = spt_oracle.table_from(*spt_oracle.split_table(path))
-    assert ours.deep_equal(theirs) and theirs.deep_equal(table)
+    assert spt_oracle.deep_equal(ours, theirs) and spt_oracle.deep_equal(theirs, table)
     save_table(ours, tmp_path / "again.spt")
     assert (tmp_path / "again.spt").read_bytes() == path.read_bytes()
     assert _same_dtypes(ours, theirs) and _same_dtypes(theirs, ours)
@@ -565,7 +595,7 @@ def test_mutated_index_loads_round_trip_or_is_a_data_error(tmp_path):
         outcomes["loaded"] += 1
         save_table(table, again)
         assert again.read_bytes() == path.read_bytes(), mutant
-        assert load_table(again).deep_equal(table), mutant
+        assert spt_oracle.deep_equal(load_table(again), table), mutant
     assert min(outcomes.values()) > 20, outcomes
 
 
@@ -575,6 +605,6 @@ def test_round_trip_property(tmp_path_factory, seed):
     table = random_table(seed, n_entries=2, n_exemplars=3)
     path = tmp_path_factory.mktemp("spt") / "t.spt"
     save_table(table, path)
-    assert load_table(path).deep_equal(table)
+    assert spt_oracle.deep_equal(load_table(path), table)
     save_table(load_table(path), path.with_name("again.spt"))
     assert path.with_name("again.spt").read_bytes() == path.read_bytes()
