@@ -19,14 +19,15 @@ from . import evaluation, relations
 from .config import Config, load_config
 from .errors import DataError, Error, NumericalError, text_rows
 from .imaging import (
+    check_superpixel_target,
     extract_features,
-    compute_superpixels,
     labels_to_mask,
     load_image,
     save_image,
     save_mask_pgm,
+    superpixel_maps,
 )
-from .latent import em_learn, make_instance
+from .latent import check_box, em_learn, make_instance
 from .linguistics import load_embeddings, parse_detections, semantic_segment
 from .spt import (
     ExemplarMask,
@@ -180,22 +181,30 @@ def parse_train_manifest(path):
     ]
 
 
-def _load_instance(path, box, target):
+def _load_checked(path, box, target):
+    """A manifest line's image, once its box and the superpixel target
+    fit it: the first bad line is the one reported."""
     img = load_image(path)
-    graph = extract_features(img, compute_superpixels(img, target))
-    return img, make_instance(graph, box)
+    check_superpixel_target(img, target)
+    check_box(box, img.width, img.height)
+    return img
 
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
     groups = parse_train_manifest(args.manifest)
     table = SegmentPhraseTable(k_exemplars=config.k_exemplars)
+    target = config.superpixel_target
 
     # every image loads before any group trains, so a bad image fails
-    # before anything reaches stdout
+    # before anything reaches stdout; the superpixels of all images are
+    # computed together
+    images = [[_load_checked(path, box, target) for path, box in items] for _key, items in groups]
+    smaps = iter(superpixel_maps([img for group in images for img in group], target))
     loaded = [
-        [_load_instance(path, box, config.superpixel_target) for path, box in items]
-        for _key, items in groups
+        [(img, make_instance(extract_features(img, next(smaps)), box))
+         for img, (_path, box) in zip(group, items)]
+        for group, (_key, items) in zip(images, groups)
     ]
 
     for group_index, ((phrase, component), items) in enumerate(groups):

@@ -8,7 +8,6 @@ in [0, 1] derived from the Sobel gradient along that boundary.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -42,6 +41,10 @@ _INTENSITY_SCALE = 0.2
 _KMEANS_ITERS = 10
 # window elements evaluated per block of seed-grid rows (at least one row)
 _KMEANS_BLOCK = 1 << 16
+# pixels of same-shape images that one superpixel run stacks (at least one
+# image): a k-means iteration or merge round costs about the same array
+# passes for a chunk as for one image, while its working set grows with it
+_CHUNK_PIXELS = 1 << 13
 # slack of the crop's proof bound and of `_full_pass`'s seed spans, in
 # pixels: far above the rounding of a distance (a few ulps), far below a pixel
 _NEED_MARGIN = 1e-6
@@ -188,37 +191,70 @@ def save_mask_pgm(mask: np.ndarray, path) -> None:
 # Superpixel decomposition
 # ---------------------------------------------------------------------------
 
-def compute_superpixels(img: Image, target_count: int) -> SuperpixelMap:
-    """Grid-seeded SLIC-style clustering in (x, y, intensity) space.
-
-    Runs a fixed number of k-means iterations from a regular seed grid,
-    then enforces 4-connectivity by merging stray components into their
-    best neighbor. Deterministic for fixed inputs; the final count n lies
-    in [1, 4 * target_count]. With zero image gradient the result reduces
-    to nearest-seed (Voronoi) blocks. A target outside [1, pixel count]
-    raises SuperpixelTargetError, both a DataError and a ValueError.
-    """
+def check_superpixel_target(img: Image, target_count: int) -> None:
+    """Raise SuperpixelTargetError, both a DataError and a ValueError,
+    unless the target lies in [1, the image's pixel count]."""
     w, h = img.width, img.height
     if not 1 <= target_count <= w * h:
         raise SuperpixelTargetError(
             f"superpixel target {target_count} outside [1, {w * h}] "
             f"for a {w}x{h} image"
         )
-    assign = _kmeans_assign(img.intensity(), target_count)
-    min_size = max(1, (w * h) // (4 * target_count))
-    labels, n = _enforce_connectivity(assign, min_size, 4 * target_count)
-    return SuperpixelMap(w, h, labels, n)
+
+
+def compute_superpixels(img: Image, target_count: int) -> SuperpixelMap:
+    """`superpixel_maps` of one image."""
+    return superpixel_maps([img], target_count)[0]
+
+
+def superpixel_maps(images, target_count: int) -> list[SuperpixelMap]:
+    """Grid-seeded SLIC-style clustering in (x, y, intensity) space, one
+    map per image.
+
+    Runs a fixed number of k-means iterations from a regular seed grid,
+    then enforces 4-connectivity by merging stray components into their
+    best neighbor. Deterministic for fixed inputs, and each map depends on
+    its own image only; the final count n lies in [1, 4 * target_count].
+    With zero image gradient the result reduces to nearest-seed (Voronoi)
+    blocks. Every target is checked first (`check_superpixel_target`):
+    the first image it does not fit raises SuperpixelTargetError.
+
+    Images of one shape share the seed grid, so they run together, in
+    chunks of at most _CHUNK_PIXELS pixels (at least one image): every
+    k-means iteration and every merge round then costs one set of array
+    passes per chunk instead of one per image.
+    """
+    for img in images:
+        check_superpixel_target(img, target_count)
+    maps = [None] * len(images)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, img in enumerate(images):
+        by_shape.setdefault((img.height, img.width), []).append(i)
+    for (h, w), members in by_shape.items():
+        per_chunk = max(1, _CHUNK_PIXELS // (h * w))
+        min_size = max(1, (w * h) // (4 * target_count))
+        for s in range(0, len(members), per_chunk):
+            chunk = members[s:s + per_chunk]
+            assign = _kmeans_assign(np.stack([images[i].intensity() for i in chunk]), target_count)
+            labels, counts = _enforce_connectivity(assign, min_size, 4 * target_count)
+            for i, image_labels, n in zip(chunk, labels, counts):
+                maps[i] = SuperpixelMap(w, h, image_labels, n)
+    return maps
 
 
 def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
-    """Centre index of every pixel after the k-means iterations.
+    """Centre index of every pixel after the k-means iterations, for a
+    stack of m same-shape images, shape (m, h, w); image j's centres are
+    numbered j * (its centre count) + its own index.
 
     Each centre scans a window of +-reach pixels (reach = ceil(2 grid
     intervals)) around its anchor, the centre truncated toward zero. A
-    pixel takes, among the centres whose window covers it, the one with
-    the smallest distance d2 = (dx*dx + dy*dy) / interval**2 + di*di, and
-    the lowest index among equal d2. Pixels outside every window take the
-    globally nearest centre.
+    pixel takes, among its image's centres whose window covers it, the
+    one with the smallest distance d2 = (dx*dx + dy*dy) / interval**2 +
+    di*di, and the lowest index among equal d2. Pixels outside every
+    window take their image's nearest centre. Coordinates are each
+    image's own, so every d2, centre and label is the one the image gets
+    alone.
 
     Every iteration evaluates the windows cropped to +-c pixels around
     their anchors (`_window_pass`), c = `_crop(interval)`, one grid
@@ -237,22 +273,22 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     bound, and pixels no cropped window covers (B_p = inf), are decided
     again against all the windows covering them (`_full_pass`).
     """
-    h, w = intensity.shape
+    m, h, w = intensity.shape
     interval = math.sqrt(w * h / target_count)
     rows = max(1, round(h / interval))
     cols = max(1, round(w / interval))
 
     cy = (np.arange(rows) + 0.5) * h / rows - 0.5
     cx = (np.arange(cols) + 0.5) * w / cols - 0.5
-    centers_y, centers_x = [a.ravel() for a in np.meshgrid(cy, cx, indexing="ij")]
-    iy = np.clip(np.rint(centers_y).astype(int), 0, h - 1)
-    ix = np.clip(np.rint(centers_x).astype(int), 0, w - 1)
-    centers_i = intensity[iy, ix]
-    n_centers = len(centers_x)
-    centers = (centers_x, centers_y, centers_i)
+    seed_y, seed_x = [a.ravel() for a in np.meshgrid(cy, cx, indexing="ij")]
+    iy = np.clip(np.rint(seed_y).astype(int), 0, h - 1)
+    ix = np.clip(np.rint(seed_x).astype(int), 0, w - 1)
+    centers_i = intensity[:, iy, ix].ravel()
+    n_centers = len(centers_i)
+    centers = (np.tile(seed_x, m), np.tile(seed_y, m), centers_i)
 
-    pixel_x = np.tile(np.arange(w, dtype=np.float64), h)
-    pixel_y = np.repeat(np.arange(h, dtype=np.float64), w)
+    pixel_x = np.tile(np.arange(w, dtype=np.float64), m * h)
+    pixel_y = np.tile(np.repeat(np.arange(h, dtype=np.float64), w), m)
     pixel_i = intensity.ravel()
     pixels = (pixel_x, pixel_y, pixel_i)
     scale2 = interval * interval
@@ -260,7 +296,13 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     crop = _crop(interval)
     proven = ((crop - _NEED_MARGIN) / interval) ** 2
 
-    padded = np.pad(intensity, reach).ravel()
+    # each image padded by reach on every side, so no window leaves its image
+    padded = np.pad(intensity, ((0, 0), (reach, reach), (reach, reach))).ravel()
+    # the window entries of a block of whole seed-grid rows (d2, gathered
+    # values, gather indices, tie flags), kept for every iteration
+    full = (2 * crop + 1) ** 2
+    most = min(m * rows, max(1, _KMEANS_BLOCK // (cols * full))) * cols * full
+    work = np.empty(most), np.empty(most), np.empty(most, dtype=np.intp), np.empty(most, dtype=bool)
     for it in range(_KMEANS_ITERS):
         if it:
             # x/y sums are sums of integers, hence exact; the intensity
@@ -271,11 +313,11 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
             for center, values in zip(centers, pixels):
                 sums = np.bincount(flat, weights=values, minlength=n_centers)
                 center[used] = sums[used] / counts[used]
-        assign, best = _window_pass(padded, (h, w), centers, cols, scale2, reach, crop)
+        assign, best = _window_pass(padded, (m, h, w), centers, cols, scale2, reach, crop, work)
         flat = assign.ravel()
         redo = np.flatnonzero(best.ravel() > proven)
         flat[redo] = _full_pass(redo, pixels, centers, (cy, cx), scale2, reach, (h, w))
-    return assign
+    return assign.reshape(m, h, w)
 
 
 def _crop(interval):
@@ -284,127 +326,142 @@ def _crop(interval):
     return round(interval)
 
 
-def _window_pass(padded, shape, centers, cols, scale2, reach, crop):
+def _window_pass(padded, shape, centers, cols, scale2, reach, crop, work):
     """Each pixel's winner among the windows cropped to +-crop pixels, and
-    its d2 (-1 and inf where none covers it).
+    its d2 (-1 and inf where none covers it), both of shape (m * h, w):
+    the m images' rasters one after another.
 
     The rule does not depend on the order the centres are visited, so
-    blocks of whole seed-grid rows are evaluated at once. Every window of
-    a block is gathered from the image padded by reach (`padded`, raveled:
-    pixel (y, x) sits at (y + reach, x + reach), so every window lies
-    inside; the padding is never read back), and d2 is the same float
-    expression as a one-centre-at-a-time loop, so each d2 is bit-equal. A
-    band buffer over the block's rows keeps per pixel the smallest d2
-    (`np.minimum.at`), then the first entry equal to it (entries run
-    centre by centre, so the lowest index). Blocks merge in ascending
-    index with a strict `<`, so a tie stays with the earlier, lower-index
-    block.
+    blocks of whole seed-grid rows, of one image or of several, are
+    evaluated at once, as many rows as the `work` buffers hold. `padded`
+    is the stack of images each padded by reach, raveled: a canvas of m
+    slabs of h + 2 * reach rows, pixel (y, x) of image j at slab row y +
+    reach, column x + reach. So every window lies inside its own image's
+    slab, and the slab's offset enters only the gather indices: d2 is the
+    same float expression, in the image's own coordinates, as a
+    one-centre-at-a-time loop, so each d2 is bit-equal. A block's
+    entries run (dy, dx, centre), so the inner loops run over the block's
+    centres. A band buffer over the block's canvas rows keeps per pixel
+    the smallest d2 (`np.minimum.at`), then the lowest centre among the
+    entries equal to it. Blocks merge in ascending index with a strict
+    `<`, so a tie stays with the earlier, lower-index block.
     """
-    h, w = shape
+    m, h, w = shape
     center_x, center_y, center_i = centers
-    rows = len(center_x) // cols
-    # windows are anchored at the centre truncated toward zero
+    n = len(center_x)
+    rows = n // cols
+    slab = h + 2 * reach
+    pw = w + 2 * reach
+    # windows are anchored at the centre truncated toward zero; anchor_y
+    # is the anchor's canvas row less reach
     base_x = center_x.astype(int)
     base_y = center_y.astype(int)
-    pw = w + 2 * reach
-    assign = np.full((h, w), -1, dtype=np.int32)
-    dist = np.full((h, w), np.inf)
-    # band buffers span the padded image but a block touches only its band
-    band_d2 = np.empty((h + 2 * reach) * pw)
-    band_at = np.empty((h + 2 * reach) * pw, dtype=np.intp)
+    per_image = n // m
+    anchor_y = base_y + np.repeat(np.arange(m) * slab, per_image)
+    assign = np.full((m * h, w), -1, dtype=np.int32)
+    dist = np.full((m * h, w), np.inf)
     side = 2 * crop + 1
     full = side * side
-    block_rows = max(1, _KMEANS_BLOCK // (cols * full))
-    most = min(rows, block_rows) * cols * full
-    d2_buf = np.empty(most)
-    win_buf = np.empty(most)
-    idx_buf = np.empty(most, dtype=np.intp)
-    tie_buf = np.empty(most, dtype=bool)
-    offs = np.arange(-crop, crop + 1)
-    square = np.arange(side)[:, None] * pw + np.arange(side)
-    for r in range(0, rows, block_rows):
-        k0, k1 = r * cols, min(rows, r + block_rows) * cols
+    d2_buf, win_buf, idx_buf, tie_buf = work
+    block_rows = len(d2_buf) // (cols * full)
+    starts = np.arange(0, rows, block_rows) * cols
+    y_lo = np.minimum.reduceat(anchor_y, starts)
+    y_hi = np.maximum.reduceat(anchor_y, starts)
+    # a block's band: canvas rows y_lo + reach - crop .. y_hi + reach + crop
+    n_band = y_hi - y_lo + side
+    band_d2 = np.empty(int(n_band.max()) * pw)
+    band_at = np.empty(int(n_band.max()) * pw, dtype=np.intp)
+    offs = np.arange(-crop, crop + 1)[:, None]
+    square = (np.arange(side)[:, None] * pw + np.arange(side))[:, :, None]
+    for k0, lo, rows_in_band in zip(starts.tolist(), y_lo.tolist(), n_band.tolist()):
+        k1 = min(n, k0 + block_rows * cols)
+        nk = k1 - k0
         by, bx = base_y[k0:k1], base_x[k0:k1]
-        y_lo, y_hi = int(by.min()), int(by.max())
-        windows = (k1 - k0, side, side)
-        size = (k1 - k0) * full
+        windows = (side, side, nk)
+        size = nk * full
         # the same expression as `_d2`, made separable and in place
-        dx = (bx[:, None] + offs).astype(np.float64)
-        dx -= center_x[k0:k1, None]
+        dx = (bx + offs).astype(np.float64)
+        dx -= center_x[k0:k1]
         dx *= dx
-        dy = (by[:, None] + offs).astype(np.float64)
-        dy -= center_y[k0:k1, None]
+        dy = (by + offs).astype(np.float64)
+        dy -= center_y[k0:k1]
         dy *= dy
         d2 = d2_buf[:size].reshape(windows)
-        np.add(dy[:, :, None], dx[:, None, :], out=d2)
+        np.add(dy[:, None, :], dx[None, :, :], out=d2)
         d2 /= scale2
-        # band: padded rows top .. top + n_band - 1, full padded width
-        top = y_lo + reach - crop
-        n_band = y_hi - y_lo + side
+        top = lo + reach - crop
         idx = idx_buf[:size].reshape(windows)
-        np.add(((by - y_lo) * pw + bx + reach - crop)[:, None, None], square, out=idx)
+        np.add((anchor_y[k0:k1] - lo) * pw + bx + reach - crop, square, out=idx)
         di = win_buf[:size].reshape(windows)
         # every index is in range: "clip" only spares take's buffered copy
         np.take(padded[top * pw:], idx, out=di, mode="clip")
-        di -= center_i[k0:k1, None, None]
+        di -= center_i[k0:k1]
         di /= _INTENSITY_SCALE
         di *= di
         d2 += di
-        # per band pixel the smallest d2, then the first entry holding
-        # it; entries run centre by centre, so that is the lowest index
-        bd = band_d2[:n_band * pw]
-        at = band_at[:n_band * pw]
+        # per band pixel the smallest d2, then the lowest centre holding
+        # it: entry e belongs to centre k0 + e % nk
+        bd = band_d2[:rows_in_band * pw]
+        at = band_at[:rows_in_band * pw]
         bd.fill(np.inf)
-        at.fill(size)
+        at.fill(nk)
         idx, d2 = idx.ravel(), d2.ravel()
         np.minimum.at(bd, idx, d2)
         np.take(bd, idx, out=win_buf[:size], mode="clip")
         tie = np.equal(d2, win_buf[:size], out=tie_buf[:size])
         hit = np.flatnonzero(tie)
-        np.minimum.at(at, idx[hit], hit)
-        # merge the band's image rows, lower-index blocks keeping ties
-        y0 = max(0, top - reach)
-        y1 = min(h, top - reach + n_band)
-        r0 = y0 + reach - top
-        band_dist = bd.reshape(n_band, pw)[r0:r0 + y1 - y0, reach:reach + w]
-        winner = at.reshape(n_band, pw)[r0:r0 + y1 - y0, reach:reach + w]
-        winner //= full
-        winner += k0
-        closer = band_dist < dist[y0:y1]
-        np.copyto(dist[y0:y1], band_dist, where=closer)
-        np.copyto(assign[y0:y1], winner, where=closer, casting="same_kind")
+        np.minimum.at(at, idx[hit], hit % nk)
+        at += k0
+        # merge each image's rows of the band, lower-index blocks keeping ties
+        bd, at = bd.reshape(rows_in_band, pw), at.reshape(rows_in_band, pw)
+        for j in range(k0 // per_image, (k1 - 1) // per_image + 1):
+            b0 = max(top, j * slab + reach)
+            b1 = min(top + rows_in_band, j * slab + reach + h)
+            y0 = j * h + b0 - j * slab - reach
+            band_dist = bd[b0 - top:b1 - top, reach:reach + w]
+            winner = at[b0 - top:b1 - top, reach:reach + w]
+            closer = band_dist < dist[y0:y0 + b1 - b0]
+            np.copyto(dist[y0:y0 + b1 - b0], band_dist, where=closer)
+            np.copyto(assign[y0:y0 + b1 - b0], winner, where=closer, casting="same_kind")
     return assign, dist
 
 
 def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
-    """Winner of each raveled pixel in `at` among all the windows that
-    cover it, by the same d2 and tie rule (the globally nearest centre if
-    none does).
+    """Winner of each raveled pixel in `at` among all the windows of its
+    image that cover it, by the same d2 and tie rule (the image's nearest
+    centre if none does). Pixel p lies in image p // (h * w), whose
+    centres follow those of the images before it.
 
-    grid = (ys, xs) holds the seed rows and columns, ascending: centre k
-    was seeded at (ys[k // len(xs)], xs[k % len(xs)]). Every anchor lies
-    within the largest anchor-to-seed distance of its seed, per axis, so
-    the windows covering a pixel belong to seeds within reach plus that
-    distance of it: a rectangle of the grid. Read row by row, its centres
-    run in ascending index, so argmin takes the lowest; rows and columns
-    past the grid's edge are clamped, which repeats them and keeps that.
+    grid = (ys, xs) holds the seed rows and columns, ascending: an image's
+    centre k was seeded at (ys[k // len(xs)], xs[k % len(xs)]). Every
+    anchor lies within its image's largest anchor-to-seed distance of its
+    seed, per axis, so the windows covering a pixel belong to seeds within
+    reach plus that distance of it: a rectangle of the grid. Read row by
+    row, its centres run in ascending index, so argmin takes the lowest;
+    rows and columns past the grid's edge are clamped, which repeats them
+    and keeps that.
     """
     grid_y, grid_x = grid
-    cols = len(grid_x)
+    h, w = shape
+    rows, cols = len(grid_y), len(grid_x)
     winner = np.empty(len(at), dtype=np.int32)
     best = np.empty(len(at))
     if not at.size:
         return winner
     anchor_x, anchor_y = centers[0].astype(int), centers[1].astype(int)
-    span_y = reach + np.abs(anchor_y.reshape(-1, cols) - grid_y[:, None]).max() + _NEED_MARGIN
-    span_x = reach + np.abs(anchor_x.reshape(-1, cols) - grid_x).max() + _NEED_MARGIN
-    y, x = np.divmod(at, shape[1])
+    drift_y = np.abs(anchor_y.reshape(-1, rows, cols) - grid_y[:, None]).max(axis=(1, 2))
+    drift_x = np.abs(anchor_x.reshape(-1, rows, cols) - grid_x).max(axis=(1, 2))
+    image, local = np.divmod(at, h * w)
+    y, x = np.divmod(local, w)
+    span_y = reach + drift_y[image] + _NEED_MARGIN
+    span_x = reach + drift_x[image] + _NEED_MARGIN
     r0 = np.searchsorted(grid_y, y - span_y)
     c0 = np.searchsorted(grid_x, x - span_x)
     nr = max(1, int((np.searchsorted(grid_y, y + span_y, side="right") - r0).max()))
     nc = max(1, int((np.searchsorted(grid_x, x + span_x, side="right") - c0).max()))
-    r = np.minimum(r0[:, None] + np.arange(nr), len(grid_y) - 1)
+    r = np.minimum(r0[:, None] + np.arange(nr), rows - 1)
     r *= cols
+    r += (image * (rows * cols))[:, None]
     c = np.minimum(c0[:, None] + np.arange(nc), cols - 1)
     table = (r[:, :, None] + c[:, None, :]).reshape(len(at), nr * nc)
     step = max(1, _KMEANS_BLOCK // (nr * nc))
@@ -416,13 +473,14 @@ def _full_pass(at, pixels, centers, grid, scale2, reach, shape):
         d2 = _d2([v[p, None] for v in pixels], centers, near, scale2)
         d2[out] = np.inf
         col = np.argmin(d2, axis=1)
-        rows = np.arange(len(p))
-        winner[s:s + step] = near[rows, col]
-        best[s:s + step] = d2[rows, col]
-    missing = best == np.inf
-    if missing.any():
-        d2 = _d2([v[at[missing], None] for v in pixels], centers, slice(None), scale2)
-        winner[missing] = np.argmin(d2, axis=1)
+        picked = np.arange(len(p))
+        winner[s:s + step] = near[picked, col]
+        best[s:s + step] = d2[picked, col]
+    missing = np.flatnonzero(best == np.inf)
+    if missing.size:
+        own = (image[missing] * (rows * cols))[:, None] + np.arange(rows * cols)
+        d2 = _d2([v[at[missing], None] for v in pixels], centers, own, scale2)
+        winner[missing] = own[np.arange(len(missing)), np.argmin(d2, axis=1)]
     return winner
 
 
@@ -444,13 +502,14 @@ def _d2(pixels, centers, at, scale2):
 
 
 def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
-    """Split the assignment into 4-connected components, then merge
-    undersized components (and any surplus beyond max_count) into the
-    adjacent component sharing the longest boundary.
+    """Split each assignment of a stack (m, h, w) into 4-connected
+    components, then merge undersized components (and any surplus beyond
+    max_count) into the adjacent component sharing the longest boundary.
 
-    Components are numbered in raster order of their first pixel; a merged
-    component keeps the number of the one it merged into. The merges
-    follow this order, which fixes the result:
+    Each image follows this contract on its own. Components are numbered
+    in raster order of their first pixel; a merged component keeps the
+    number of the one it merged into. The merges follow this order, which
+    fixes the result:
 
     - first the components smaller than min_size, then, while more than
       max_count components remain, any component (the surplus);
@@ -460,76 +519,115 @@ def _enforce_connectivity(assign: np.ndarray, min_size: int, max_count: int):
       ties going to the lower number;
     - a phase stops when no eligible component has a neighbour left.
 
-    Returns (labels, n): int32 ids 0..n-1 in raster order of first
-    appearance.
+    The merges run in rounds over the stack's edge list (`_merge_round`),
+    which give the same merges as one at a time. Returns (labels, counts):
+    per image int32 ids 0..n-1 in raster order of first appearance, and n.
     """
     comp, ncomp = _label_components(assign)
-    sizes = np.bincount(comp.ravel(), minlength=ncomp).tolist()
-    if min(sizes) >= min_size and ncomp <= max_count:
-        return comp, ncomp
-    # per component, the number of pixel pairs it shares with each neighbour
-    contact: list[dict[int, int]] = [{} for _ in range(ncomp)]
-    pairs, lengths, _ = _label_pairs(comp, ncomp)
-    for lo, hi, length in zip(*pairs.T.tolist(), lengths.tolist()):
-        contact[lo][hi] = length
-        contact[hi][lo] = length
-    parent = np.arange(ncomp)
-    alive = ncomp
+    m = len(comp)
+    # components never cross images, so each image's run of numbers
+    # starts at its first pixel's
+    first = comp[:, 0, 0]
+    image = np.repeat(np.arange(m), np.diff(first, append=ncomp))
+    sizes = np.bincount(comp.ravel(), minlength=ncomp)
+    alive = np.bincount(image, minlength=m)
+    groups = ncomp
+    if sizes.min() < min_size or alive.max() > max_count:
+        parent = np.arange(ncomp)
+        pairs, contact, _ = _label_pairs(comp, ncomp)
+        edges = (pairs[:, 0], pairs[:, 1], contact)
+        while edges is not None and edges[0].size:
+            edges = _merge_round(edges, sizes, parent, image, alive, min_size, max_count)
+        # resolve merge chains, then renumber groups by their first pixel:
+        # component ids are already in raster order, so a group's first
+        # appearance is that of its lowest member id
+        while True:
+            root = parent[parent]
+            if np.array_equal(root, parent):
+                break
+            parent = root
+        _, lowest = np.unique(parent, return_index=True)
+        groups = len(lowest)
+        new_id = np.empty(ncomp, dtype=np.int32)
+        new_id[parent[np.sort(lowest)]] = np.arange(groups, dtype=np.int32)
+        comp = new_id[parent][comp]
+    # each image's groups are numbered after those of the images before it
+    offset = comp[:, 0, 0].copy()
+    comp -= offset[:, None, None]
+    return comp, np.diff(offset, append=groups).tolist()
 
-    def merge_phase(heap, below, limit):
-        """Merge by the contract while `heap` holds entries and more
-        than `limit` components remain; a component stays eligible while
-        its size is below `below`. Entries are (size, id); one goes stale
-        when its component grows or is merged away (size 0)."""
-        nonlocal alive
-        heapq.heapify(heap)
-        while heap and alive > limit:
-            size, src = heapq.heappop(heap)
-            nbrs = contact[src]
-            if size != sizes[src] or not nbrs:
-                continue
-            # the longest boundary, ties to the lower number
-            longest = dst = -1
-            for nbr, length in nbrs.items():
-                if length > longest or (length == longest and nbr < dst):
-                    longest, dst = length, nbr
-            parent[src] = dst
-            sizes[dst] += size
-            sizes[src] = 0
-            contact[src] = {}
-            alive -= 1
-            into = contact[dst]
-            del into[src]
-            for nbr, length in nbrs.items():
-                if nbr != dst:
-                    into[nbr] = into.get(nbr, 0) + length
-                    other = contact[nbr]
-                    del other[src]
-                    other[dst] = other.get(dst, 0) + length
-            if sizes[dst] < below:
-                heapq.heappush(heap, (sizes[dst], dst))
 
-    merge_phase([(s, c) for c, s in enumerate(sizes) if s < min_size], min_size, 1)
-    if alive > max_count:  # else the surplus phase could pop nothing
-        merge_phase([(s, c) for c, s in enumerate(sizes) if s], math.inf, max_count)
+def _merge_round(edges, sizes, parent, image, alive, min_size, max_count):
+    """One round of `_enforce_connectivity`'s merges over the edge list
+    (lo, hi, contact) of the live components; updates sizes (0 once
+    merged away), parent, and the per-image live counts in place, and
+    returns the next edge list, or None when no image merges again.
 
-    # resolve merge chains, then renumber groups by their first pixel:
-    # component ids are already in raster order, so a group's first
-    # appearance is that of its lowest member id
-    while True:
-        root = parent[parent]
-        if np.array_equal(root, parent):
-            break
-        parent = root
-    _, first = np.unique(parent, return_index=True)
-    new_id = np.empty(ncomp, dtype=np.int32)
-    new_id[parent[np.sort(first)]] = np.arange(len(first), dtype=np.int32)
-    return new_id[parent][comp], len(first)
+    An image is in the min-size phase while a component below min_size
+    has a neighbour, else in the surplus phase while more than max_count
+    components remain. Keys are (size, number). The eligible components
+    are those below min_size in the min-size phase, and in the surplus
+    phase the N = alive - max_count of smallest key: every merge the
+    one-at-a-time order makes at a key below the (N + 1)-th smallest key
+    now is of one of those N (a key only grows), so it makes all of those
+    merges before it stops. Every eligible component with no eligible
+    neighbour of a smaller key merges. Either way a key only grows and a
+    component, once not eligible, stays so. Then such a local minimum
+    keeps its size and contacts until the one-at-a-time order reaches it,
+    since that order merges the smallest eligible key first and every
+    eligible neighbour's key stays larger; and the merges of one round
+    touch disjoint neighbourhoods, so their order does not matter.
+    """
+    lo, hi, contact = edges
+    ncomp, m = len(sizes), len(alive)
+    touching = np.zeros(ncomp, dtype=bool)
+    touching[lo] = True
+    touching[hi] = True
+    small = touching & (sizes < min_size)
+    min_phase = np.bincount(image[small], minlength=m) > 0
+    surplus = ~min_phase & (alive > max_count)
+    if not (min_phase.any() or surplus.any()):
+        return None
+    key = sizes * ncomp + np.arange(ncomp)
+    eligible = small & min_phase[image]
+    if surplus.any():
+        live = np.flatnonzero(touching & surplus[image])
+        order = live[np.lexsort((key[live], image[live]))]
+        owner = image[order]
+        rank = np.arange(len(order)) - np.searchsorted(owner, owner)
+        eligible[order[rank < (alive - max_count)[owner]]] = True
+    both = eligible[lo] & eligible[hi]
+    merging = eligible.copy()
+    merging[np.where(key[lo] > key[hi], lo, hi)[both]] = False
+    # the longest contact, ties to the lower number
+    from_lo, from_hi = merging[lo], merging[hi]
+    either = from_lo | from_hi
+    src = np.where(from_lo, lo, hi)[either]
+    nbr = np.where(from_lo, hi, lo)[either]
+    score = np.zeros(ncomp, dtype=np.int64)
+    np.maximum.at(score, src, contact[either] * ncomp + (ncomp - 1 - nbr))
+    src = np.flatnonzero(merging)
+    dst = ncomp - 1 - score[src] % ncomp
+    parent[src] = dst
+    np.add.at(sizes, dst, sizes[src])
+    sizes[src] = 0
+    alive -= np.bincount(image[src], minlength=m)
+    # relabel the edge list and sum the contacts that now join one pair;
+    # edges of images that stopped are dropped
+    active = min_phase | surplus
+    a, b = parent[lo], parent[hi]
+    keep = (a != b) & active[image[a]]
+    a, b = a[keep], b[keep]
+    pair, at = np.unique(np.minimum(a, b) * ncomp + np.maximum(a, b), return_inverse=True)
+    contact = np.bincount(at, weights=contact[keep], minlength=len(pair)).astype(np.int64)
+    return pair // ncomp, pair % ncomp, contact
 
 
 def _label_components(assign: np.ndarray):
     """4-connected regions of equal value, numbered 0..n-1 in raster order
     of their first pixel (the order a raster-scan flood fill finds them).
+    A stack (m, h, w) is read as its images one after another; no region
+    crosses from one image into the next.
 
     Each row splits into runs of equal value, numbered in raster order.
     Runs in adjacent rows join where they overlap and hold the same
@@ -543,18 +641,17 @@ def _label_components(assign: np.ndarray):
     an unchanged sum means no pointer moved, and each region ends at its
     lowest run, the one that holds its first pixel.
     """
-    h, w = assign.shape
-    start = np.ones((h, w), dtype=bool)
-    np.not_equal(assign[:, 1:], assign[:, :-1], out=start[:, 1:])
-    run = np.cumsum(start, dtype=np.intp).reshape(h, w)
+    start = np.ones(assign.shape, dtype=bool)
+    np.not_equal(assign[..., 1:], assign[..., :-1], out=start[..., 1:])
+    run = np.cumsum(start, dtype=np.intp).reshape(assign.shape)
     run -= 1
-    n = int(run[-1, -1]) + 1
-    same = assign[1:] == assign[:-1]
+    n = int(run.flat[-1]) + 1
+    same = assign[..., 1:, :] == assign[..., :-1, :]
     first = same.copy()
-    first[:, 1:] &= ~same[:, :-1] | start[1:, 1:]
+    first[..., 1:] &= ~same[..., :-1] | start[..., 1:, 1:]
     # joins in raster order: lower runs ascend, and each lower run's upper
     # runs ascend, so its first join names its smallest upper neighbour
-    upper, lower = run[:-1][first], run[1:][first]
+    upper, lower = run[..., :-1, :][first], run[..., 1:, :][first]
     label = np.arange(n)
     head = np.ones(len(lower), dtype=bool)
     np.not_equal(lower[1:], lower[:-1], out=head[1:])
@@ -590,10 +687,11 @@ def _label_pairs(labels: np.ndarray, n: int, values: np.ndarray | None = None):
     label pair (lo, hi), lo < hi, once, in ascending order; the number of
     4-adjacent pixel pairs across it; given per-pixel values, the sum of
     those pixel pairs' mean values (else None). Pixel pairs are taken,
-    and summed, left-right, then top-bottom, each in raster order.
+    and summed, left-right, then top-bottom, each in raster order. In a
+    stack (m, h, w) of maps, pixels of different maps are not adjacent.
     """
     keys, means = [], []
-    for a, b in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1], np.s_[1:])):
+    for a, b in ((np.s_[..., :-1], np.s_[..., 1:]), (np.s_[..., :-1, :], np.s_[..., 1:, :])):
         la, lb = labels[a], labels[b]
         diff = la != lb
         la, lb = la[diff], lb[diff]

@@ -87,13 +87,18 @@ def box_overlap(graph: SuperpixelGraph, box) -> np.ndarray:
     return np.bincount(inside, minlength=graph.n) / graph.areas
 
 
+def check_box(box, width: int, height: int) -> None:
+    """Raise DegenerateBoxError unless the half-open pixel box has positive
+    area inside a width x height image."""
+    x0, y0, x1, y1 = (int(v) for v in box)
+    if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+        raise DegenerateBoxError(f"box {box} invalid for {width}x{height} image")
+
+
 def make_instance(graph: SuperpixelGraph, box) -> TrainingInstance:
     """Build a TrainingInstance, computing per-superpixel box overlap."""
-    x0, y0, x1, y1 = (int(v) for v in box)
-    smap = graph.smap
-    if not (0 <= x0 < x1 <= smap.width and 0 <= y0 < y1 <= smap.height):
-        raise DegenerateBoxError(f"box {box} invalid for {smap.width}x{smap.height} image")
-    return TrainingInstance(graph, (x0, y0, x1, y1), box_overlap(graph, box))
+    check_box(box, graph.smap.width, graph.smap.height)
+    return TrainingInstance(graph, tuple(int(v) for v in box), box_overlap(graph, box))
 
 
 def init_labels(inst: TrainingInstance, seed_shrink: float) -> np.ndarray:
@@ -223,6 +228,8 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
     labelings = [init_labels(inst, shrink) for inst in instances]
     _check_pools(labelings)
     fixed_masks = [inst.sp_in_box == 0.0 for inst in instances]
+    # every round cuts with the same Potts weights
+    weights = [pairwise_weights(inst.graph, config.lam) for inst in instances]
 
     fg_pool, bg_pool = _pools(instances, labelings)
     theta_fg = gmm.fit(fg_pool, min(config.gmm_k, len(fg_pool)), [config.seed, 0])
@@ -237,7 +244,7 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
 
         total = 0.0
         new_labelings = []
-        for inst, fixed in zip(instances, fixed_masks):
+        for inst, fixed, pairwise in zip(instances, fixed_masks, weights):
             graph = inst.graph
             free = ~fixed
             # fixed superpixels are labelled 0, so energy() of the full
@@ -247,10 +254,9 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
             unary = np.zeros((graph.n, 2))
             unary[:, 0] = -gmm.log_density_many(theta_bg, graph.features)
             unary[free, 1] = -gmm.log_density_many(theta_fg, graph.features[free])
-            weights = pairwise_weights(graph, config.lam)
-            labeling = _cut_free(unary[free], graph.edges, weights, fixed)
+            labeling = _cut_free(unary[free], graph.edges, pairwise, fixed)
             new_labelings.append(labeling)
-            total += energy(MrfProblem(graph.n, unary, graph.edges, weights), labeling)
+            total += energy(MrfProblem(graph.n, unary, graph.edges, pairwise), labeling)
         if history and total > history[-1] + _MONOTONE_TOL:
             raise NumericalError(
                 f"pooled energy increased across EM rounds: {history[-1]} -> {total}"

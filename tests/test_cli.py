@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,34 @@ def test_training_input_is_all_or_nothing(tmp_path, workspace, capsys):
         assert captured.out == ""
         assert reason in captured.err and captured.err.count("\n") == 1
         assert not out_table.exists()
+
+
+@pytest.mark.parametrize("bad", ["box", "target"])
+def test_first_bad_manifest_line_is_the_one_reported(bad, tmp_path, workspace, capsys):
+    # line 2's box (or the superpixel target) does not fit its image and
+    # line 5's image is corrupt: the superpixels of all images run
+    # together, but each line is checked as it loads, so line 2 fails
+    from segphrase.imaging import Image, save_image
+
+    good = (workspace / "round" / "manifest.txt").read_text().splitlines(keepends=True)
+    corrupt = tmp_path / "corrupt.pgm"
+    corrupt.write_bytes(b"P5\n48 48\n255\n" + bytes(100))
+    image = shlex.split(good[0])[2]
+    if bad == "box":
+        line2 = f'"round object" 0 {image} 10 10 10 20\n'
+        reason = "box (10, 10, 10, 20) invalid for 48x48 image"
+    else:
+        tiny = tmp_path / "tiny.pgm"
+        save_image(Image(4, 4, 1, np.full((4, 4, 1), 0.5)), tiny)
+        line2 = f'"round object" 0 {tiny} 0 0 4 4\n'
+        reason = "superpixel target 200 outside [1, 16] for a 4x4 image"
+    manifest = tmp_path / "m.txt"
+    line5 = f'"round object" 0 {corrupt} 0 0 8 8\n'
+    manifest.write_text(good[0] + line2 + good[1] + good[2] + line5)
+    out_table = tmp_path / "out.spt"
+    err = _data_error(main(["train", str(manifest), str(out_table)]), capsys.readouterr())
+    assert err == f"segphrase: data error: {reason}\n"
+    assert not out_table.exists()
 
 
 def test_spellings_of_one_phrase_train_one_model(tmp_path, workspace, capsys):

@@ -2,6 +2,7 @@ import copy
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,10 @@ def test_every_crop_matches_oracle(crop, seed, monkeypatch):
     _assert_same_as_oracle(Image(8, 40, 1, dots[:, :, None]), 8)
     noise = np.random.default_rng(seed).random((24, 30, 1))
     _assert_same_as_oracle(Image(30, 24, 1, noise), 20)
+    # and the same through one chunk of three images
+    more = (np.random.default_rng(seed + 1).random((40, 8)) < 0.1).astype(float)
+    chunk = [Image(8, 40, 1, d[:, :, None]) for d in (dots, more, np.full((40, 8), 0.3))]
+    assert _assert_maps_same_as_oracle(chunk, 8, monkeypatch) == [3]
 
 
 @pytest.mark.parametrize("w,h,target", [(16, 16, 4), (20, 20, 7), (30, 18, 12)])
@@ -473,6 +478,116 @@ def test_proven_threshold_is_strict(w, h, target, monkeypatch):
     _assert_same_as_oracle(uniform_image(w, h, 0.3), target)
     assert len(redos) == imaging._KMEANS_ITERS
     assert all(args[0].tolist() == [0, 1] for args, _ in redos)
+
+
+@pytest.mark.parametrize("w,h,target", [(16, 16, 4), (30, 18, 12)])
+def test_proven_threshold_is_strict_in_a_chunk(w, h, target, monkeypatch):
+    # the same tampering on the first pixels of both images of a chunk:
+    # each image's own bound decides which of its pixels are decided again
+    interval = math.sqrt(w * h / target)
+    crop = imaging._crop(interval)
+    bound = (crop / interval) ** 2
+    proven = ((crop - imaging._NEED_MARGIN) / interval) ** 2
+    real = imaging._window_pass
+
+    def tampered(*args):
+        assign, best = real(*args)
+        assert (best <= 0.5 * proven).all()
+        for image in best.reshape(-1, h * w):
+            image[:4] = bound, np.nextafter(proven, np.inf), proven, 0.0
+        return assign, best
+
+    monkeypatch.setattr(imaging, "_window_pass", tampered)
+    redos = _spy(monkeypatch, "_full_pass")
+    images = [uniform_image(w, h, 0.3), uniform_image(w, h, 0.7)]
+    assert _assert_maps_same_as_oracle(images, target, monkeypatch) == [2]
+    assert len(redos) == imaging._KMEANS_ITERS
+    assert all(args[0].tolist() == [0, 1, h * w, h * w + 1] for args, _ in redos)
+
+
+def _assert_maps_same_as_oracle(images, target, monkeypatch):
+    """`superpixel_maps` of the list equals the oracle image by image;
+    returns the number of images each k-means run stacked."""
+    stacks = []
+    real = imaging._kmeans_assign
+
+    def spy(intensity, target_count):
+        stacks.append(len(intensity))
+        return real(intensity, target_count)
+
+    monkeypatch.setattr(imaging, "_kmeans_assign", spy)
+    got = imaging.superpixel_maps(images, target)
+    assert len(got) == len(images)
+    for img, sm in zip(images, got):
+        want = oracle_superpixels(img, target)
+        assert (sm.width, sm.height, sm.n) == (img.width, img.height, want.n)
+        assert sm.labels.dtype == want.labels.dtype
+        assert np.array_equal(sm.labels, want.labels)
+    return stacks
+
+
+def test_superpixel_maps_match_oracle_on_a_mixed_list(monkeypatch):
+    # five noisy 64 px train scenes, more than one chunk holds, with a
+    # zero-gradient image of their shape among them (exact ties), then a
+    # 48 x 80 image and one narrower than one window
+    rng = np.random.default_rng(17)
+    scenes = [make_scene(SceneConfig(size=64, noise=0.12, fg_texture=0.62, bg_texture=0.25,
+                                     seed=seed)).image for seed in range(1, 6)]
+    narrow = Image(5, 60, 1, rng.random((60, 5, 1)))
+    assert 2 * _kmeans_grid(5, 60, 200)[2] + 1 > 5
+    images = [*scenes[:2], uniform_image(64, 64, 0.3), Image(48, 80, 3, rng.random((80, 48, 3))),
+              *scenes[2:], narrow]
+    per_chunk = max(1, imaging._CHUNK_PIXELS // (64 * 64))
+    assert 1 < per_chunk < 6
+    stacks = _assert_maps_same_as_oracle(images, 200, monkeypatch)
+    chunks = [min(per_chunk, 6 - s) for s in range(0, 6, per_chunk)]
+    assert sorted(stacks) == sorted([1, 1, *chunks])
+
+
+def test_superpixel_maps_match_oracle_at_target_one(monkeypatch):
+    # target 1 fits every image, a single pixel included
+    rng = np.random.default_rng(18)
+    images = [Image(1, 1, 1, np.full((1, 1, 1), 0.4)), Image(7, 3, 1, rng.random((3, 7, 1))),
+              Image(1, 1, 1, np.zeros((1, 1, 1))), Image(48, 80, 1, rng.random((80, 48, 1))),
+              make_scene(SceneConfig(size=64, seed=3)).image]
+    assert sorted(_assert_maps_same_as_oracle(images, 1, monkeypatch)) == [1, 1, 1, 2]
+
+
+def test_superpixel_maps_checks_every_target_first():
+    fits, small = uniform_image(8, 8), uniform_image(3, 3)
+    with pytest.raises(imaging.SuperpixelTargetError, match=re.escape("outside [1, 9] for a 3x3")):
+        imaging.superpixel_maps([fits, small, fits], 10)
+    assert imaging.superpixel_maps([], 10) == []
+
+
+def test_superpixel_maps_peak_memory_follows_the_chunk_budget():
+    # 16 train-sized images: the working set is one chunk's, however many
+    # images there are. Bytes a padded chunk pixel, at most 96: the
+    # k-means' intensity stack, pixel coordinates, padded copy, band
+    # buffers, and this and the previous iteration's assignment and
+    # distance (72), or the connectivity pass's runs, components and pair
+    # keys. Bytes a window entry of one block, at most 64: its d2,
+    # gathered value, index and tie flag (25), and per tie its position,
+    # pixel and centre (24). The maps keep 4 bytes a pixel.
+    h = w = 64
+    target = 200
+    images = [make_scene(SceneConfig(size=64, noise=0.12, fg_texture=0.62, bg_texture=0.25,
+                                     seed=seed)).image for seed in range(16)]
+    per_chunk = max(1, imaging._CHUNK_PIXELS // (h * w))
+    rows, cols, reach = _kmeans_grid(w, h, target)
+    side = 2 * imaging._crop(math.sqrt(w * h / target)) + 1
+    entries = min(per_chunk * rows * cols * side * side,
+                  max(imaging._KMEANS_BLOCK, cols * side * side))
+    padded = per_chunk * (h + 2 * reach) * (w + 2 * reach)
+    bound = 4 * len(images) * h * w + 96 * padded + 64 * entries
+    tracemalloc.start()
+    try:
+        maps = imaging.superpixel_maps(images, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == 16
+    assert peak <= bound
 
 
 def test_full_pass_gives_uncovered_pixels_the_nearest_centre():
@@ -543,6 +658,12 @@ def test_one_ulp_apart_matches_oracle():
     _assert_same_as_oracle(Image(38, 4, 1, levels[:, :, None]), 74)
 
 
+def connect_one(grid, min_size, max_count):
+    """`_enforce_connectivity` of a stack holding one map: (labels, n)."""
+    labels, counts = _enforce_connectivity(grid[None], min_size, max_count)
+    return labels[0], counts[0]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_connectivity_matches_oracle_on_label_grids(seed):
     rng = np.random.default_rng(200 + seed)
@@ -550,7 +671,7 @@ def test_connectivity_matches_oracle_on_label_grids(seed):
     grid = rng.integers(0, 1 + seed % 5, size=(h, w)).astype(np.int32)
     for min_size in range(1, 6):
         for max_count in (h * w, 12, 3, 1):
-            labels, n = _enforce_connectivity(grid, min_size, max_count)
+            labels, n = connect_one(grid, min_size, max_count)
             want_labels, want_n = oracle_connectivity(grid, min_size, max_count)
             assert n == want_n
             assert np.array_equal(labels, want_labels)
@@ -604,16 +725,86 @@ def test_connectivity_matches_oracle_on_adversarial_maps(name):
     comp, n = imaging._label_components(grid)
     assert n == want_n
     assert np.array_equal(comp, want_labels)
-    labels, n = _enforce_connectivity(grid, 1, h * w)
+    labels, n = connect_one(grid, 1, h * w)
     assert n == want_n
     assert np.array_equal(labels, want_labels)
     if name in ("spiral", "comb", "one-row", "one-column"):
         # few components: the oracle's merges are affordable
         for min_size, max_count in ((300, 12), (2, 3)):
-            labels, n = _enforce_connectivity(grid, min_size, max_count)
+            labels, n = connect_one(grid, min_size, max_count)
             want_labels, want_n = oracle_connectivity(grid, min_size, max_count)
             assert n == want_n
             assert np.array_equal(labels, want_labels)
+
+
+def _assert_stack_same_as_oracle(stack, min_size, max_count):
+    labels, counts = _enforce_connectivity(stack, min_size, max_count)
+    assert labels.shape == stack.shape and len(counts) == len(stack)
+    for grid, got, n in zip(stack, labels, counts):
+        want_labels, want_n = oracle_connectivity(grid, min_size, max_count)
+        assert n == want_n
+        assert np.array_equal(got, want_labels)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_connectivity_matches_oracle_on_stacked_grids(seed):
+    # the maps of a stack share values, so only the stacking keeps a
+    # component from running on into the next map
+    rng = np.random.default_rng(300 + seed)
+    m = int(rng.integers(2, 6))
+    h, w = (int(v) for v in rng.integers(1, 16, size=2))
+    stack = rng.integers(0, 1 + seed % 4, size=(m, h, w)).astype(np.int32)
+    for min_size in (1, 2, 5):
+        for max_count in (h * w, 12, 3, 1):
+            _assert_stack_same_as_oracle(stack, min_size, max_count)
+
+
+def test_connectivity_matches_oracle_on_stacked_adversarial_maps():
+    stack = np.stack([spiral_map(256), comb_map(256)])
+    for min_size, max_count in ((300, 12), (2, 3)):
+        _assert_stack_same_as_oracle(stack, min_size, max_count)
+
+
+def _merge_rounds(monkeypatch):
+    """Record each image's live component count after every merge round."""
+    history = []
+    real = imaging._merge_round
+
+    def spy(edges, sizes, parent, image, alive, *rest):
+        result = real(edges, sizes, parent, image, alive, *rest)
+        history.append(alive.tolist())
+        return result
+
+    monkeypatch.setattr(imaging, "_merge_round", spy)
+    return history
+
+
+def test_one_map_collapses_while_another_still_merges(monkeypatch):
+    # three 12-pixel stripes, all below min_size, collapse to one component
+    # in two rounds; the noise map next to them merges for longer
+    stripes = np.repeat(np.arange(3, dtype=np.int32), 2)[None].repeat(6, axis=0)
+    noise = np.random.default_rng(4).integers(0, 3, size=(6, 6)).astype(np.int32)
+    history = _merge_rounds(monkeypatch)
+    _assert_stack_same_as_oracle(np.stack([stripes, noise]), 20, 36)
+    assert any(a[0] == 1 and b[1] < a[1] for a, b in zip(history, history[1:]))
+
+
+def test_surplus_phase_stops_where_one_merge_at_a_time_stops(monkeypatch):
+    # 12 components, none below min_size 1, at most 7 kept: one merge at a
+    # time merges components 0, 2, 3, 4 and 5, each into component 1.
+    # Component 8 (key (1, 8)) is a local minimum from the start, so
+    # merging every local minimum of a round (and only the smallest once
+    # a round would pass 7) merges it in the first round. A round merges
+    # only among the 5 smallest keys, so it never runs ahead of the
+    # one-at-a-time order: its first round merges component 0 alone.
+    grid = np.array([[1, 0, 1],
+                     [0, 1, 2],
+                     [2, 2, 1],
+                     [1, 2, 1],
+                     [2, 0, 2]], dtype=np.int32)
+    history = _merge_rounds(monkeypatch)
+    _assert_stack_same_as_oracle(np.stack([grid, grid[::-1], 2 - grid]), 1, 7)
+    assert history[0][0] == 11 and history[-1][0] == 7
 
 
 @pytest.mark.parametrize("seed,target", [(0, 12), (1, 30), (2, 7), (3, 200)])
@@ -623,7 +814,7 @@ def test_ids_in_raster_order_of_first_appearance(seed, target):
     sm = compute_superpixels(img, target)
     assert _first_appearance_increasing(sm.labels)
     grid = rng.integers(0, 3, size=(18, 24)).astype(np.int32)
-    labels, _ = _enforce_connectivity(grid, 3, 20)
+    labels, _ = connect_one(grid, 3, 20)
     assert _first_appearance_increasing(labels)
 
 
