@@ -6,13 +6,16 @@ persistency certificate: rounds that fix each node whose cost difference,
 with its decided neighbours folded in, beats its weight to undecided
 neighbours by more than a derived margin. When the rounds decide every
 node, those labels are the unique minimiser and exactly the ones the flow
-would return, so no network is built. Otherwise the whole problem goes
-to an s/t min cut: node costs become terminal capacities after
-subtracting the per-node minimum (so capacities stay nonnegative even
-for negative costs), disagreement penalties become symmetric inter-node
-capacities. The residual network is built with numpy in one pass, as CSR
-arc arrays, and handed to the Dinic loops as plain lists; each phase's
-BFS stops once the sink has its level.
+would return, so no network is built; a first round that can decide
+nothing returns before the later rounds' arrays are set up. Otherwise
+the whole problem goes to an s/t min cut: node costs become terminal
+capacities after subtracting the per-node minimum (so capacities stay
+nonnegative even for negative costs), disagreement penalties become
+symmetric inter-node capacities. The residual network is built with
+numpy in one pass, as CSR arc arrays, and handed to the Dinic loops as
+plain lists; each phase's BFS stops once the sink has its level. The
+flow value is checked against its cut's cost by max-flow/min-cut
+duality.
 """
 
 from __future__ import annotations
@@ -183,6 +186,13 @@ def solve_max_flow(problem: MrfProblem):
     return (np.array(level[:n]) >= 0).astype(np.int8), flow
 
 
+def _margin(problem: MrfProblem) -> float:
+    """delta of _persistent_labels: P _EPS + 8 (n + 1) P u C."""
+    pairs = problem.n + len(problem.weights)
+    capacity = float(np.abs(problem.unary).sum() + 2.0 * problem.weights.sum())
+    return pairs * _EPS + 8.0 * (problem.n + 1) * pairs * _UNIT_ROUNDOFF * capacity
+
+
 def _persistent_labels(problem: MrfProblem):
     """The labels persistency decides, if it decides every node; else None.
 
@@ -216,25 +226,42 @@ def _persistent_labels(problem: MrfProblem):
       (4 E + 2) u C. With n >= 1 the rounding terms add up to at most
       8 (n + 1) P u C, so x's exact gap exceeds what the flow can lose,
       and the flow returns x too.
+
+    delta also bounds the duality gap min_cut_infer checks after a flow.
+    Its labels cut exactly the arcs leaving the last BFS's source side,
+    each at float residual <= _EPS, so the exact cost of their cut,
+    energy(labels) - sum of the per-node minima, is the exact flow plus
+    at most P _EPS + 2 (n + 1) P u C (the drift above), and never less
+    than it minus that drift. Summing the at most (n + 1) P pushes into
+    the flow value errs by at most (n + 1) P u C (every partial sum is
+    at most C); rounding the terminal capacities, energy's sums over
+    n + E terms and the sum of the n minima, by at most (2 n + E + 3) u C.
+    With n >= 1 the computed cut cost and flow value differ by at most
+    P _EPS + (3 (n + 1) P + 2 P + 3) u C <= delta.
     """
     n = problem.n
     weights = problem.weights
     if weights.size and weights.min() < 0:
         return None
-    pairs = n + len(weights)
-    capacity = float(np.abs(problem.unary).sum() + 2.0 * weights.sum())
-    delta = pairs * _EPS + 8.0 * (n + 1) * pairs * _UNIT_ROUNDOFF * capacity
+    delta = _margin(problem)
     ends = problem.edges.T.ravel()          # each edge once from either end
-    others = problem.edges[:, ::-1].T.ravel()
     both = np.concatenate([weights, weights])
-    sign = np.array([1.0, -1.0, 0.0])       # neighbour at 0, at 1, undecided (-1)
     base = problem.unary[:, 1] - problem.unary[:, 0]
+    # round one, with no neighbour decided: d is base and every weight is
+    # slack; when it decides nothing (and there are nodes to decide), the
+    # rounds' set-up is not built
+    d, bound = base, np.bincount(ends, both, minlength=n) + delta
+    if n and not (np.abs(d) > bound).any():
+        return None
+    others = problem.edges[:, ::-1].T.ravel()
+    sign = np.array([1.0, -1.0, 0.0])       # neighbour at 0, at 1, undecided (-1)
     labels = np.full(n, -1, dtype=np.int8)
     undecided = np.ones(n, dtype=bool)
     while undecided.any():
-        near = labels[others]
-        d = base + np.bincount(ends, both * sign[near], minlength=n)
-        bound = np.bincount(ends, both * (near < 0), minlength=n) + delta
+        if not undecided.all():  # later rounds fold in the decided neighbours
+            near = labels[others]
+            d = base + np.bincount(ends, both * sign[near], minlength=n)
+            bound = np.bincount(ends, both * (near < 0), minlength=n) + delta
         zero = undecided & (d > bound)
         one = undecided & (-d > bound)
         if not (zero.any() or one.any()):
@@ -250,10 +277,20 @@ def min_cut_infer(problem: MrfProblem) -> np.ndarray:
 
     Persistency's labels when they decide every node (no network is
     built); otherwise max-flow/min-cut on the whole problem, as
-    solve_max_flow gives it. Either way the labels are the ones
-    solve_max_flow returns.
+    solve_max_flow gives it, checked by duality: the labels' cut cost,
+    energy minus the sum of per-node minima, must equal the flow value
+    within _persistent_labels' delta, or NumericalError is raised. Either
+    way the labels are the ones solve_max_flow returns.
     """
     labeling = _persistent_labels(problem)
     if labeling is None:
-        labeling, _ = solve_max_flow(problem)
+        labeling, flow = solve_max_flow(problem)
+        low = np.minimum(problem.unary[:, 0], problem.unary[:, 1])
+        cut = energy(problem, labeling) - float(low.sum())
+        tolerance = _margin(problem)
+        if not abs(cut - flow) <= tolerance:
+            raise NumericalError(
+                f"max-flow value {flow!r} differs from its cut's cost {cut!r} "
+                f"by more than {tolerance!r}"
+            )
     return labeling

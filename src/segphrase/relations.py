@@ -4,24 +4,29 @@ constrained edge-selection solve.
 A phrase is represented by the descriptors of its top exemplar masks.
 Directed similarity is the mean over one side's exemplars of the best
 cosine match on the other side; its antisymmetrized difference is the
-entailment score. Graph-level decisions maximize total selected edge
-score minus a sparsity penalty subject to W_xy + W_yz - W_xz <= 1 over
-all ordered triples of distinct nodes (Berant, Dagan & Goldberger,
-ACL 2011), solved exactly by depth-first branch and bound on small
-graphs or greedily with transitive closing. Both solvers read the n x n
-score matrix and write the n x n decision matrix W. The exact search
-assigns W's entries in place and checks each against the triples it
-completes with row and column bitmasks held as Python ints. The greedy
-closing keeps a reflexive reach matrix and a mask of the entries still
-open: a move adds the open entries of one outer product of a reach
-column and row, and a move that would add no open entry of nonnegative
-gain is rejected from bitmasks alone, without summing its gains.
+entailment score. An op's requested pairs are scored together, grouped
+by the two phrases' exemplar counts: each group's cosine blocks are one
+stacked matrix product per bounded block of pairs, and every score keeps
+the bits of scoring its pair alone. Graph-level decisions maximize total
+selected edge score minus a sparsity penalty subject to
+W_xy + W_yz - W_xz <= 1 over all ordered triples of distinct nodes
+(Berant, Dagan & Goldberger, ACL 2011), solved exactly by depth-first
+branch and bound on small graphs or greedily with transitive closing.
+Both solvers read the n x n score matrix and write the n x n decision
+matrix W. The exact search assigns W's entries in place and checks each
+against the triples it completes with row and column bitmasks held as
+Python ints. The greedy closing keeps a reflexive reach matrix and a
+mask of the entries still open: a move adds the open entries of one
+outer product of a reach column and row, and a move that would add no
+open entry of nonnegative gain is rejected from bitmasks alone, without
+summing its gains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .spt import SegmentPhraseTable, normalize_phrase
 SHAPE_BINS = 36
 EXACT_NODE_LIMIT = 6
 _TIE_EPS = 1e-12
+_PAIR_BLOCK = 256  # pairs per stacked cosine block
 # each mode's gold labels; a simrel gold is one of the row's phrases
 _GOLD_LABELS = {
     "entail": ("entails", "not-entails"),
@@ -52,7 +58,9 @@ class PhraseExemplars:
     descriptors: np.ndarray  # (m, L)
 
     def __post_init__(self):
-        self.descriptors = np.atleast_2d(np.asarray(self.descriptors, dtype=np.float64))
+        # row-major, as score_matrix's stacked copies are, so that a pair
+        # scored alone and in a block makes the same BLAS call
+        self.descriptors = np.atleast_2d(np.ascontiguousarray(self.descriptors, dtype=np.float64))
         if len(self.descriptors) == 0:
             raise ValueError("exemplar set must be non-empty")
 
@@ -114,31 +122,86 @@ def entail_score(x: PhraseExemplars, y: PhraseExemplars) -> float:
     Directed similarity is the mean over one side's exemplars of the best
     cosine match among the other's: asymmetric by design, since a small,
     specific exemplar set can match into a broad one perfectly without
-    the broad set matching back. Both directions read one cosine block,
-    x's rows against y's; its transpose is bitwise the block y against x.
+    the broad set matching back. The one-pair case of score_matrix's
+    stacked blocks, over views of the two descriptor arrays.
     """
-    norms = np.outer(x.norms, y.norms)  # first: it rejects overflowing norms
-    c = (x.descriptors @ y.descriptors.T) / norms
+    return float(
+        _block_scores(x.descriptors[None], y.descriptors[None], x.norms[None], y.norms[None])[0]
+    )
+
+
+def _block_scores(xs, ys, x_norms, y_norms) -> np.ndarray:
+    """Entailment scores of stacked pairs: xs (B, mx, L) against
+    ys (B, my, L), with their row norms (B, mx) and (B, my).
+
+    Both directions of a pair read one cosine block, x's rows against
+    y's; its transpose is bitwise the block y against x. numpy's stacked
+    matmul makes one BLAS call per slice at the slice's own shape, the
+    call a pair's own 2-D product makes (gemv when a side has one
+    exemplar). Maxima are exact, and a last-axis sum of length m is the
+    pairwise sum ndarray.sum() runs on a length-m array, so every score
+    has the bits of the one-pair formula. entail_score(x, x) passes two
+    views of one buffer, which numpy multiplies with syrk into an exactly
+    symmetric block: its score is exactly 0.0. (Two phrases viewing one
+    buffer reach score_matrix's blocks as copies, which OpenBLAS's gemm
+    also makes exactly symmetric.)
+    """
+    c = np.matmul(xs, ys.transpose(0, 2, 1))
+    c /= x_norms[:, :, None] * y_norms[:, None, :]
+    mx, my = c.shape[1:]
     # each mean as np.mean computes it (sum, then divide by the count)
-    return float(c.max(axis=1).sum() / len(c)) - float(c.max(axis=0).sum() / len(c.T))
+    return c.max(axis=2).sum(axis=1) / mx - c.max(axis=1).sum(axis=1) / my
 
 
 def score_matrix(exemplars: list[PhraseExemplars], pairs) -> np.ndarray:
     """Entailment scores of the phrase-index pairs an op reads.
 
-    Each unordered pair is scored once; its mirror entry is stored as
-    0.0 - s, which is bitwise entail_score of the reversed pair (and +0.0,
-    not -0.0, when s is zero). The diagonal is 0.0; entries no pair asks
-    for are nan.
+    Each unordered pair of distinct phrases is scored once, in order of
+    first request, and each phrase's norms are first read in that order,
+    so the first bad phrase is the one reported. Pairs are grouped by
+    their exemplar counts and scored in stacked blocks of at most
+    _PAIR_BLOCK pairs, each score bitwise entail_score's (see
+    _block_scores). The mirror entry is stored as 0.0 - s, which is
+    bitwise entail_score of the reversed pair (and +0.0, not -0.0, when
+    s is zero). The diagonal is 0.0; entries no pair asks for are nan.
+    The phrases scored must share one descriptor length.
     """
     n = len(exemplars)
+    index = range(n)  # negative indices count from the end, as numpy's do
+    requested: dict[tuple[int, int], None] = {}
+    for i, j in pairs:
+        i, j = index[i], index[j]
+        if i != j and (j, i) not in requested:
+            requested[i, j] = None
+    flat = np.fromiter(chain.from_iterable(requested), np.intp, 2 * len(requested))
+    rows, cols = flat.reshape(-1, 2).T
+    # per exemplar count m, the (phrases, m, L) descriptors and (phrases, m)
+    # norms of the phrases scored; each phrase's m and slot in them
+    stacks: dict[int, tuple[list, list]] = {}
+    m, slot = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for k in dict.fromkeys(chain.from_iterable(requested)):
+        ex = exemplars[k]
+        descriptors, norms = stacks.setdefault(len(ex.descriptors), ([], []))
+        norms.append(ex.norms)
+        m[k], slot[k] = len(ex.descriptors), len(descriptors)
+        descriptors.append(ex.descriptors)
+    stacks = {count: (np.stack(d), np.stack(v)) for count, (d, v) in stacks.items()}
+
+    # pairs grouped by (mx, my), in blocks of at most _PAIR_BLOCK pairs
+    s = np.empty(len(rows))
+    key = m[rows] * (max(stacks, default=0) + 1) + m[cols]
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        for start in range(0, len(group), _PAIR_BLOCK):
+            block = group[start : start + _PAIR_BLOCK]
+            (xd, xn), (yd, yn) = stacks[m[rows[block[0]]]], stacks[m[cols[block[0]]]]
+            a, b = slot[rows[block]], slot[cols[block]]
+            s[block] = _block_scores(xd[a], yd[b], xn[a], yn[b])
+
     scores = np.full((n, n), np.nan)
     np.fill_diagonal(scores, 0.0)
-    for i, j in pairs:
-        if np.isnan(scores[i, j]):
-            s = entail_score(exemplars[i], exemplars[j])
-            scores[i, j] = s
-            scores[j, i] = 0.0 - s
+    scores[rows, cols] = s
+    scores[cols, rows] = 0.0 - s
     return scores
 
 

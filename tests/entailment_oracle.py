@@ -1,5 +1,6 @@
 """Reference relations code: the entailment score as two directed
-similarities, each from its own cosine block with the norms recomputed;
+similarities, each from its own cosine block with the norms recomputed,
+and the score matrix as one such score per requested pair;
 the original edge-selection solvers over numbered edge variables,
 triple-index lists and closure sets; and the triple-loop violation
 count. Kept as first written, except that the greedy solver sums a
@@ -37,6 +38,21 @@ def directed_similarity(a, b) -> float:
 def entail_score(x, y) -> float:
     """Directed-similarity difference; antisymmetric, zero on identity."""
     return directed_similarity(x, y) - directed_similarity(y, x)
+
+
+def score_matrix(exemplars, pairs) -> np.ndarray:
+    """The per-pair loop the stacked blocks replace: each requested pair
+    not yet scored (the diagonal counts as scored) calls entail_score and
+    stores 0.0 - s as its mirror; entries no pair asks for are nan."""
+    n = len(exemplars)
+    scores = np.full((n, n), np.nan)
+    np.fill_diagonal(scores, 0.0)
+    for i, j in pairs:
+        if np.isnan(scores[i, j]):
+            s = entail_score(exemplars[i], exemplars[j])
+            scores[i, j] = s
+            scores[j, i] = 0.0 - s
+    return scores
 
 
 def _ordered_pairs(n):

@@ -1,7 +1,8 @@
 """Reference max-flow: the original per-edge `add_edge` residual network
 and Dinic loops, kept verbatim so tests can check the array-built
-`segphrase.mrf` network against it flow for flow; and the brute-force
-minimizer that checks the cut's energy on small problems.
+`segphrase.mrf` network against it flow for flow; the brute-force
+minimizer that checks the cut's energy on small problems; and the
+persistency rounds without the early exit of the first.
 """
 
 from __future__ import annotations
@@ -157,3 +158,31 @@ def brute_force_infer(problem: MrfProblem) -> np.ndarray:
             best_energy = float(energies[idx])
             best_labeling = labels[idx].copy()
     return best_labeling
+
+
+def persistent_labels(problem: MrfProblem, delta: float):
+    """Persistency's rounds as first written, each round built in full:
+    the labels when they decide every node, else None."""
+    n = problem.n
+    weights = problem.weights
+    if weights.size and weights.min() < 0:
+        return None
+    ends = problem.edges.T.ravel()
+    others = problem.edges[:, ::-1].T.ravel()
+    both = np.concatenate([weights, weights])
+    sign = np.array([1.0, -1.0, 0.0])
+    base = problem.unary[:, 1] - problem.unary[:, 0]
+    labels = np.full(n, -1, dtype=np.int8)
+    undecided = np.ones(n, dtype=bool)
+    while undecided.any():
+        near = labels[others]
+        d = base + np.bincount(ends, both * sign[near], minlength=n)
+        bound = np.bincount(ends, both * (near < 0), minlength=n) + delta
+        zero = undecided & (d > bound)
+        one = undecided & (-d > bound)
+        if not (zero.any() or one.any()):
+            return None
+        labels[zero] = 0
+        labels[one] = 1
+        undecided &= ~(zero | one)
+    return labels

@@ -561,6 +561,37 @@ def test_bad_detections_file_exits_2(tmp_path, workspace, capsys):
     assert rc == 2
 
 
+def test_max_flow_off_its_cut_cost_exits_3(tmp_path, workspace, capsys, monkeypatch):
+    # a flow value that max-flow/min-cut duality rejects is a numerical
+    # failure: one line on stderr, nothing on stdout, no mask
+    from segphrase import mrf
+
+    table_path = tmp_path / "t.spt"
+    assert main(["train", str(workspace / "manifest.txt"), str(table_path), "--k", "1"]) == 0
+    capsys.readouterr()
+    flows = []
+    max_flow = mrf._max_flow
+
+    def wrong(*args):
+        flow, level = max_flow(*args)
+        flows.append(flow)
+        return flow + 1e-3, level
+
+    monkeypatch.setattr(mrf, "_max_flow", wrong)
+    (tmp_path / "dets.txt").write_text('"round object" 8 8 40 40 0.9\n')
+    emb = tmp_path / "e.txt"
+    write_embeddings_file(emb)
+    mask_path = tmp_path / "m.pgm"
+    rc = main([
+        "segment", str(workspace / "round" / "test_000.pgm"), str(tmp_path / "dets.txt"),
+        str(table_path), str(emb), str(mask_path),
+    ])
+    captured = capsys.readouterr()
+    assert flows and rc == 3 and captured.out == "" and not mask_path.exists()
+    assert captured.err.startswith("segphrase: numerical failure: max-flow value ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_degenerate_detection_boxes_give_background(tmp_path, workspace, capsys, monkeypatch):
     # zero-area, inverted and wholly outside boxes leave no superpixel free,
     # so only the fused cut runs and the mask is all background
@@ -896,6 +927,49 @@ def test_overflowing_exemplar_descriptor_norm_exits_2(mode, other, tmp_path, cap
     assert captured.err == (
         "segphrase: data error: exemplar descriptor of 'a': norm overflows\n"
     )
+
+
+def _bad_phrase_table(path, bad):
+    """Table with good phrases a, b, a zero-norm exemplar in z, and w's
+    exemplar either zero-norm or with a norm that overflows."""
+    table = SegmentPhraseTable()
+    w = np.zeros(60) if bad == "zero" else np.full(60, 1e200)
+    for phrase, vectors in (("a", [np.full(60, 0.5)]), ("b", [np.arange(60.0)]),
+                            ("z", [np.ones(60), np.zeros(60)]), ("w", [w])):
+        for i, vector in enumerate(vectors):
+            table.add_exemplar(phrase, ExemplarMask(f"i{i}", 1.0, np.array([1]), vector))
+    save_table(table, path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad, code, message", [
+    ("zero", 3, "numerical failure: zero-norm exemplar descriptor for phrase 'w'"),
+    ("overflow", 2, "data error: exemplar descriptor of 'w': norm overflows"),
+])
+def test_first_bad_phrase_in_pair_order_is_reported(bad, code, message, tmp_path, capsys):
+    # z comes first in the dataset, but only in a self pair, which is never
+    # scored; the first pair scored is (a, w), so w is the phrase named
+    _bad_phrase_table(tmp_path / "t.spt", bad)
+    (tmp_path / "d.tsv").write_text("z\tz\tentails\na\tw\tentails\na\tz\tentails\n")
+    rc = main(["relations", "entail", str(tmp_path / "d.tsv"), str(tmp_path / "o.csv"),
+               "--table", str(tmp_path / "t.spt")])
+    captured = capsys.readouterr()
+    assert rc == code and captured.out == "" and not (tmp_path / "o.csv").exists()
+    assert captured.err == f"segphrase: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode, gold, score, decision", [
+    ("entail", "entails", "0.0", "0"), ("paraphrase", "paraphrase", "0.5", "1"),
+])
+def test_bad_phrase_in_self_pairs_only_scores_zero(mode, gold, score, decision, tmp_path):
+    _bad_phrase_table(tmp_path / "t.spt", "zero")
+    (tmp_path / "d.tsv").write_text(f"z\tz\t{gold}\na\tb\t{gold}\nw\tw\t{gold}\n")
+    rc = main(["relations", mode, str(tmp_path / "d.tsv"), str(tmp_path / "o.csv"),
+               "--table", str(tmp_path / "t.spt"), "--tau", "0.5"])
+    lines = (tmp_path / "o.csv").read_text().splitlines()
+    assert rc == 0 and len(lines) == 4
+    assert lines[1] == lines[3].replace("w", "z") == f"z,z,{score},{decision}"
 
 
 @pytest.mark.filterwarnings("error")

@@ -159,6 +159,16 @@ def world(tmp_path_factory):
             phrase, ExemplarMask(phrase, 1.0, np.array([1]), np.array(vector))
         )
     save_table(relations_table, root / "r.spt")
+    # 1, 2 and 3 exemplars a phrase with 60-entry descriptors, the length
+    # `train` writes: most of the file is payload, so byte mutants reach
+    # the stacked cosine blocks of every exemplar-count pair
+    mixed = SegmentPhraseTable()
+    rng = np.random.default_rng(14)
+    for phrase, count in (("a", 1), ("b", 2), ("c", 3)):
+        for i in range(count):
+            mixed.add_exemplar(phrase, ExemplarMask(f"{phrase}{i}", 1.0 - i / 4, np.array([1]),
+                                                    rng.random(60) + 0.05))
+    save_table(mixed, root / "mixed.spt")
     grey = load_image(root / "scene" / "train_000.pgm").data
     save_image(Image(32, 32, 3, np.concatenate([grey, grey / 2, 1 - grey], axis=2)),
                root / "scene" / "train_000.ppm")
@@ -168,7 +178,7 @@ def world(tmp_path_factory):
         "p6-train": root / "scene" / "train_000.ppm",
         "p6-segment": root / "scene" / "train_000.ppm",
         "table-segment": root / "t.spt",
-        "table-relations": root / "r.spt",
+        "table-relations": root / "mixed.spt",
     }
     for kind, path in bases.items():
         (root / f"base.{kind}").write_bytes(path.read_bytes())

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxflow_oracle import brute_force_infer
+from maxflow_oracle import persistent_labels as oracle_persistent_labels
 from maxflow_oracle import solve_max_flow as oracle_solve_max_flow
 from segphrase import gmm, mrf
 from segphrase.config import Config
+from segphrase.errors import NumericalError
 from segphrase.evaluation import SceneConfig, make_scene
 from segphrase.imaging import compute_superpixels, extract_features
 from segphrase.latent import em_learn, make_instance, segment_instance
@@ -308,3 +310,114 @@ def test_one_undecided_node_falls_back_to_the_whole_flow(monkeypatch):
     assert mrf._persistent_labels(p) is None
     assert np.array_equal(min_cut_infer(p), solve_max_flow(p)[0])
     assert built == [4, 4]
+
+
+def _round_one_bound(p):
+    """Each node's slack + delta in the full first round, where every
+    neighbour is undecided."""
+    near = np.full(p.n, -1, dtype=np.int8)[p.edges[:, ::-1].T.ravel()]
+    both = np.concatenate([p.weights, p.weights])
+    return np.bincount(p.edges.T.ravel(), both * (near < 0), minlength=p.n) + _delta(p)
+
+
+def _at_the_bound(rng, p):
+    """p with some or all nodes' cost difference set exactly at its
+    first-round bound or one ulp to either side, iterated until the bound, which
+    moves with the costs through delta, is a fixed point."""
+    size = p.n if rng.random() < 0.7 else int(rng.integers(1, p.n + 1))
+    picks = rng.choice(p.n, size=size, replace=False)
+    steps = rng.choice([-1, 0, 0, 1][: 2 if rng.random() < 0.5 else 4], size=len(picks))
+    signs = rng.choice([-1.0, 1.0], size=len(picks))
+    for _ in range(10):
+        bound = _round_one_bound(p)
+        unary = p.unary.copy()
+        for i, step, sign in zip(picks, steps, signs):
+            t = bound[i] if step == 0 else np.nextafter(bound[i], step * np.inf)
+            unary[i] = [0.0, sign * t]
+        p = make(p.n, unary, p.edges, p.weights)
+        if np.array_equal(_round_one_bound(p), bound):
+            break
+    return p
+
+
+def test_early_exit_fires_exactly_when_round_one_decides_nothing(monkeypatch):
+    # the exit is seen as a None without the rounds' labels array being
+    # made; labels and None must be the full rounds' on every problem
+    rng = np.random.default_rng(31)
+    calls = []
+    full = np.full
+    fired = decided = 0
+    for k in range(600):
+        p = random_problem(rng, max_n=12, edge_p=0.4)
+        if k % 3 == 1:  # some zero weights
+            weights = np.where(rng.random(len(p.weights)) < 0.5, 0.0, p.weights)
+            p = make(p.n, p.unary, p.edges, weights)
+        elif k % 3 == 2:  # all zero
+            p = make(p.n, p.unary, p.edges, np.zeros(len(p.weights)))
+        if k % 2:
+            p = _at_the_bound(rng, p)
+        base = p.unary[:, 1] - p.unary[:, 0]
+        bound = _round_one_bound(p)
+        round_one = bool(((base > bound) | (-base > bound)).any())
+        want = oracle_persistent_labels(p, _delta(p))
+        calls.clear()
+        monkeypatch.setattr(np, "full", lambda *a, **kw: calls.append(1) or full(*a, **kw))
+        got = mrf._persistent_labels(p)
+        monkeypatch.undo()
+        assert (got is None and not calls) == (not round_one), k
+        assert (got is None) == (want is None) and (got is None or np.array_equal(got, want)), k
+        fired += not round_one
+        decided += got is not None
+    assert 100 < fired < 500 and decided > 50, (fired, decided)
+
+
+def test_margin_is_the_derived_delta():
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        p = random_problem(rng, max_n=14)
+        assert mrf._margin(p) == _delta(p)
+
+
+def _wrong_flow(monkeypatch, offset):
+    """_max_flow returning its flow plus offset(tolerance) of the problem
+    being cut; the calls made are counted."""
+    calls = []
+    max_flow = mrf._max_flow
+
+    def wrong(start, adj, to, cap, source, sink):
+        flow, level = max_flow(start, adj, to, cap, source, sink)
+        calls.append(flow)
+        return flow + offset(calls), level
+
+    monkeypatch.setattr(mrf, "_max_flow", wrong)
+    return calls
+
+
+@pytest.mark.parametrize("factor, fails", [
+    (-2.0, True), (2.0, True), (0.25, False), (-0.25, False),
+])
+def test_flow_that_is_not_its_cut_cost_raises(factor, fails, monkeypatch):
+    # a problem that persistency cannot decide, so the flow runs
+    p = make(4, [[0, 9], [9, 0], [0, 5], [0, 0]], [(0, 2), (1, 2), (0, 3), (1, 3)],
+             [1.0, 1.0, 1.0, 1.0])
+    tolerance = _delta(p)
+    calls = _wrong_flow(monkeypatch, lambda calls: factor * tolerance)
+    if fails:
+        with pytest.raises(NumericalError, match="max-flow value"):
+            min_cut_infer(p)
+    else:
+        assert np.array_equal(min_cut_infer(p), brute_force_infer(p))
+    assert len(calls) == 1
+
+
+def test_duality_holds_on_every_flow_of_the_oracle_problems(monkeypatch):
+    # the check never fires on correct flows, across capacity spreads
+    rng = np.random.default_rng(41)
+    calls = _wrong_flow(monkeypatch, lambda calls: 0.0)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        unary = 10.0 ** rng.uniform(-12, 6, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        weights = 10.0 ** rng.uniform(-12, 6, size=len(pairs))
+        min_cut_infer(make(n, unary, pairs, weights))
+    assert len(calls) > 50

@@ -472,21 +472,16 @@ def test_relative_similarity_hand_computed(tmp_path):
 
 # -- score matrix / file formats --------------------------------------------------------
 
-def test_score_matrix_scores_each_pair_once_and_mirrors_bitwise(monkeypatch):
+def test_score_matrix_scores_each_pair_once_and_mirrors_bitwise():
     rng = np.random.default_rng(10)
     ex = [random_exemplars(rng, f"p{i}") for i in range(5)]
     ex.append(exemplars("p5", ex[0].descriptors))  # same exemplars: score 0
-    calls = []
-    original = relations.entail_score
-    monkeypatch.setattr(
-        relations, "entail_score", lambda x, y: calls.append(1) or original(x, y)
-    )
     requested = [(0, 1), (2, 0), (1, 0), (3, 3), (0, 5), (2, 0)]
     s = score_matrix(ex, requested)
-    assert len(calls) == 3  # {0,1}, {0,2} and {0,5}, each once
+    assert np.array_equal(s.view(np.uint64), oracle.score_matrix(ex, requested).view(np.uint64))
     for i, j in requested:
-        assert bits(s[i, j]) == bits(original(ex[i], ex[j]))
-        assert bits(s[j, i]) == bits(original(ex[j], ex[i]))
+        assert bits(s[i, j]) == bits(entail_score(ex[i], ex[j]))
+        assert bits(s[j, i]) == bits(entail_score(ex[j], ex[i]))
     assert all(bits(v) == bits(0.0) for v in np.diag(s))
     assert bits(s[5, 0]) == bits(0.0)  # not -0.0
     scored = {(i, j) for p in requested for i, j in (p, p[::-1])}
@@ -498,6 +493,64 @@ def test_score_matrix_scores_each_pair_once_and_mirrors_bitwise(monkeypatch):
     assert np.array_equal(full, -full.T)
     W = solve_entailment_graph(full, 0.1, "exact")
     assert transitivity_violations(W) == 0
+
+
+@pytest.mark.parametrize("block", [2, relations._PAIR_BLOCK])
+def test_score_matrix_matches_per_pair_oracle_bitwise(block, monkeypatch):
+    # m = 1 takes numpy's gemv path, m >= 8 the unrolled pairwise sums;
+    # pair lists repeat, reverse and self-pair, phrases share buffers, and
+    # block 2 splits every group into several stacked blocks
+    monkeypatch.setattr(relations, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(16)
+    counts = [1, 1, 2, 3, 5, 8, 9, 13, 17]
+    for problem in range(160):
+        n, dim = int(rng.integers(1, 9)), int(rng.integers(1, 70))
+        scale = [1e-3, 1.0, 1e3][problem % 3]
+        ex = []
+        for i in range(n):
+            m = int(rng.choice(counts))
+            values = rng.standard_normal((m, dim)) if problem % 2 else rng.random((m, dim)) + 0.05
+            if rng.random() < 0.2:
+                values = np.asfortranarray(values)  # copied row-major on the way in
+            ex.append(PhraseExemplars(f"p{i}", values * scale))
+        for i in range(1, n):
+            roll = rng.random()
+            if roll < 0.1:
+                ex[i] = ex[int(rng.integers(i))]  # the same phrase twice
+            elif roll < 0.2:
+                ex[i] = PhraseExemplars(f"p{i}", ex[int(rng.integers(i))].descriptors)
+        if problem % 4 == 0:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        else:
+            pairs = [tuple(int(v) for v in rng.integers(0, n, 2))
+                     for _ in range(int(rng.integers(0, 3 * n + 1)))]
+            pairs += [p[::-1] for p in pairs if rng.random() < 0.3]
+        got = score_matrix(ex, pairs)
+        want = oracle.score_matrix(ex, pairs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (problem, pairs)
+
+
+@pytest.mark.parametrize("bad", ["zero", "overflow"])
+def test_score_matrix_reports_the_first_bad_phrase_in_pair_order(bad):
+    # the first bad phrase the per-pair loop would reach: self pairs read
+    # no norms, a pair already scored reads none again
+    rng = np.random.default_rng(17)
+    row = np.zeros(4) if bad == "zero" else np.full(4, 1e200)
+    error = ZeroNormDescriptorError if bad == "zero" else DataError
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        ex = [random_exemplars(rng, f"p{i}", dim=4) for i in range(n)]
+        bad_ones = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        for i in bad_ones:
+            ex[i] = exemplars(f"p{i}", [rng.random(4), row])
+        pairs = [tuple(int(v) for v in rng.integers(0, n, 2)) for _ in range(2 * n)]
+        reached = [k for i, j in pairs if i != j for k in (i, j)]
+        first = next((ex[k].phrase for k in reached if k in bad_ones), None)
+        if first is None:
+            assert not np.isnan([score_matrix(ex, pairs)[i, j] for i, j in pairs]).any()
+            continue
+        with pytest.raises(error, match=repr(first)):
+            score_matrix(ex, pairs)
 
 
 def test_load_score_matrix(tmp_path):
