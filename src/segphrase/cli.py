@@ -17,7 +17,7 @@ import sys
 
 from . import evaluation, relations
 from .config import Config, load_config
-from .errors import DataError, Error, NumericalError, text_rows
+from .errors import DataError, NumericalError, text_rows
 from .imaging import (
     check_superpixel_target,
     extract_features,
@@ -139,9 +139,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"segphrase: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except Error as exc:
-        print(f"segphrase: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 # ---------------------------------------------------------------------------

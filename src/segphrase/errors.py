@@ -1,8 +1,14 @@
-"""Shared exception hierarchy.
+"""Shared exception hierarchy: two kinds of library failure.
 
-The CLI maps DataError to exit code 2 and NumericalError to exit code 3;
-everything raised by this package derives from Error so callers can catch
-library failures without also swallowing programming mistakes.
+A DataError is malformed or inconsistent input (files, manifests,
+formats), and the CLI exits 2 on it; a NumericalError is a numerical or
+model failure, and the CLI exits 3 on it. Both derive from Error, so
+callers can catch library failures without also swallowing programming
+mistakes. The message says what failed; for a text input it names the
+file and line. A subclass exists only where it carries behaviour:
+latent.CollapseError (em_learn restarts on it), spt.ValidationError
+(load_table wraps it), and imaging.SuperpixelTargetError and
+latent.FeatureDimensionError, which are also ValueErrors.
 """
 
 import contextlib

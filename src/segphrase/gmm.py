@@ -23,10 +23,6 @@ _REL_TOL = 1e-6
 _DEAD_MASS = 1e-12
 
 
-class TooFewSamplesError(DataError):
-    """Fewer samples than mixture components."""
-
-
 @dataclass(frozen=True)
 class GaussianMixture:
     weights: np.ndarray    # (k,) simplex
@@ -119,7 +115,7 @@ def fit(
     n, dim = points.shape
     if start is None:
         if n < k:
-            raise TooFewSamplesError(f"need at least {k} samples, got {n}")
+            raise DataError(f"need at least {k} samples, got {n}")
         rng = np.random.default_rng(seed)
         means = _kmeans_pp(points, k, rng)
         var0 = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
@@ -127,7 +123,7 @@ def fit(
         weights = np.full(k, 1.0 / k)
     else:
         if n < 1:
-            raise TooFewSamplesError("cannot fit on an empty pool")
+            raise DataError("cannot fit on an empty pool")
         if start.dim != dim or start.k != k:
             raise ValueError("warm start shape does not match request")
         weights = start.weights.copy()

@@ -16,18 +16,6 @@ import numpy as np
 from .errors import DataError
 
 
-class UnsupportedMagicError(DataError):
-    """File is not a binary PGM (P5) or PPM (P6)."""
-
-
-class MalformedHeaderError(DataError):
-    """Header fields missing, non-numeric, or out of range."""
-
-
-class TruncatedDataError(DataError):
-    """Pixel payload shorter than the header promises."""
-
-
 class SuperpixelTargetError(DataError, ValueError):
     """Superpixel target outside [1, the image's pixel count]."""
 
@@ -130,12 +118,12 @@ def _parse_netpbm_header(buf: bytes):
             pos += 1
         token = buf[start:pos]
         if not token:
-            raise MalformedHeaderError("incomplete header: missing size/maxval fields")
+            raise DataError("incomplete header: missing size/maxval fields")
         if not token.isdigit():
-            raise MalformedHeaderError(f"non-numeric header token {token!r}")
+            raise DataError(f"non-numeric header token {token!r}")
         fields.append(int(token))
     if pos >= len(buf):
-        raise MalformedHeaderError("missing whitespace after maxval")
+        raise DataError("missing whitespace after maxval")
     pos += 1  # single whitespace byte separates header from payload
     return fields[0], fields[1], fields[2], pos
 
@@ -150,19 +138,17 @@ def load_image(path) -> Image:
         buf = fh.read()
     magic = buf[:2]
     if magic not in (b"P5", b"P6"):
-        raise UnsupportedMagicError(f"unsupported magic number {magic!r}")
+        raise DataError(f"unsupported magic number {magic!r}")
     width, height, maxval, offset = _parse_netpbm_header(buf)
     if width <= 0 or height <= 0:
-        raise MalformedHeaderError("non-positive image dimensions")
+        raise DataError("non-positive image dimensions")
     if not 0 < maxval <= 255:
-        raise MalformedHeaderError(f"maxval {maxval} outside (0, 255]")
+        raise DataError(f"maxval {maxval} outside (0, 255]")
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
     payload = buf[offset : offset + need]
     if len(payload) < need:
-        raise TruncatedDataError(
-            f"expected {need} pixel bytes, found {len(payload)}"
-        )
+        raise DataError(f"expected {need} pixel bytes, found {len(payload)}")
     samples = np.frombuffer(payload, dtype=np.uint8)
     if maxval < 255 and samples.max() > maxval:
         raise DataError(f"{path}: sample {samples.max()} above maxval {maxval}")

@@ -31,10 +31,6 @@ class CollapseError(NumericalError):
     """Training degenerated to all-foreground or all-background labels."""
 
 
-class DegenerateBoxError(DataError):
-    """Bounding box has zero area or lies outside the image."""
-
-
 class FeatureDimensionError(DataError, ValueError):
     """Superpixel features and model differ in dimension."""
 
@@ -88,11 +84,11 @@ def box_overlap(graph: SuperpixelGraph, box) -> np.ndarray:
 
 
 def check_box(box, width: int, height: int) -> None:
-    """Raise DegenerateBoxError unless the half-open pixel box has positive
-    area inside a width x height image."""
+    """Raise a DataError unless the half-open pixel box has positive area
+    inside a width x height image."""
     x0, y0, x1, y1 = (int(v) for v in box)
     if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-        raise DegenerateBoxError(f"box {box} invalid for {width}x{height} image")
+        raise DataError(f"box {box} invalid for {width}x{height} image")
 
 
 def make_instance(graph: SuperpixelGraph, box) -> TrainingInstance:
@@ -250,7 +246,10 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
             # fixed superpixels are labelled 0, so energy() of the full
             # problem (also the constrained problem's energy) gathers only
             # their label-0 cost: their label-1 cost is never read, and
-            # the foreground density is evaluated on free ones only
+            # the foreground density is evaluated on free ones only. This
+            # is not `cut`, which evaluates the background density on the
+            # free rows alone: those values are not bit-equal to the same
+            # rows of this full evaluation, so the tables would move
             unary = np.zeros((graph.n, 2))
             unary[:, 0] = -gmm.log_density_many(theta_bg, graph.features)
             unary[free, 1] = -gmm.log_density_many(theta_fg, graph.features[free])

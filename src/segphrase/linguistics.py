@@ -28,38 +28,6 @@ from .mrf import MrfProblem, min_cut_infer
 from .spt import SegmentPhraseTable, normalize_phrase
 
 
-class EmbeddingFormatError(DataError):
-    """Embedding file violates the 'vocab dim' + rows layout."""
-
-
-class RaggedRowError(EmbeddingFormatError):
-    """A row's vector length differs from the declared dimension."""
-
-
-class NonNumericTokenError(EmbeddingFormatError):
-    """A vector component failed to parse as a float."""
-
-
-class DuplicateWordError(EmbeddingFormatError):
-    """The same (lowercased) word appears twice."""
-
-
-class NonFiniteVectorError(EmbeddingFormatError):
-    """A vector has a non-finite component, or a norm beyond the float range."""
-
-
-class OovError(DataError):
-    """Every word of a phrase is out of vocabulary."""
-
-
-class UndefinedCosineError(NumericalError):
-    """Cosine requested against a zero-norm composite vector."""
-
-
-class UnknownPhraseError(DataError):
-    """Detection references a phrase absent from the table."""
-
-
 @dataclass
 class EmbeddingTable:
     dim: int
@@ -107,48 +75,43 @@ class SemanticSegmentation:
 def load_embeddings(path) -> EmbeddingTable:
     """Parse the 'vocab_size dim' header plus 'word v1 .. vD' rows.
 
-    Every vector must be finite with a finite norm, else
-    NonFiniteVectorError naming the file and line. Blank lines are
-    skipped. The file is not read with errors.text_rows: the format has
-    no comment lines and a word may start with '#', so skipping '#' lines
-    would drop valid rows.
+    Every vector must be finite with a finite norm, else a DataError
+    naming the file and line. Blank lines are skipped. The file is not
+    read with errors.text_rows: the format has no comment lines and a
+    word may start with '#', so skipping '#' lines would drop valid rows.
     """
     with open_text(path) as fh:
         rows = (raw.split() for raw in fh)
         header = next(rows, [])
         if len(header) != 2:
-            raise EmbeddingFormatError(f"{path}:1: first line must be 'vocab_size dim'")
+            raise DataError(f"{path}:1: first line must be 'vocab_size dim'")
         try:
             vocab_size, dim = int(header[0]), int(header[1])
         except ValueError as exc:
-            raise EmbeddingFormatError(f"{path}:1: non-integer header fields") from exc
+            raise DataError(f"{path}:1: non-integer header fields") from exc
         if dim <= 0:
-            raise EmbeddingFormatError(f"{path}:1: dimension must be positive")
+            raise DataError(f"{path}:1: dimension must be positive")
         vectors: dict[str, np.ndarray] = {}
         for lineno, parts in enumerate(rows, 2):
             if not parts:
                 continue
             word = parts[0].lower()
             if len(parts) - 1 != dim:
-                raise RaggedRowError(
-                    f"{path}:{lineno}: {len(parts) - 1} components, expected {dim}"
-                )
+                raise DataError(f"{path}:{lineno}: {len(parts) - 1} components, expected {dim}")
             try:
                 vec = np.array([float(t) for t in parts[1:]])
             except ValueError as exc:
-                raise NonNumericTokenError(f"{path}:{lineno}: {exc}") from exc
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
             if not np.isfinite(vec).all():
-                raise NonFiniteVectorError(f"{path}:{lineno}: non-finite vector component")
+                raise DataError(f"{path}:{lineno}: non-finite vector component")
             with np.errstate(over="ignore"):
                 if not np.isfinite(np.linalg.norm(vec)):
-                    raise NonFiniteVectorError(f"{path}:{lineno}: vector norm overflows")
+                    raise DataError(f"{path}:{lineno}: vector norm overflows")
             if word in vectors:
-                raise DuplicateWordError(f"{path}:{lineno}: duplicate word {word!r}")
+                raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
             vectors[word] = vec
     if len(vectors) != vocab_size:
-        raise EmbeddingFormatError(
-            f"{path}: header promises {vocab_size} words, file has {len(vectors)}"
-        )
+        raise DataError(f"{path}: header promises {vocab_size} words, file has {len(vectors)}")
     return EmbeddingTable(dim, vectors)
 
 
@@ -156,7 +119,7 @@ def phrase_vector(table: EmbeddingTable, phrase: str) -> tuple[np.ndarray, int]:
     """Element-wise sum of the phrase's word vectors.
 
     Out-of-vocabulary words are skipped; the second return value counts
-    them. Raises OovError when no word resolves at all.
+    them. Raises a DataError when no word resolves at all.
     """
     words = phrase.lower().split()
     if not words:
@@ -172,7 +135,7 @@ def phrase_vector(table: EmbeddingTable, phrase: str) -> tuple[np.ndarray, int]:
             total += vec
             hit = True
     if not hit:
-        raise OovError(f"no word of {phrase!r} is in the embedding vocabulary")
+        raise DataError(f"no word of {phrase!r} is in the embedding vocabulary")
     return total, missing
 
 
@@ -182,10 +145,10 @@ def message_pass(masks: list[WeightedMask], table: EmbeddingTable) -> list[Weigh
     Each mask's new score is the similarity-weighted sum of all old scores,
     including its own (self similarity 1). Similarity is the cosine of the
     phrases' composite vectors; negative similarities are clamped to zero so
-    out-of-context phrases dampen rather than flip. Raises
-    UndefinedCosineError when a pool of two or more masks has a zero-norm
-    composite vector, NonFiniteVectorError when a composite's norm
-    overflows, and NumericalError when a rescored score overflows.
+    out-of-context phrases dampen rather than flip. Raises a DataError
+    when a composite's norm overflows, and a NumericalError when a pool of
+    two or more masks has a zero-norm composite vector or a rescored score
+    overflows.
     """
     if not masks:
         raise ValueError("message_pass needs at least one mask")
@@ -197,10 +160,10 @@ def message_pass(masks: list[WeightedMask], table: EmbeddingTable) -> list[Weigh
     if n > 1:
         if not np.isfinite(norms).all():
             phrase = masks[int(np.argmin(np.isfinite(norms)))].phrase
-            raise NonFiniteVectorError(f"composite vector of {phrase!r}: norm overflows")
+            raise DataError(f"composite vector of {phrase!r}: norm overflows")
         if (norms == 0.0).any():
             phrase = masks[int(np.argmin(norms))].phrase
-            raise UndefinedCosineError(f"zero-norm composite vector for {phrase!r}")
+            raise NumericalError(f"zero-norm composite vector for {phrase!r}")
         unit = vecs / norms[:, None]
         sim = np.maximum(unit @ unit.T, 0.0)
         np.fill_diagonal(sim, 1.0)
@@ -294,7 +257,7 @@ def semantic_segment(
     """Full per-image pipeline: NMS, per-detection model cuts restricted to
     their boxes, message passing, and the fused final cut.
 
-    Detections with no table entry raise UnknownPhraseError. When nothing
+    Detections with no table entry raise a DataError. When nothing
     survives the score threshold the result is the all-background sentinel
     with an empty report.
     """
@@ -318,7 +281,7 @@ def semantic_segment(
     for det in surviving:
         hits = table.query(det.phrase)
         if not hits:
-            raise UnknownPhraseError(f"phrase {det.phrase!r} not in table")
+            raise DataError(f"phrase {det.phrase!r} not in table")
         model = hits[0][1]  # lowest component id
         labeling = cut(model, graph, box_overlap(graph, det.box) == 0.0)
         masks.append(WeightedMask(det.phrase, labeling, det.score))

@@ -28,10 +28,6 @@ import numpy as np
 from .errors import NumericalError
 
 
-class SubmodularityError(NumericalError):
-    """Negative disagreement penalty: min-cut optimality would not hold."""
-
-
 _EPS = 1e-11
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -83,7 +79,7 @@ def _residual_network(problem: MrfProblem):
     """
     n = problem.n
     source, sink = n, n + 1
-    terminal = problem.unary - problem.unary.min(axis=1)[:, None]
+    terminal = problem.unary - np.minimum(problem.unary[:, 0], problem.unary[:, 1])[:, None]
     has = terminal > 0.0  # (n, 2): source arc (cost of 0), sink arc (cost of 1)
     node = np.broadcast_to(np.arange(n)[:, None], (n, 2))[has]
     to_sink = np.broadcast_to(np.array([False, True]), (n, 2))[has]
@@ -178,7 +174,7 @@ def solve_max_flow(problem: MrfProblem):
     with the fewest source-side (label 1) nodes, so ties break toward 0.
     """
     if problem.weights.size and problem.weights.min() < 0:
-        raise SubmodularityError("pairwise weights must be nonnegative")
+        raise NumericalError("pairwise weights must be nonnegative")
     n = problem.n
     source, sink = n, n + 1
     start, adj, to, cap = _residual_network(problem)

@@ -46,10 +46,6 @@ _GOLD_LABELS = {
 }
 
 
-class ZeroNormDescriptorError(NumericalError):
-    """Exemplar descriptor has zero norm; cosine undefined."""
-
-
 @dataclass
 class PhraseExemplars:
     """A phrase with one descriptor row per exemplar mask."""
@@ -67,15 +63,14 @@ class PhraseExemplars:
     @cached_property
     def norms(self) -> np.ndarray:
         """Row norms of the descriptors, computed at the first pair scored;
-        a norm that overflows is a DataError naming the phrase."""
+        a norm that overflows is a DataError naming the phrase, a zero norm
+        a NumericalError."""
         with np.errstate(over="ignore"):  # an overflowing norm is reported below
             norms = np.linalg.norm(self.descriptors, axis=1)
         if not np.isfinite(norms).all():
             raise DataError(f"exemplar descriptor of {self.phrase!r}: norm overflows")
         if (norms == 0).any():
-            raise ZeroNormDescriptorError(
-                f"zero-norm exemplar descriptor for phrase {self.phrase!r}"
-            )
+            raise NumericalError(f"zero-norm exemplar descriptor for phrase {self.phrase!r}")
         return norms
 
 

@@ -39,18 +39,6 @@ class ValidationError(DataError):
     """Key fails the phrase normalization invariants."""
 
 
-class VersionMismatchError(DataError):
-    """Magic bytes or format version not recognized."""
-
-
-class ChecksumError(DataError):
-    """CRC32 over the file contents does not match."""
-
-
-class TruncationError(DataError):
-    """File ends before the declared payload does."""
-
-
 def normalize_phrase(phrase: str) -> str:
     """Lowercase with runs of whitespace collapsed to single spaces."""
     return " ".join(phrase.split()).lower()
@@ -144,14 +132,14 @@ def _mixture_bytes(g: GaussianMixture) -> bytes:
 def _whole(value, low: int, what: str) -> int:
     """value, which must be an int (a bool is not one) of at least low."""
     if type(value) is not int or value < low:
-        raise ChecksumError(f"{what} {value!r} is not an integer >= {low}")
+        raise DataError(f"{what} {value!r} is not an integer >= {low}")
     return value
 
 
 def _finite(value, what: str):
     """value, which must be a finite int or float (a bool is not one)."""
     if type(value) not in (int, float) or not math.isfinite(value):
-        raise ChecksumError(f"{what} {value!r} is not a finite number")
+        raise DataError(f"{what} {value!r} is not a finite number")
     return value
 
 
@@ -262,7 +250,7 @@ def load_table(path) -> SegmentPhraseTable:
     """The table saved at path, decoded and checked in whole-table passes.
 
     A file loads only if save_table writes the loaded table back to the
-    same bytes; anything else is a ChecksumError (exit 2), however the CRC
+    same bytes; anything else is a DataError (exit 2), however the CRC
     reads. Each payload region is decoded at its running position, the
     exemplars go in through add_exemplar, and the stored index must then
     be `_index` of the loaded table, byte for byte. Before that, what
@@ -281,35 +269,35 @@ def load_table(path) -> SegmentPhraseTable:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 + 8 + 4:
-        raise TruncationError("file shorter than the fixed header")
+        raise DataError("file shorter than the fixed header")
     if blob[: len(MAGIC)] != MAGIC:
-        raise VersionMismatchError("bad magic bytes")
+        raise DataError("bad magic bytes")
     (version,) = struct.unpack_from("<I", blob, len(MAGIC))
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"unsupported format version {version}")
+        raise DataError(f"unsupported format version {version}")
     (index_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
     index_start = len(MAGIC) + 4 + 8
     payload_start = index_start + index_len
     if payload_start > len(blob) - 4:
-        raise TruncationError("index extends past end of file")
+        raise DataError("index extends past end of file")
     stored = blob[index_start:payload_start]
     try:
         index = json.loads(stored.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ChecksumError(f"index is not valid JSON: {exc}") from exc
+        raise DataError(f"index is not valid JSON: {exc}") from exc
     # the CRC check below needs payload_len, so it is checked first
     payload_len = index.get("payload_len") if isinstance(index, dict) else None
     if type(payload_len) is not int or payload_len < 0:
-        raise ChecksumError("index has no valid payload_len")
+        raise DataError("index has no valid payload_len")
     expected = payload_start + payload_len + 4
     if len(blob) < expected:
-        raise TruncationError(f"file is {len(blob)} bytes, header promises {expected}")
+        raise DataError(f"file is {len(blob)} bytes, header promises {expected}")
     if len(blob) > expected:
-        raise ChecksumError(f"{len(blob) - expected} bytes follow the CRC")
+        raise DataError(f"{len(blob) - expected} bytes follow the CRC")
     (crc_stored,) = struct.unpack_from("<I", blob, expected - 4)
     crc_actual = zlib.crc32(blob[: expected - 4]) & 0xFFFFFFFF
     if crc_stored != crc_actual:
-        raise ChecksumError(f"CRC mismatch: stored {crc_stored:#x}, computed {crc_actual:#x}")
+        raise DataError(f"CRC mismatch: stored {crc_stored:#x}, computed {crc_actual:#x}")
 
     # the CRC only proves the file is as written: a malformed index
     # (missing or mistyped keys, regions past the payload) is caught here
@@ -319,12 +307,12 @@ def load_table(path) -> SegmentPhraseTable:
         end = _read_models(table, index["entries"], payload)
         n_runs = _read_exemplars(table, index["exemplars"], payload, end)
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
-        raise ChecksumError(f"malformed table index: {exc!r}") from exc
+        raise DataError(f"malformed table index: {exc!r}") from exc
     written = _index(table, n_runs)
     if written != stored:
         at = next((i for i, (a, b) in enumerate(zip(stored, written)) if a != b),
                   min(len(stored), len(written)))
-        raise ChecksumError(f"index differs from save_table's at byte {at}: "
+        raise DataError(f"index differs from save_table's at byte {at}: "
                             f"stored {stored[at:at + 32]!r}, written {written[at:at + 32]!r}")
     return table
 
@@ -332,11 +320,11 @@ def load_table(path) -> SegmentPhraseTable:
 def _model_info(fields) -> ModelInfo:
     info = ModelInfo(**fields)
     if type(info.phrase) is not str:
-        raise ChecksumError(f"model info phrase {info.phrase!r} is not a string")
+        raise DataError(f"model info phrase {info.phrase!r} is not a string")
     for name in ("component_id", "instances", "iterations"):
         _whole(getattr(info, name), 0, f"model info {name}")
     if type(info.energy_history) is not list:
-        raise ChecksumError(f"energy history {info.energy_history!r} is not a list")
+        raise DataError(f"energy history {info.energy_history!r} is not a list")
     for energy in info.energy_history:
         _finite(energy, "energy")
     return info
@@ -353,13 +341,13 @@ def _read_models(table: SegmentPhraseTable, records, payload: bytes) -> int:
         table.versions[key] = _whole(rec["version"], 1, "version")
         lam = _finite(rec["lam"], "model lam")
         if lam <= 0:
-            raise ChecksumError(f"model lam {lam!r} is not positive")
+            raise DataError(f"model lam {lam!r} is not positive")
         dim, k_fg, k_bg = (_whole(rec[name], 1, name) for name in ("dim", "k_fg", "k_bg"))
         heads.append((key, lam, _model_info(rec["info"]), dim, k_fg, k_bg))
         sizes += (k_fg, k_fg * dim, k_fg * dim, k_bg, k_bg * dim, k_bg * dim)
         end += 8 * (k_fg + k_bg) * (1 + 2 * dim)
     if end > len(payload):
-        raise ChecksumError(f"models end at byte {end}, outside the payload")
+        raise DataError(f"models end at byte {end}, outside the payload")
     values = np.frombuffer(payload, "<f8", end // 8).copy()
     part = np.repeat(np.arange(len(sizes)) % 3, sizes)
     weights = values[part == 0]
@@ -367,13 +355,13 @@ def _read_models(table: SegmentPhraseTable, records, payload: bytes) -> int:
     # the CRC proves the bytes are as written, not that they form mixtures
     if not (np.isfinite(weights).all() and (weights >= 0.0).all()
             and (abs(np.add.reduceat(weights, np.cumsum(k) - k) - 1.0) <= _SIMPLEX_TOL).all()):
-        raise ChecksumError("mixture weights are not a probability vector")
+        raise DataError("mixture weights are not a probability vector")
     if not np.isfinite(values[part == 1]).all():
-        raise ChecksumError("mixture means are not finite")
+        raise DataError("mixture means are not finite")
     # the E-step's error bound holds from the floor up, which every fit keeps
     variances = values[part == 2]
     if not (np.isfinite(variances).all() and (variances >= VARIANCE_FLOOR).all()):
-        raise ChecksumError(f"mixture variances are not finite and at least {VARIANCE_FLOOR}")
+        raise DataError(f"mixture variances are not finite and at least {VARIANCE_FLOOR}")
     at = 0
     for key, lam, info, dim, k_fg, k_bg in heads:
         fg, at = _mixture(values, at, k_fg, dim)
@@ -393,7 +381,7 @@ def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes, at: int)
     for rec in records:
         image_id = rec["image_id"]
         if type(image_id) is not str:
-            raise ChecksumError(f"image_id {image_id!r} is not a string")
+            raise DataError(f"image_id {image_id!r} is not a string")
         heads.append((_normalized(rec["phrase"]), image_id,
                       _finite(rec["score"], "exemplar score")))
         lengths.append(_whole(rec["n"], 0, "mask length"))
@@ -404,7 +392,7 @@ def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes, at: int)
         sizes += (n_runs, 2 * width)
         end += 4 * n_runs + 8 * width
     if end != len(payload):
-        raise ChecksumError(f"exemplars end at byte {end}, not at payload_len {len(payload)}")
+        raise DataError(f"exemplars end at byte {end}, not at payload_len {len(payload)}")
 
     counts = np.array(sizes, np.int64)
     part = np.repeat(np.arange(len(sizes)) % 2, counts)
@@ -414,16 +402,16 @@ def _read_exemplars(table: SegmentPhraseTable, records, payload: bytes, at: int)
     ends = np.concatenate(([0], np.cumsum(runs, dtype=np.int64)))
     # checked before decoding allocates the masks: each mask's runs end where it does
     if not (runs.all() and np.array_equal(ends[np.cumsum(n_runs)], np.cumsum(lengths))):
-        raise ChecksumError("mask runs are not nonzero lengths adding up to the mask's")
+        raise DataError("mask runs are not nonzero lengths adding up to the mask's")
     masks = _rle_decode(np.array(firsts, np.int64), n_runs, runs)
 
     descriptors = words[part == 1].view("<f8")
     finite = np.isfinite(descriptors)
     if not finite.all():
         bad = np.repeat(np.arange(len(widths)), widths)[np.argmin(finite)]
-        raise ChecksumError(f"exemplar descriptor of {heads[bad][0]!r} is not finite")
+        raise DataError(f"exemplar descriptor of {heads[bad][0]!r} is not finite")
     if len(set(widths) - {0}) > 1:
-        raise ChecksumError(f"exemplar descriptors differ in length: {sorted(set(widths) - {0})}")
+        raise DataError(f"exemplar descriptors differ in length: {sorted(set(widths) - {0})}")
 
     exemplars = []
     at = d = 0

@@ -15,14 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from segphrase import relations
-from segphrase.relations import _TIE_EPS, EXACT_NODE_LIMIT, ZeroNormDescriptorError
+from segphrase.errors import NumericalError
+from segphrase.relations import _TIE_EPS, EXACT_NODE_LIMIT
 
 
 def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     if (na == 0).any() or (nb == 0).any():
-        raise ZeroNormDescriptorError("zero-norm exemplar descriptor")
+        raise NumericalError("zero-norm exemplar descriptor")
     return (a @ b.T) / np.outer(na, nb)
 
 

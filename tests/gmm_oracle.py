@@ -17,10 +17,9 @@ from segphrase.gmm import (
     _REL_TOL,
     VARIANCE_FLOOR,
     GaussianMixture,
-    TooFewSamplesError,
     _kmeans_pp,
 )
-from segphrase.errors import NumericalError
+from segphrase.errors import DataError, NumericalError
 
 # differences per block of the E-step's (rows, k, dim) temporary
 _BLOCK_ELEMENTS = 1 << 16
@@ -61,7 +60,7 @@ def fit(samples, k, seed, *, start=None):
     n, dim = points.shape
     if start is None:
         if n < k:
-            raise TooFewSamplesError(f"need at least {k} samples, got {n}")
+            raise DataError(f"need at least {k} samples, got {n}")
         rng = np.random.default_rng(seed)
         means = _kmeans_pp(points, k, rng)
         var0 = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
@@ -69,7 +68,7 @@ def fit(samples, k, seed, *, start=None):
         weights = np.full(k, 1.0 / k)
     else:
         if n < 1:
-            raise TooFewSamplesError("cannot fit on an empty pool")
+            raise DataError("cannot fit on an empty pool")
         if start.dim != dim or start.k != k:
             raise ValueError("warm start shape does not match request")
         weights = start.weights.copy()

@@ -11,7 +11,8 @@ from collections import deque
 
 import numpy as np
 
-from segphrase.mrf import MrfProblem, SubmodularityError
+from segphrase.errors import NumericalError
+from segphrase.mrf import MrfProblem
 
 _EPS = 1e-11
 _BRUTE_FORCE_LIMIT = 24
@@ -112,7 +113,7 @@ def solve_max_flow(problem: MrfProblem):
     with the fewest source-side (label 1) nodes, so ties break toward 0.
     """
     if problem.weights.size and problem.weights.min() < 0:
-        raise SubmodularityError("pairwise weights must be nonnegative")
+        raise NumericalError("pairwise weights must be nonnegative")
     n = problem.n
     source, sink = n, n + 1
     net = _FlowNetwork(n + 2)

@@ -16,12 +16,12 @@ import struct
 
 import numpy as np
 
+from segphrase.errors import DataError
 from segphrase.gmm import VARIANCE_FLOOR, GaussianMixture
 from segphrase.latent import ModelInfo, SegmentationModel
 from segphrase.spt import (
     _SIMPLEX_TOL,
     MAGIC,
-    ChecksumError,
     ExemplarMask,
     PhraseKey,
     SegmentPhraseTable,
@@ -79,13 +79,13 @@ def split_table(path) -> tuple[dict, bytes]:
 def _array(buf: bytes, dtype: str, count: int, offset: int) -> np.ndarray:
     """count items of dtype at offset; the whole range must lie in buf."""
     if not (count >= 0 and 0 <= offset <= len(buf) - np.dtype(dtype).itemsize * count):
-        raise ChecksumError(f"{count} items at offset {offset} run outside the payload")
+        raise DataError(f"{count} items at offset {offset} run outside the payload")
     return np.frombuffer(buf, dtype, count, offset)
 
 
 def _mixture_from(buf: bytes, offset: int, k: int, dim: int):
     if not (k >= 1 and dim >= 1):
-        raise ChecksumError(f"mixture of {k} components in {dim} dimensions")
+        raise DataError(f"mixture of {k} components in {dim} dimensions")
     w = _array(buf, "<f8", k, offset).copy()
     offset += 8 * k
     m = _array(buf, "<f8", k * dim, offset).reshape(k, dim).copy()
@@ -94,11 +94,11 @@ def _mixture_from(buf: bytes, offset: int, k: int, dim: int):
     offset += 8 * k * dim
     if not (np.isfinite(w).all() and (w >= 0.0).all()
             and abs(w.sum() - 1.0) <= _SIMPLEX_TOL):
-        raise ChecksumError("mixture weights are not a probability vector")
+        raise DataError("mixture weights are not a probability vector")
     if not np.isfinite(m).all():
-        raise ChecksumError("mixture means are not finite")
+        raise DataError("mixture means are not finite")
     if not (np.isfinite(v).all() and (v >= VARIANCE_FLOOR).all()):
-        raise ChecksumError(
+        raise DataError(
             f"mixture variances are not finite and at least {VARIANCE_FLOOR}"
         )
     return GaussianMixture(w, m, v), offset
@@ -119,16 +119,16 @@ def table_from(index: dict, payload: bytes) -> SegmentPhraseTable:
         info = ModelInfo(**rec["info"])
         lam = rec["lam"]
         if not 0 < lam < np.inf:
-            raise ChecksumError(f"model lam {lam!r} is not positive and finite")
+            raise DataError(f"model lam {lam!r} is not positive and finite")
         table.entries[key] = SegmentationModel(fg, bg, lam, info)
         table.versions[key] = rec["version"]
     widths = set()
     for rec in index["exemplars"]:
         if rec["first"] not in (0, 1):
-            raise ChecksumError(f"mask starts with label {rec['first']!r}")
+            raise DataError(f"mask starts with label {rec['first']!r}")
         runs = _array(payload, "<u4", rec["n_runs"], rec["runs_offset"])
         if runs.sum() != rec["n"]:
-            raise ChecksumError("mask run lengths do not add up")
+            raise DataError("mask run lengths do not add up")
         mask = rle_decode(rec["first"], runs)
         descriptor = None
         if "descriptor_offset" in rec:
@@ -136,11 +136,11 @@ def table_from(index: dict, payload: bytes) -> SegmentPhraseTable:
                 payload, "<f8", rec["descriptor_len"], rec["descriptor_offset"]
             ).copy()
             if not np.isfinite(descriptor).all():
-                raise ChecksumError(f"exemplar descriptor of {rec['phrase']!r} is not finite")
+                raise DataError(f"exemplar descriptor of {rec['phrase']!r} is not finite")
             widths.add(len(descriptor))
         table.exemplars.setdefault(rec["phrase"], []).append(
             ExemplarMask(rec["image_id"], rec["score"], mask, descriptor)
         )
     if len(widths) > 1:
-        raise ChecksumError(f"exemplar descriptors differ in length: {sorted(widths)}")
+        raise DataError(f"exemplar descriptors differ in length: {sorted(widths)}")
     return table

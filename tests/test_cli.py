@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -317,26 +318,52 @@ def test_missing_image_exits_2(tmp_path, capsys):
     assert "img.pgm" in capsys.readouterr().err
 
 
+def _image_command(command, image, twin_table, tmp_path):
+    """argv of a train run (a one-line manifest) or a segment run that
+    reads image, and the file it would write."""
+    if command == "train":
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f'"p q" 0 {image} 0 0 4 4\n')
+        out = tmp_path / "t.spt"
+        return ["train", str(manifest), str(out)], out
+    table_path, emb = twin_table
+    detections = tmp_path / "dets.txt"
+    detections.write_text('"round" 0 0 4 4 0.9\n')
+    out = tmp_path / "m.pgm"
+    return ["segment", str(image), str(detections), str(table_path), str(emb), str(out)], out
+
+
 @pytest.mark.parametrize("command", ["train", "segment"])
 def test_sample_above_maxval_exits_2(command, twin_table, tmp_path, capsys):
     # scaled by maxval, a sample of 255 over maxval 100 used to end in a
     # ValueError traceback (exit 1)
     image = tmp_path / "bright.pgm"
     image.write_bytes(b"P5\n4 4\n100\n" + b"\xff" * 16)
-    if command == "train":
-        manifest = tmp_path / "m.txt"
-        manifest.write_text(f'"p q" 0 {image} 0 0 4 4\n')
-        out = tmp_path / "t.spt"
-        argv = ["train", str(manifest), str(out)]
-    else:
-        table_path, emb = twin_table
-        detections = tmp_path / "dets.txt"
-        detections.write_text('"round" 0 0 4 4 0.9\n')
-        out = tmp_path / "m.pgm"
-        argv = ["segment", str(image), str(detections), str(table_path), str(emb), str(out)]
+    argv, out = _image_command(command, image, twin_table, tmp_path)
     capsys.readouterr()
     err = _data_error(main(argv), capsys.readouterr())
     assert err == f"segphrase: data error: {image}: sample 255 above maxval 100\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "segment"])
+@pytest.mark.parametrize("blob, reason", [
+    (b"P4\n4 4\n" + bytes(2), "unsupported magic number b'P4'"),
+    (b"P5\n4 4\n", "incomplete header: missing size/maxval fields"),
+    (b"P5\n4 four\n255\n" + bytes(16), "non-numeric header token b'four'"),
+    (b"P5\n4 4\n255", "missing whitespace after maxval"),
+    (b"P5\n0 4\n255\n", "non-positive image dimensions"),
+    (b"P5\n4 4\n256\n" + bytes(16), "maxval 256 outside (0, 255]"),
+    (b"P5\n4 4\n255\n" + bytes(15), "expected 16 pixel bytes, found 15"),
+], ids=["magic", "incomplete-header", "header-token", "no-space-after-maxval",
+        "zero-width", "maxval", "short-raster"])
+def test_bad_image_exits_2(command, blob, reason, twin_table, tmp_path, capsys):
+    image = tmp_path / "bad.pgm"
+    image.write_bytes(blob)
+    argv, out = _image_command(command, image, twin_table, tmp_path)
+    capsys.readouterr()
+    err = _data_error(main(argv), capsys.readouterr())
+    assert err == f"segphrase: data error: {reason}\n"
     assert not out.exists()
 
 
@@ -1167,3 +1194,85 @@ def test_non_utf8_text_input_exits_2(kind, twin_table, workspace, tmp_path, caps
     capsys.readouterr()
     err = _data_error(main(argv), capsys.readouterr())
     assert err == f"segphrase: data error: {bad}: not UTF-8 text\n"
+
+
+# -- library errors: one exit code and one stderr line each ---------------------------
+
+def _segment_argv(workspace, detections, table, embeddings, out):
+    return ["segment", str(workspace / "round" / "test_000.pgm"), str(detections),
+            str(table), str(embeddings), str(out)]
+
+
+@pytest.mark.parametrize("command", ["segment", "relations"])
+@pytest.mark.parametrize("damage", [
+    lambda blob: (b"X" + blob[1:], "bad magic bytes"),
+    lambda blob: (blob[:8] + struct.pack("<I", 2) + blob[12:], "unsupported format version 2"),
+    lambda blob: (blob[:20], "file shorter than the fixed header"),
+    lambda blob: (blob[:30], "index extends past end of file"),
+    lambda blob: (blob[:-5], f"file is {len(blob) - 5} bytes, header promises {len(blob)}"),
+], ids=["magic", "version", "short-header", "short-index", "short-payload"])
+def test_damaged_table_exits_2(command, damage, twin_table, workspace, tmp_path, capsys):
+    table_path, emb = twin_table
+    data, reason = damage(table_path.read_bytes())
+    table = tmp_path / "t.spt"
+    table.write_bytes(data)
+    if command == "segment":
+        detections = tmp_path / "dets.txt"
+        detections.write_text('"round" 8 8 40 40 0.9\n')
+        out = tmp_path / "m.pgm"
+        argv = _segment_argv(workspace, detections, table, emb, out)
+    else:
+        (tmp_path / "d.tsv").write_text("round\tball\tentails\n")
+        out = tmp_path / "o.csv"
+        argv = ["relations", "entail", str(tmp_path / "d.tsv"), str(out), "--table", str(table)]
+    capsys.readouterr()
+    err = _data_error(main(argv), capsys.readouterr())
+    assert err == f"segphrase: data error: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("2\nround 1 0\n", ":1: first line must be 'vocab_size dim'"),
+    ("two 2\nround 1 0\n", ":1: non-integer header fields"),
+    ("1 0\nround\n", ":1: dimension must be positive"),
+    ("2 2\nround 1 0\n", ": header promises 2 words, file has 1"),
+    ("2 2\nround 1 0\nball 1\n", ":3: 1 components, expected 2"),
+    ("2 2\nround 1 0\nball 1 one\n", ":3: could not convert string to float: 'one'"),
+    ("2 2\nround 1 0\nRound 0 1\n", ":3: duplicate word 'round'"),
+], ids=["header-fields", "header-integers", "zero-dimension", "word-count", "ragged-row",
+        "non-numeric", "duplicate-word"])
+def test_malformed_embeddings_exit_2(text, reason, twin_table, workspace, tmp_path, capsys):
+    table_path, _ = twin_table
+    emb = tmp_path / "e.txt"
+    emb.write_text(text)
+    detections = tmp_path / "dets.txt"
+    detections.write_text('"round" 8 8 40 40 0.9\n')
+    out = tmp_path / "m.pgm"
+    capsys.readouterr()
+    err = _data_error(main(_segment_argv(workspace, detections, table_path, emb, out)),
+                      capsys.readouterr())
+    assert err == f"segphrase: data error: {emb}{reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("embeddings, detections, code, message", [
+    ("1 2\nball 0.0 1.0\n", '"round" 8 8 40 40 0.9\n',
+     2, "data error: no word of 'round' is in the embedding vocabulary"),
+    ("2 2\nround 0.0 0.0\nball 0.0 1.0\n", '"round" 8 8 40 40 0.9\n"ball" 8 8 40 40 0.8\n',
+     3, "numerical failure: zero-norm composite vector for 'round'"),
+    ("2 2\nround 1.0 0.0\nball 0.0 1.0\n", '"round" 8 8 40 40 0.9\n"cat" 8 8 40 40 0.8\n',
+     2, "data error: phrase 'cat' not in table"),
+], ids=["every-word-oov", "zero-norm-composite", "phrase-not-in-table"])
+def test_detection_phrase_errors_exit_cleanly(embeddings, detections, code, message, twin_table,
+                                              workspace, tmp_path, capsys):
+    table_path, _ = twin_table
+    emb = tmp_path / "e.txt"
+    emb.write_text(embeddings)
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text(detections)
+    out = tmp_path / "m.pgm"
+    capsys.readouterr()
+    rc = main(_segment_argv(workspace, det_path, table_path, emb, out))
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (code, "", f"segphrase: {message}\n")
+    assert not out.exists()

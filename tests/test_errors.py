@@ -1,11 +1,13 @@
 import ast
+import importlib
+import pkgutil
 import shlex
 from pathlib import Path
 
 import pytest
 
 import segphrase
-from segphrase.errors import DataError, text_rows
+from segphrase.errors import DataError, Error, NumericalError, text_rows
 
 
 def test_text_rows_skips_blank_and_comment_lines_and_counts_every_line(tmp_path):
@@ -96,3 +98,26 @@ def test_text_read_walker_flags_reads_and_passes_binary_and_writes():
         "io.open(p, mode)\n"
     )
     assert _text_reads(ast.parse(source)) == [1, 4, 5, 6]
+
+
+# -- two error kinds ------------------------------------------------------------------
+
+def test_every_library_error_is_one_of_the_two_kinds():
+    # cli.main tells apart DataError (exit 2) and NumericalError (exit 3)
+    # only; a subclass is kept where code catches it or it is also a
+    # ValueError, and a new one has to be added here on purpose
+    defined = {}
+    for info in pkgutil.iter_modules(segphrase.__path__):
+        module = importlib.import_module(f"segphrase.{info.name}")
+        defined.update(
+            (name, value) for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        )
+    kinds = {"Error": Error, "DataError": DataError, "NumericalError": NumericalError}
+    assert {name: defined.pop(name) for name in kinds} == kinds
+    assert set(defined) == {
+        "CollapseError", "ValidationError", "SuperpixelTargetError", "FeatureDimensionError",
+    }
+    for cls in defined.values():
+        assert issubclass(cls, DataError) != issubclass(cls, NumericalError), cls

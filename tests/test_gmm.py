@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import gmm_oracle
+from segphrase.errors import DataError
 from segphrase.gmm import (
     VARIANCE_FLOOR,
     GaussianMixture,
-    TooFewSamplesError,
     _component_log_pdf,
     fit,
     log_density_many,
@@ -45,7 +45,7 @@ def test_k1_closed_form():
 
 
 def test_too_few_samples():
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(DataError, match=r"^need at least 5 samples, got 2$"):
         fit(np.zeros((2, 3)), 5, seed=0)
 
 

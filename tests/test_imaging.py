@@ -14,10 +14,7 @@ from segphrase.imaging import (
     FEATURE_DIM,
     HIST_BINS,
     Image,
-    MalformedHeaderError,
     SuperpixelMap,
-    TruncatedDataError,
-    UnsupportedMagicError,
     _enforce_connectivity,
     compute_superpixels,
     extract_features,
@@ -60,7 +57,7 @@ def test_load_p6_single_pixel(tmp_path):
 def test_load_rejects_p4(tmp_path):
     path = tmp_path / "a.pbm"
     write_pgm(path, "P4", 2, 2, [0, 0])
-    with pytest.raises(UnsupportedMagicError):
+    with pytest.raises(DataError, match=r"^unsupported magic number b'P4'$"):
         load_image(path)
 
 
@@ -68,21 +65,21 @@ def test_load_rejects_p4(tmp_path):
 def test_load_checks_the_magic_before_the_header(tmp_path, blob):
     path = tmp_path / "a.pgm"
     path.write_bytes(blob)
-    with pytest.raises(UnsupportedMagicError):
+    with pytest.raises(DataError, match=f"^{re.escape(f'unsupported magic number {blob[:2]!r}')}$"):
         load_image(path)
 
 
 def test_load_rejects_malformed_header(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 two\n255\n" + bytes(4))
-    with pytest.raises(MalformedHeaderError):
+    with pytest.raises(DataError, match=r"^non-numeric header token b'two'$"):
         load_image(path)
 
 
 def test_load_rejects_truncated_payload(tmp_path):
     path = tmp_path / "a.pgm"
     write_pgm(path, "P5", 4, 4, [0] * 7)
-    with pytest.raises(TruncatedDataError):
+    with pytest.raises(DataError, match=r"^expected 16 pixel bytes, found 7$"):
         load_image(path)
 
 

@@ -14,7 +14,6 @@ from segphrase.imaging import (
 )
 from segphrase.latent import (
     CollapseError,
-    DegenerateBoxError,
     SegmentationModel,
     _cut_free,
     box_overlap,
@@ -48,9 +47,9 @@ def test_whole_image_box_all_foreground():
 
 
 def test_degenerate_box_rejected():
-    with pytest.raises(DegenerateBoxError):
+    with pytest.raises(DataError, match=r"^box \(2, 2, 2, 6\) invalid for 8x8 image$"):
         grid_instance((2, 2, 2, 6))
-    with pytest.raises(DegenerateBoxError):
+    with pytest.raises(DataError, match=r"^box \(0, 0, 9, 8\) invalid for 8x8 image$"):
         grid_instance((0, 0, 9, 8))
 
 

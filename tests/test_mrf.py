@@ -14,7 +14,6 @@ from segphrase.imaging import compute_superpixels, extract_features
 from segphrase.latent import em_learn, make_instance, segment_instance
 from segphrase.mrf import (
     MrfProblem,
-    SubmodularityError,
     energy,
     min_cut_infer,
     solve_max_flow,
@@ -85,7 +84,7 @@ def test_matches_brute_force_on_random_problems():
 
 def test_negative_weight_raises():
     p = make(2, [[0, 0], [0, 0]], [(0, 1)], [-1.0])
-    with pytest.raises(SubmodularityError):
+    with pytest.raises(NumericalError, match=r"^pairwise weights must be nonnegative$"):
         min_cut_infer(p)
 
 

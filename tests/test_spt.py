@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import struct
 import zlib
 
@@ -15,13 +16,10 @@ import spt_oracle
 from segphrase.spt import (
     FORMAT_VERSION,
     MAGIC,
-    ChecksumError,
     ExemplarMask,
     PhraseKey,
     SegmentPhraseTable,
-    TruncationError,
     ValidationError,
-    VersionMismatchError,
     _rle_decode,
     _rle_encode,
     load_table,
@@ -195,7 +193,7 @@ def test_flipped_magic_is_version_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[0] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(DataError, match=r"^bad magic bytes$"):
         load_table(path)
 
 
@@ -205,7 +203,7 @@ def test_unknown_version_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[8] = 99
     path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(DataError, match=r"^unsupported format version 99$"):
         load_table(path)
 
 
@@ -214,7 +212,7 @@ def test_truncated_file_detected(tmp_path):
     save_table(random_table(2), path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(TruncationError):
+    with pytest.raises(DataError, match=r"^index extends past end of file$"):
         load_table(path)
 
 
@@ -224,7 +222,7 @@ def test_corrupted_payload_fails_checksum(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-10] ^= 0x01  # inside the numeric payload
     path.write_bytes(bytes(blob))
-    with pytest.raises(ChecksumError):
+    with pytest.raises(DataError, match=r"^CRC mismatch: stored 0x[0-9a-f]+, computed 0x[0-9a-f]+$"):
         load_table(path)
 
 
@@ -250,7 +248,7 @@ def test_index_without_valid_payload_len_fails_checksum(tmp_path, index):
     body += index + bytes(8)
     path = tmp_path / "t.spt"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(ChecksumError):
+    with pytest.raises(DataError, match=r"^index has no valid payload_len$"):
         load_table(path)
 
 
@@ -300,52 +298,97 @@ def _swap(records, key):
     records[0][key], records[1][key] = records[1][key], records[0][key]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda ix: ix["exemplars"][0].update(runs_offset=ix["payload_len"] + 8),
-    lambda ix: ix["exemplars"][0].update(runs_offset=-4),
-    lambda ix: ix["exemplars"][0].update(n_runs=-1),
-    lambda ix: ix["entries"][0].update(offset=ix["payload_len"]),
-    lambda ix: ix["entries"][0].update(offset=-8),
-    lambda ix: ix["entries"][0].pop("lam"),
-    lambda ix: ix["entries"][0]["info"].update(colour="red"),
-    lambda ix: ix["entries"][0].update(k_fg="2"),
-    lambda ix: ix["entries"][0].update(k_bg=0),
-    lambda ix: ix["entries"][0].update(dim=0),
-    lambda ix: ix.pop("k_exemplars"),
-    lambda ix: _described(ix)[0].update(descriptor_len=5),
-    lambda ix: _described(ix)[0].update(descriptor_offset=ix["payload_len"]),
-    lambda ix: ix["exemplars"][0].update(first=7),
-    lambda ix: ix["exemplars"][0].update(n=ix["exemplars"][0]["n"] + 1),
-    lambda ix: ix["entries"][0].update(lam=float("nan")),
-    lambda ix: ix["entries"][0].update(lam=-1e308),
-    lambda ix: ix["entries"][0].update(lam=0.0),
-    lambda ix: ix["entries"][0].update(phrase=5),
-    lambda ix: ix["entries"][0].update(component_id=1.5),
-    lambda ix: ix["entries"][0].update(version="x"),
-    lambda ix: ix.update(k_exemplars="5"),
-    lambda ix: ix.update(k_exemplars=-3),
-    lambda ix: ix["exemplars"][0].update(image_id=7),
-    lambda ix: ix["entries"][0]["info"].update(energy_history="abc"),
-    lambda ix: ix["exemplars"][0].update(first=True),
-    lambda ix: ix["entries"][0].update(lam=True),
-    lambda ix: ix["exemplars"][0].update(runs_offset=ix["exemplars"][0]["runs_offset"] + 2),
-    lambda ix: ix["exemplars"][0].update(phrase="Bright  Square"),
-    lambda ix: [rec.update(descriptor_len=0) for rec in _described(ix)],
-    lambda ix: ix.update(k_exemplars=2),
-    lambda ix: ix["exemplars"].reverse(),
-    lambda ix: (ix.update(k_exemplars=2), ix["exemplars"].reverse()),
-    lambda ix: ix.update(payload_len=ix["payload_len"] + 8) or bytes(8),
-    lambda ix: _described(ix)[1].update(descriptor_offset=_described(ix)[0]["descriptor_offset"]),
-    _gap_before_descriptor,
-    lambda ix: _swap(ix["entries"], "phrase"),
-    lambda ix: _swap(ix["exemplars"], "score"),
-    lambda ix: ix["exemplars"][0].update(phrase="zzz"),
-    lambda ix: ix["entries"][0]["info"].pop("iterations"),
-    lambda ix: ix.update(note="x"),
-    lambda ix: ix["entries"][0].update(note="x"),
-    lambda ix: ix["exemplars"][0].update(note="x"),
-    lambda ix: _described(ix)[-1].pop("descriptor_offset"),
-    _repeated_phrase_key,
+@pytest.mark.parametrize("edit, message", [
+    (lambda ix: ix["exemplars"][0].update(runs_offset=ix["payload_len"] + 8),
+     "index differs from save_table's at byte 799:"),
+    (lambda ix: ix["exemplars"][0].update(runs_offset=-4),
+     "index differs from save_table's at byte 799:"),
+    (lambda ix: ix["exemplars"][0].update(n_runs=-1),
+     "n_runs -1 is not an integer >= 0"),
+    (lambda ix: ix["entries"][0].update(offset=ix["payload_len"]),
+     "index differs from save_table's at byte 274:"),
+    (lambda ix: ix["entries"][0].update(offset=-8),
+     "index differs from save_table's at byte 274:"),
+    (lambda ix: ix["entries"][0].pop("lam"),
+     "malformed table index: KeyError('lam')"),
+    (lambda ix: ix["entries"][0]["info"].update(colour="red"),
+     "malformed table index: TypeError("),
+    (lambda ix: ix["entries"][0].update(k_fg="2"),
+     "k_fg '2' is not an integer >= 1"),
+    (lambda ix: ix["entries"][0].update(k_bg=0),
+     "k_bg 0 is not an integer >= 1"),
+    (lambda ix: ix["entries"][0].update(dim=0),
+     "dim 0 is not an integer >= 1"),
+    (lambda ix: ix.pop("k_exemplars"),
+     "malformed table index: KeyError('k_exemplars')"),
+    (lambda ix: _described(ix)[0].update(descriptor_len=5),
+     "exemplars end at byte 1028, not at payload_len 1068"),
+    (lambda ix: _described(ix)[0].update(descriptor_offset=ix["payload_len"]),
+     "index differs from save_table's at byte 689:"),
+    (lambda ix: ix["exemplars"][0].update(first=7),
+     "index differs from save_table's at byte 703:"),
+    (lambda ix: ix["exemplars"][0].update(n=ix["exemplars"][0]["n"] + 1),
+     "mask runs are not nonzero lengths adding up to the mask's"),
+    (lambda ix: ix["entries"][0].update(lam=float("nan")),
+     "model lam nan is not a finite number"),
+    (lambda ix: ix["entries"][0].update(lam=-1e308),
+     "model lam -1e+308 is not positive"),
+    (lambda ix: ix["entries"][0].update(lam=0.0),
+     "model lam 0.0 is not positive"),
+    (lambda ix: ix["entries"][0].update(phrase=5),
+     "malformed table index: ValidationError('phrase 5 is not a normalized string')"),
+    (lambda ix: ix["entries"][0].update(component_id=1.5),
+     "component_id 1.5 is not an integer >= 0"),
+    (lambda ix: ix["entries"][0].update(version="x"),
+     "version 'x' is not an integer >= 1"),
+    (lambda ix: ix.update(k_exemplars="5"),
+     "k_exemplars '5' is not an integer >= 1"),
+    (lambda ix: ix.update(k_exemplars=-3),
+     "k_exemplars -3 is not an integer >= 1"),
+    (lambda ix: ix["exemplars"][0].update(image_id=7),
+     "image_id 7 is not a string"),
+    (lambda ix: ix["entries"][0]["info"].update(energy_history="abc"),
+     "energy history 'abc' is not a list"),
+    (lambda ix: ix["exemplars"][0].update(first=True),
+     "first label True is not an integer >= 0"),
+    (lambda ix: ix["entries"][0].update(lam=True),
+     "model lam True is not a finite number"),
+    (lambda ix: ix["exemplars"][0].update(runs_offset=ix["exemplars"][0]["runs_offset"] + 2),
+     "index differs from save_table's at byte 801:"),
+    (lambda ix: ix["exemplars"][0].update(phrase="Bright  Square"),
+     "malformed table index: ValidationError(\"phrase 'Bright  Square' is not a normalized string\")"),
+    (lambda ix: [rec.update(descriptor_len=0) for rec in _described(ix)],
+     "descriptor_len 0 is not an integer >= 1"),
+    (lambda ix: ix.update(k_exemplars=2),
+     "index differs from save_table's at byte 1018:"),
+    (lambda ix: ix["exemplars"].reverse(),
+     "mask runs are not nonzero lengths adding up to the mask's"),
+    (lambda ix: (ix.update(k_exemplars=2), ix["exemplars"].reverse()),
+     "mask runs are not nonzero lengths adding up to the mask's"),
+    (lambda ix: ix.update(payload_len=ix["payload_len"] + 8) or bytes(8),
+     "exemplars end at byte 1068, not at payload_len 1076"),
+    (lambda ix: _described(ix)[1].update(descriptor_offset=_described(ix)[0]["descriptor_offset"]),
+     "index differs from save_table's at byte 1017:"),
+    (_gap_before_descriptor,
+     "index differs from save_table's at byte 691:"),
+    (lambda ix: _swap(ix["entries"], "phrase"),
+     "index differs from save_table's at byte 30:"),
+    (lambda ix: _swap(ix["exemplars"], "score"),
+     "index differs from save_table's at byte 647:"),
+    (lambda ix: ix["exemplars"][0].update(phrase="zzz"),
+     "index differs from save_table's at byte 647:"),
+    (lambda ix: ix["entries"][0]["info"].pop("iterations"),
+     "index differs from save_table's at byte 170:"),
+    (lambda ix: ix.update(note="x"),
+     "index differs from save_table's at byte 1698:"),
+    (lambda ix: ix["entries"][0].update(note="x"),
+     "index differs from save_table's at byte 265:"),
+    (lambda ix: ix["exemplars"][0].update(note="x"),
+     "index differs from save_table's at byte 757:"),
+    (lambda ix: _described(ix)[-1].pop("descriptor_offset"),
+     "index differs from save_table's at byte 1511:"),
+    (_repeated_phrase_key,
+     "index differs from save_table's at byte 212:"),
 ], ids=["runs-offset-past-end", "runs-offset-negative", "n-runs-negative",
         "model-offset-past-end", "model-offset-negative", "missing-lam",
         "unknown-info-key", "string-k", "zero-k", "zero-dim", "missing-k-exemplars", "descriptor-len-5",
@@ -359,14 +402,14 @@ def _swap(records, key):
         "swapped-exemplar-scores", "exemplar-phrase-out-of-order", "info-without-iterations",
         "unknown-index-key", "unknown-entry-key", "unknown-exemplar-key",
         "descriptor-len-without-offset", "repeated-key"])
-def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit):
+def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit, message):
     path = tmp_path / "t.spt"
     table = random_table(5, n_entries=2, n_exemplars=3)
     save_table(table, path)
     _edit_index(path, lambda ix: None)
     assert spt_oracle.deep_equal(load_table(path), table)
     _edit_index(path, edit)
-    with pytest.raises(ChecksumError):
+    with pytest.raises(DataError, match="^" + re.escape(message)):
         load_table(path)
 
 
@@ -380,7 +423,7 @@ def test_empty_records_not_in_a_list_fail_checksum(tmp_path, records, empty):
     # the error names the byte of the [] that save_table writes there:
     # {"entries": [], "exemplars": [], "k_exemplars": 10, "payload_len": 0}
     at = {"entries": 12, "exemplars": 29}[records]
-    with pytest.raises(ChecksumError, match=f"index differs from save_table's at byte {at}:"):
+    with pytest.raises(DataError, match=f"^index differs from save_table's at byte {at}:"):
         load_table(path)
 
 
@@ -405,7 +448,7 @@ def test_respelled_index_fails_checksum(tmp_path, respell):
         return respelled, payload
 
     _edit_table(path, edit)
-    with pytest.raises(ChecksumError, match="index differs from save_table's at byte"):
+    with pytest.raises(DataError, match="^index differs from save_table's at byte"):
         load_table(path)
 
 
@@ -415,11 +458,13 @@ def _two_empty_runs_after_the_last(index):
     return bytes(8)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda ix: ix["exemplars"][0].update(first=1),
-    _two_empty_runs_after_the_last,
+@pytest.mark.parametrize("edit, message", [
+    (lambda ix: ix["exemplars"][0].update(first=1),
+     "^index differs from save_table's at byte 40:"),
+    (_two_empty_runs_after_the_last,
+     "^mask runs are not nonzero lengths adding up to the mask's$"),
 ], ids=["empty-mask-starting-at-1", "zero-length-runs"])
-def test_mask_runs_not_as_save_table_writes_fail_checksum(tmp_path, edit):
+def test_mask_runs_not_as_save_table_writes_fail_checksum(tmp_path, edit, message):
     # the decoder reads these back to the same masks, but _rle_encode
     # starts an empty mask at 0 and writes no empty run
     table = SegmentPhraseTable()
@@ -430,7 +475,7 @@ def test_mask_runs_not_as_save_table_writes_fail_checksum(tmp_path, edit):
     _edit_index(path, lambda ix: None)
     assert spt_oracle.deep_equal(load_table(path), table)
     _edit_index(path, edit)
-    with pytest.raises(ChecksumError):
+    with pytest.raises(DataError, match=message):
         load_table(path)
 
 
@@ -438,7 +483,7 @@ def test_bytes_after_the_crc_fail_checksum(tmp_path):
     path = tmp_path / "t.spt"
     save_table(random_table(6), path)
     path.write_bytes(path.read_bytes() + bytes(4))
-    with pytest.raises(ChecksumError, match="4 bytes follow the CRC"):
+    with pytest.raises(DataError, match="^4 bytes follow the CRC$"):
         load_table(path)
 
 
