@@ -150,8 +150,10 @@ def parse_train_manifest(path):
 
     Lines group by PhraseKey, so spellings that normalize alike share one
     group; each group keeps its first spelling. Returns
-    [((phrase, component), [(image_path, box), ...])] preserving
-    first-appearance group order.
+    [(key, phrase, [(lineno, image_path, box), ...])] in order of each
+    group's first line, a group's items in file order. The whole file is
+    checked before this returns, so a malformed line anywhere is reported
+    before any image is read.
     """
     groups: dict[PhraseKey, tuple[str, list]] = {}
     for lineno, parts in text_rows(path, shlex.split):
@@ -170,21 +172,10 @@ def parse_train_manifest(path):
             key = PhraseKey.make(parts[0], component)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        groups.setdefault(key, (parts[0], []))[1].append((parts[2], box))
+        groups.setdefault(key, (parts[0], []))[1].append((lineno, parts[2], box))
     if not groups:
         raise DataError(f"{path}: manifest is empty")
-    return [
-        ((phrase, key.component_id), items) for key, (phrase, items) in groups.items()
-    ]
-
-
-def _load_checked(path, box, target):
-    """A manifest line's image, once its box and the superpixel target
-    fit it: the first bad line is the one reported."""
-    img = load_image(path)
-    check_superpixel_target(img, target)
-    check_box(box, img.width, img.height)
-    return img
+    return [(key, phrase, items) for key, (phrase, items) in groups.items()]
 
 
 def cmd_train(args) -> int:
@@ -193,32 +184,37 @@ def cmd_train(args) -> int:
     table = SegmentPhraseTable(k_exemplars=config.k_exemplars)
     target = config.superpixel_target
 
-    # every image loads before any group trains, so a bad image fails
-    # before anything reaches stdout; the superpixels of all images are
-    # computed together
-    images = [[_load_checked(path, box, target) for path, box in items] for _key, items in groups]
-    smaps = iter(superpixel_maps([img for group in images for img in group], target))
-    loaded = [
-        [(img, make_instance(extract_features(img, next(smaps)), box))
-         for img, (_path, box) in zip(group, items)]
-        for group, (_key, items) in zip(images, groups)
-    ]
+    # every line's image loads and is checked in file order, so the first
+    # bad line is the one reported, before anything reaches stdout; the
+    # superpixels of all images are computed together
+    images = {}
+    lines = sorted(item for _key, _phrase, items in groups for item in items)
+    for lineno, path, box in lines:
+        try:
+            img = load_image(path)
+            check_superpixel_target(img, target)
+            check_box(box, img.width, img.height)
+        except (DataError, OSError) as exc:
+            raise DataError(f"{args.manifest}:{lineno}: {exc}") from exc
+        images[lineno] = img
+    smaps = dict(zip(images, superpixel_maps(list(images.values()), target)))
 
-    for group_index, ((phrase, component), items) in enumerate(groups):
-        pairs = loaded[group_index]
-        instances = [inst for _img, inst in pairs]
+    for group_index, (key, phrase, items) in enumerate(groups):
+        instances = [
+            make_instance(extract_features(images[lineno], smaps[lineno]), box)
+            for lineno, _path, box in items
+        ]
         model = em_learn(
             instances, dataclasses.replace(config, seed=config.seed + group_index)
         )
         model.info.phrase = phrase
-        model.info.component_id = component
-        key = PhraseKey.make(phrase, component)
+        model.info.component_id = key.component_id
         table.insert(key, model)
-        for (image_path, _box), (img, inst), labels in zip(
-            items, pairs, model.info.labelings
+        for (lineno, image_path, _box), inst, labels in zip(
+            items, instances, model.info.labelings
         ):
             descriptor = relations.exemplar_descriptor(
-                img, labels_to_mask(labels, inst.graph.smap)
+                images[lineno], labels_to_mask(labels, inst.graph.smap)
             )
             table.add_exemplar(
                 phrase,
@@ -226,7 +222,7 @@ def cmd_train(args) -> int:
             )
         log = {
             "phrase": key.phrase,
-            "component": component,
+            "component": key.component_id,
             "instances": len(instances),
             "iterations": model.info.iterations,
             "final_energy": model.info.energy_history[-1]

@@ -132,10 +132,19 @@ def load_image(path) -> Image:
     """Decode a binary PGM (P5) or PPM (P6) file, scaling values to [0, 1].
 
     Bytes after the raster are ignored: Netpbm allows several images in
-    one file, and this reads the first.
+    one file, and this reads the first. A malformed file is a DataError
+    whose message starts with `path: `.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
+    try:
+        return _decode_netpbm(buf)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _decode_netpbm(buf: bytes) -> Image:
+    """The image that load_image reads from a file's bytes."""
     magic = buf[:2]
     if magic not in (b"P5", b"P6"):
         raise DataError(f"unsupported magic number {magic!r}")
@@ -151,7 +160,7 @@ def load_image(path) -> Image:
         raise DataError(f"expected {need} pixel bytes, found {len(payload)}")
     samples = np.frombuffer(payload, dtype=np.uint8)
     if maxval < 255 and samples.max() > maxval:
-        raise DataError(f"{path}: sample {samples.max()} above maxval {maxval}")
+        raise DataError(f"sample {samples.max()} above maxval {maxval}")
     arr = samples.astype(np.float64) / maxval
     return Image(width, height, channels, arr.reshape(height, width, channels))
 

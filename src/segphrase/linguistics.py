@@ -233,18 +233,22 @@ def _box_iou(a, b) -> float:
 
 
 def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy non-maximum suppression, highest score first."""
-    ranked = sorted(
-        range(len(detections)), key=lambda i: (-detections[i].score, i)
-    )
-    kept: list[int] = []
-    for i in ranked:
-        if all(
-            _box_iou(detections[i].box, detections[j].box) <= iou_threshold
-            for j in kept
-        ):
-            kept.append(i)
-    return [detections[i] for i in sorted(kept)]
+    """Greedy non-maximum suppression within each normalized phrase.
+
+    Detections are visited by descending score, ties in input order; one
+    is kept unless its box overlaps a kept box of the same phrase by an
+    IoU above iou_threshold. Detections of different phrases never
+    suppress each other. The kept detections come back in input order.
+    """
+    kept_boxes: dict[str, list] = {}
+    keep = [False] * len(detections)
+    for i in sorted(range(len(detections)), key=lambda i: (-detections[i].score, i)):
+        box = detections[i].box
+        boxes = kept_boxes.setdefault(normalize_phrase(detections[i].phrase), [])
+        if all(_box_iou(box, other) <= iou_threshold for other in boxes):
+            boxes.append(box)
+            keep[i] = True
+    return [det for det, kept in zip(detections, keep) if kept]
 
 
 def semantic_segment(
@@ -254,24 +258,21 @@ def semantic_segment(
     embeddings: EmbeddingTable,
     config: Config,
 ) -> SemanticSegmentation:
-    """Full per-image pipeline: NMS, per-detection model cuts restricted to
-    their boxes, message passing, and the fused final cut.
+    """Full per-image pipeline: NMS within each phrase (`nms`, one call
+    over all detections), the score threshold, per-detection model cuts
+    restricted to their boxes, message passing, and the fused final cut.
 
-    Detections with no table entry raise a DataError. When nothing
+    The surviving detections, and so the report's rows, keep their input
+    order. Detections with no table entry raise a DataError. When nothing
     survives the score threshold the result is the all-background sentinel
     with an empty report.
     """
     smap = compute_superpixels(image, config.superpixel_target)
     graph = extract_features(image, smap)
 
-    by_phrase: dict[str, list[Detection]] = {}
-    for det in detections:
-        by_phrase.setdefault(normalize_phrase(det.phrase), []).append(det)
-    surviving: list[Detection] = []
-    for phrase in by_phrase:
-        surviving.extend(nms(by_phrase[phrase], config.nms_iou))
-    surviving = [d for d in surviving if d.score > config.detection_threshold]
-    surviving.sort(key=lambda d: detections.index(d))
+    surviving = [
+        d for d in nms(detections, config.nms_iou) if d.score > config.detection_threshold
+    ]
 
     if not surviving:
         empty = np.zeros(graph.n, dtype=np.int8)

@@ -250,11 +250,12 @@ def load_table(path) -> SegmentPhraseTable:
     """The table saved at path, decoded and checked in whole-table passes.
 
     A file loads only if save_table writes the loaded table back to the
-    same bytes; anything else is a DataError (exit 2), however the CRC
-    reads. Each payload region is decoded at its running position, the
-    exemplars go in through add_exemplar, and the stored index must then
-    be `_index` of the loaded table, byte for byte. Before that, what
-    sizes an allocation or reaches a computation is checked:
+    same bytes; anything else is a DataError (exit 2) whose message
+    starts with `path: `, however the CRC reads. Each payload region is
+    decoded at its running position, the exemplars go in through
+    add_exemplar, and the stored index must then be `_index` of the
+    loaded table, byte for byte. Before that, what sizes an allocation
+    or reaches a computation is checked:
     - ints (a bool is no int) for counts, ids, versions and first labels,
       at least 1 for k_exemplars, versions, k, dim and descriptor
       lengths; strings for image ids and info phrases; a list of finite
@@ -268,6 +269,14 @@ def load_table(path) -> SegmentPhraseTable:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _decode_table(blob)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _decode_table(blob: bytes) -> SegmentPhraseTable:
+    """The table that load_table reads from a file's bytes."""
     if len(blob) < len(MAGIC) + 4 + 8 + 4:
         raise DataError("file shorter than the fixed header")
     if blob[: len(MAGIC)] != MAGIC:

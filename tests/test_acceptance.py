@@ -6,6 +6,7 @@ Each test enforces its stated tolerance and prints one pass/fail line
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -410,15 +411,15 @@ def test_a10_round_trip_fidelity(tmp_path):
     blob = bytearray(path.read_bytes())
     flipped = bytes([blob[0] ^ 0xFF]) + bytes(blob[1:])
     path.write_bytes(flipped)
-    with pytest.raises(DataError, match=r"^bad magic bytes$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: bad magic bytes$"):
         load_table(path)
     path.write_bytes(bytes(blob)[: len(blob) - 7])
-    with pytest.raises(DataError, match=r"^file is \d+ bytes, header promises \d+$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: file is \d+ bytes, header promises \d+$"):
         load_table(path)
     corrupted = bytearray(blob)
     corrupted[-6] ^= 0x10
     path.write_bytes(bytes(corrupted))
-    with pytest.raises(DataError, match=r"^CRC mismatch: stored 0x[0-9a-f]+, computed 0x[0-9a-f]+$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: CRC mismatch: stored 0x[0-9a-f]+, computed 0x[0-9a-f]+$"):
         load_table(path)
     report("A10", ok, "20 random tables deep-equal after save/load; "
                       "magic/truncation/checksum corruption raise their designated data errors")

@@ -134,12 +134,15 @@ def test_each_config_flag_reaches_its_field(argv, field, value):
 
 
 def test_parse_train_manifest(tmp_path):
+    # groups in order of their first line, each item with its line number
     path = tmp_path / "m.txt"
-    path.write_text('"horse jumping" 0 a.pgm 0 0 4 4\n"horse jumping" 0 b.pgm 1 1 5 5\nplain 1 c.pgm 0 0 2 2\n')
-    groups = parse_train_manifest(path)
-    assert groups[0][0] == ("horse jumping", 0)
-    assert len(groups[0][1]) == 2
-    assert groups[1][0] == ("plain", 1)
+    path.write_text('"horse jumping" 0 a.pgm 0 0 4 4\nplain 1 c.pgm 0 0 2 2\n'
+                    '# note\n"Horse  Jumping" 0 b.pgm 1 1 5 5\n')
+    assert parse_train_manifest(path) == [
+        (PhraseKey("horse jumping", 0), "horse jumping",
+         [(1, "a.pgm", (0, 0, 4, 4)), (4, "b.pgm", (1, 1, 5, 5))]),
+        (PhraseKey("plain", 1), "plain", [(2, "c.pgm", (0, 0, 2, 2))]),
+    ]
 
 
 # -- end-to-end CLI -----------------------------------------------------------------
@@ -190,10 +193,11 @@ def test_synth_manifest_round_trips_phrase_and_path(tmp_path):
     phrase, out = 'big "red" \\car', tmp_path / "it's a dir"
     assert main(["synth", str(out), "--count", "2", "--test-count", "0",
                  "--size", "24", "--phrase", phrase]) == 0
-    [((got_phrase, component), items)] = parse_train_manifest(out / "manifest.txt")
-    assert (got_phrase, component) == (phrase, 0)
-    assert [path for path, _box in items] == [str(out / f"train_{i:03d}.pgm") for i in (0, 1)]
-    assert all(Path(path).is_file() for path, _box in items)
+    [(key, got_phrase, items)] = parse_train_manifest(out / "manifest.txt")
+    assert (got_phrase, key.component_id) == (phrase, 0)
+    paths = [path for _lineno, path, _box in items]
+    assert paths == [str(out / f"train_{i:03d}.pgm") for i in (0, 1)]
+    assert all(Path(path).is_file() for path in paths)
     # plain phrases and paths are written unquoted, as before
     assert main(["synth", str(tmp_path / "plain"), "--count", "1", "--test-count", "0",
                  "--size", "24", "--phrase", "red car"]) == 0
@@ -333,6 +337,13 @@ def _image_command(command, image, twin_table, tmp_path):
     return ["segment", str(image), str(detections), str(table_path), str(emb), str(out)], out
 
 
+def _image_error(command, image, reason, tmp_path):
+    """The stderr line of an _image_command run that image fails: train
+    names the manifest line, and the image's error names the image."""
+    where = f"{tmp_path / 'm.txt'}:1: " if command == "train" else ""
+    return f"segphrase: data error: {where}{image}: {reason}\n"
+
+
 @pytest.mark.parametrize("command", ["train", "segment"])
 def test_sample_above_maxval_exits_2(command, twin_table, tmp_path, capsys):
     # scaled by maxval, a sample of 255 over maxval 100 used to end in a
@@ -342,7 +353,7 @@ def test_sample_above_maxval_exits_2(command, twin_table, tmp_path, capsys):
     argv, out = _image_command(command, image, twin_table, tmp_path)
     capsys.readouterr()
     err = _data_error(main(argv), capsys.readouterr())
-    assert err == f"segphrase: data error: {image}: sample 255 above maxval 100\n"
+    assert err == _image_error(command, image, "sample 255 above maxval 100", tmp_path)
     assert not out.exists()
 
 
@@ -363,7 +374,7 @@ def test_bad_image_exits_2(command, blob, reason, twin_table, tmp_path, capsys):
     argv, out = _image_command(command, image, twin_table, tmp_path)
     capsys.readouterr()
     err = _data_error(main(argv), capsys.readouterr())
-    assert err == f"segphrase: data error: {reason}\n"
+    assert err == _image_error(command, image, reason, tmp_path)
     assert not out.exists()
 
 
@@ -392,7 +403,8 @@ def test_training_input_is_all_or_nothing(tmp_path, workspace, capsys):
 def test_first_bad_manifest_line_is_the_one_reported(bad, tmp_path, workspace, capsys):
     # line 2's box (or the superpixel target) does not fit its image and
     # line 5's image is corrupt: the superpixels of all images run
-    # together, but each line is checked as it loads, so line 2 fails
+    # together, but each line is checked as it loads, so line 2 fails,
+    # named by the manifest and line
     from segphrase.imaging import Image, save_image
 
     good = (workspace / "round" / "manifest.txt").read_text().splitlines(keepends=True)
@@ -412,8 +424,43 @@ def test_first_bad_manifest_line_is_the_one_reported(bad, tmp_path, workspace, c
     manifest.write_text(good[0] + line2 + good[1] + good[2] + line5)
     out_table = tmp_path / "out.spt"
     err = _data_error(main(["train", str(manifest), str(out_table)]), capsys.readouterr())
-    assert err == f"segphrase: data error: {reason}\n"
+    assert err == f"segphrase: data error: {manifest}:2: {reason}\n"
     assert not out_table.exists()
+
+
+def test_interleaved_manifest_reports_its_first_bad_line(tmp_path, workspace, capsys):
+    # phrase A's good line, phrase B's missing image, A's box past the
+    # image: the lines load in file order, not grouped by phrase, so line
+    # 2 is reported, not line 3
+    good = (workspace / "round" / "manifest.txt").read_text().splitlines(keepends=True)
+    image = shlex.split(good[0])[2]
+    missing = tmp_path / "missing.pgm"
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(good[0] + f'"square object" 0 {missing} 0 0 8 8\n'
+                        + f'"round object" 0 {image} 2 2 99 99\n')
+    out_table = tmp_path / "out.spt"
+    err = _data_error(main(["train", str(manifest), str(out_table)]), capsys.readouterr())
+    assert err.startswith(f"segphrase: data error: {manifest}:2: ")
+    assert err.endswith(f"No such file or directory: {str(missing)!r}\n")
+    assert not out_table.exists()
+
+
+def test_interleaved_manifest_trains_as_grouped(tmp_path, workspace, capsys):
+    # A1 B1 A2 B2 A3 B3 trains the same groups, with the same images, as
+    # A1 A2 A3 B1 B2 B3: each superpixel map depends on its own image only,
+    # whichever images are computed together
+    rounds = (workspace / "round" / "manifest.txt").read_text().splitlines(keepends=True)
+    squares = (workspace / "square" / "manifest.txt").read_text().splitlines(keepends=True)
+    runs = []
+    for name, lines in (("grouped", rounds + squares),
+                        ("interleaved", [line for pair in zip(rounds, squares) for line in pair])):
+        manifest = tmp_path / f"{name}.txt"
+        manifest.write_text("".join(lines))
+        assert main(["train", str(manifest), str(tmp_path / f"{name}.spt"), "--k", "1"]) == 0
+        runs.append((capsys.readouterr().out, (tmp_path / f"{name}.spt").read_bytes()))
+    assert runs[0] == runs[1]
+    assert [json.loads(line)["phrase"] for line in runs[0][0].splitlines()] == [
+        "round object", "square object"]
 
 
 def test_spellings_of_one_phrase_train_one_model(tmp_path, workspace, capsys):
@@ -735,6 +782,24 @@ def test_bad_detection_scores_exit_cleanly(detections, code, twin_table, workspa
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_duplicate_detections_report_in_input_order(twin_table, workspace, tmp_path, capsys):
+    # at nms_iou 1.0 two identical lines both survive; the report keeps
+    # the input order, not one phrase's detections together
+    table_path, emb = twin_table
+    det_path = tmp_path / "dets.txt"
+    det_path.write_text('"round" 8 8 40 40 0.9\n"ball" 8 8 40 40 0.8\n"round" 8 8 40 40 0.9\n')
+    config = tmp_path / "c.cfg"
+    config.write_text("nms_iou = 1.0\n")
+    capsys.readouterr()
+    rc = main(["segment", str(workspace / "round" / "test_000.pgm"), str(det_path),
+               str(table_path), str(emb), str(tmp_path / "m.pgm"), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    report = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(r["phrase"], r["score_before"]) for r in report] == [
+        ("round", 0.9), ("ball", 0.8), ("round", 0.9)]
+
+
 def test_model_feature_width_mismatch_exits_2(twin_table, workspace, tmp_path, capsys):
     # a model over 3 features per superpixel cannot score 24-bin histograms
     _, emb = twin_table
@@ -788,7 +853,7 @@ def test_table_with_bad_mixture_numbers_exits_2(weights, means, variances, twin_
     ])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == "" and not (tmp_path / "m.pgm").exists()
-    assert captured.err.startswith("segphrase: data error: mixture ")
+    assert captured.err.startswith(f"segphrase: data error: {tmp_path / 't.spt'}: mixture ")
     assert captured.err.count("\n") == 1
 
 
@@ -930,7 +995,7 @@ def test_non_finite_exemplar_descriptor_exits_2(mode, bad, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == "" and not (tmp_path / "o.csv").exists()
     assert captured.err == (
-        "segphrase: data error: exemplar descriptor of 'b' is not finite\n"
+        f"segphrase: data error: {tmp_path / 't.spt'}: exemplar descriptor of 'b' is not finite\n"
     )
 
 
@@ -1047,17 +1112,18 @@ def test_superpixel_target_above_pixel_count_exits_2(twin_table, tmp_path, capsy
     det_path = tmp_path / "dets.txt"
     det_path.write_text('"round" 2 2 10 10 1.0\n')
     out_table, out_mask = tmp_path / "out.spt", tmp_path / "m.pgm"
-    for argv in (
-        ["train", str(tmp_path / "tiny" / "manifest.txt"), str(out_table), "--k", "1"],
-        ["segment", str(tmp_path / "tiny" / "test_000.pgm"), str(det_path),
-         str(table_path), str(emb), str(out_mask)],
+    manifest = tmp_path / "tiny" / "manifest.txt"
+    for argv, where in (
+        (["train", str(manifest), str(out_table), "--k", "1"], f"{manifest}:1: "),
+        (["segment", str(tmp_path / "tiny" / "test_000.pgm"), str(det_path),
+          str(table_path), str(emb), str(out_mask)], ""),
     ):
         capsys.readouterr()
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err == (
-            "segphrase: data error: superpixel target 200 outside [1, 144] "
+            f"segphrase: data error: {where}superpixel target 200 outside [1, 144] "
             "for a 12x12 image\n"
         )
     assert not out_table.exists() and not out_mask.exists()
@@ -1227,7 +1293,7 @@ def test_damaged_table_exits_2(command, damage, twin_table, workspace, tmp_path,
         argv = ["relations", "entail", str(tmp_path / "d.tsv"), str(out), "--table", str(table)]
     capsys.readouterr()
     err = _data_error(main(argv), capsys.readouterr())
-    assert err == f"segphrase: data error: {reason}\n"
+    assert err == f"segphrase: data error: {table}: {reason}\n"
     assert not out.exists()
 
 

@@ -57,7 +57,7 @@ def test_load_p6_single_pixel(tmp_path):
 def test_load_rejects_p4(tmp_path):
     path = tmp_path / "a.pbm"
     write_pgm(path, "P4", 2, 2, [0, 0])
-    with pytest.raises(DataError, match=r"^unsupported magic number b'P4'$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: unsupported magic number b'P4'$"):
         load_image(path)
 
 
@@ -65,21 +65,21 @@ def test_load_rejects_p4(tmp_path):
 def test_load_checks_the_magic_before_the_header(tmp_path, blob):
     path = tmp_path / "a.pgm"
     path.write_bytes(blob)
-    with pytest.raises(DataError, match=f"^{re.escape(f'unsupported magic number {blob[:2]!r}')}$"):
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: unsupported magic number {blob[:2]!r}')}$"):
         load_image(path)
 
 
 def test_load_rejects_malformed_header(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 two\n255\n" + bytes(4))
-    with pytest.raises(DataError, match=r"^non-numeric header token b'two'$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: non-numeric header token b'two'$"):
         load_image(path)
 
 
 def test_load_rejects_truncated_payload(tmp_path):
     path = tmp_path / "a.pgm"
     write_pgm(path, "P5", 4, 4, [0] * 7)
-    with pytest.raises(DataError, match=r"^expected 16 pixel bytes, found 7$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: expected 16 pixel bytes, found 7$"):
         load_image(path)
 
 
@@ -101,7 +101,7 @@ def test_load_rejects_a_sample_above_maxval(tmp_path, header, raster, sample):
     path.write_bytes(header + raster)
     maxval = int(header.split()[-1])
     message = f"{path}: sample {sample} above maxval {maxval}"
-    with pytest.raises(DataError, match=re.escape(message)):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_image(path)
 
 

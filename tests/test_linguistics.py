@@ -19,6 +19,7 @@ from segphrase.linguistics import (
     Detection,
     EmbeddingTable,
     WeightedMask,
+    _box_iou,
     fuse_and_cut,
     load_embeddings,
     message_pass,
@@ -320,6 +321,45 @@ def test_nms_suppresses_overlaps():
     ]
     kept = nms(dets, 0.5)
     assert [d.score for d in kept] == [0.9, 0.7]
+
+
+def test_nms_suppresses_within_a_phrase_and_keeps_input_order():
+    dets = [
+        Detection("b", (0, 0, 10, 10), 0.5),
+        Detection("a", (0, 0, 10, 10), 0.9),    # same box as "b": not suppressed
+        Detection(" A ", (1, 1, 11, 11), 0.95),  # normalizes to "a": suppresses the 0.9
+        Detection("b", (20, 20, 30, 30), 0.7),
+    ]
+    kept = nms(dets, 0.5)
+    assert [dets.index(d) for d in kept] == [0, 2, 3]  # input order, not score order
+    # identical detections both survive at IoU threshold 1.0, in place
+    twins = [dets[1], dets[0], Detection("a", (0, 0, 10, 10), 0.9)]
+    assert [id(d) for d in nms(twins, 1.0)] == [id(d) for d in twins]
+
+
+def test_nms_is_greedy_nms_of_each_phrase():
+    # one call over mixed phrases keeps what a separate greedy pass per
+    # phrase keeps (highest score first, ties in input order)
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        dets = []
+        for _ in range(rng.integers(0, 12)):
+            x, y = (int(v) for v in rng.integers(0, 20, size=2))
+            w, h = (int(v) for v in rng.integers(1, 12, size=2))
+            phrase = str(rng.choice(["a", "b", "A", "c  d", "C D"]))
+            dets.append(Detection(phrase, (x, y, x + w, y + h), float(rng.integers(0, 4))))
+        threshold = float(rng.choice([0.0, 0.3, 0.5, 1.0]))
+        kept = set()
+        for phrase in {" ".join(d.phrase.lower().split()) for d in dets}:
+            ranked = sorted((i for i, d in enumerate(dets)
+                             if " ".join(d.phrase.lower().split()) == phrase),
+                            key=lambda i: -dets[i].score)
+            chosen = []
+            for i in ranked:
+                if all(_box_iou(dets[i].box, dets[j].box) <= threshold for j in chosen):
+                    chosen.append(i)
+            kept.update(chosen)
+        assert [id(d) for d in nms(dets, threshold)] == [id(dets[i]) for i in sorted(kept)]
 
 
 # -- semantic_segment ----------------------------------------------------------------

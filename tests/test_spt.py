@@ -193,7 +193,7 @@ def test_flipped_magic_is_version_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[0] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(DataError, match=r"^bad magic bytes$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: bad magic bytes$"):
         load_table(path)
 
 
@@ -203,7 +203,7 @@ def test_unknown_version_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[8] = 99
     path.write_bytes(bytes(blob))
-    with pytest.raises(DataError, match=r"^unsupported format version 99$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: unsupported format version 99$"):
         load_table(path)
 
 
@@ -212,7 +212,7 @@ def test_truncated_file_detected(tmp_path):
     save_table(random_table(2), path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(DataError, match=r"^index extends past end of file$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: index extends past end of file$"):
         load_table(path)
 
 
@@ -222,7 +222,7 @@ def test_corrupted_payload_fails_checksum(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-10] ^= 0x01  # inside the numeric payload
     path.write_bytes(bytes(blob))
-    with pytest.raises(DataError, match=r"^CRC mismatch: stored 0x[0-9a-f]+, computed 0x[0-9a-f]+$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: CRC mismatch: stored 0x[0-9a-f]+, computed 0x[0-9a-f]+$"):
         load_table(path)
 
 
@@ -248,7 +248,7 @@ def test_index_without_valid_payload_len_fails_checksum(tmp_path, index):
     body += index + bytes(8)
     path = tmp_path / "t.spt"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(DataError, match=r"^index has no valid payload_len$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: index has no valid payload_len$"):
         load_table(path)
 
 
@@ -409,7 +409,7 @@ def test_malformed_index_under_valid_crc_fails_checksum(tmp_path, edit, message)
     _edit_index(path, lambda ix: None)
     assert spt_oracle.deep_equal(load_table(path), table)
     _edit_index(path, edit)
-    with pytest.raises(DataError, match="^" + re.escape(message)):
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: {message}")):
         load_table(path)
 
 
@@ -423,7 +423,7 @@ def test_empty_records_not_in_a_list_fail_checksum(tmp_path, records, empty):
     # the error names the byte of the [] that save_table writes there:
     # {"entries": [], "exemplars": [], "k_exemplars": 10, "payload_len": 0}
     at = {"entries": 12, "exemplars": 29}[records]
-    with pytest.raises(DataError, match=f"^index differs from save_table's at byte {at}:"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: index differs from save_table's at byte {at}:"):
         load_table(path)
 
 
@@ -448,7 +448,7 @@ def test_respelled_index_fails_checksum(tmp_path, respell):
         return respelled, payload
 
     _edit_table(path, edit)
-    with pytest.raises(DataError, match="^index differs from save_table's at byte"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: index differs from save_table's at byte"):
         load_table(path)
 
 
@@ -460,9 +460,9 @@ def _two_empty_runs_after_the_last(index):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda ix: ix["exemplars"][0].update(first=1),
-     "^index differs from save_table's at byte 40:"),
+     "index differs from save_table's at byte 40:"),
     (_two_empty_runs_after_the_last,
-     "^mask runs are not nonzero lengths adding up to the mask's$"),
+     "mask runs are not nonzero lengths adding up to the mask's$"),
 ], ids=["empty-mask-starting-at-1", "zero-length-runs"])
 def test_mask_runs_not_as_save_table_writes_fail_checksum(tmp_path, edit, message):
     # the decoder reads these back to the same masks, but _rle_encode
@@ -475,7 +475,7 @@ def test_mask_runs_not_as_save_table_writes_fail_checksum(tmp_path, edit, messag
     _edit_index(path, lambda ix: None)
     assert spt_oracle.deep_equal(load_table(path), table)
     _edit_index(path, edit)
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
         load_table(path)
 
 
@@ -483,7 +483,7 @@ def test_bytes_after_the_crc_fail_checksum(tmp_path):
     path = tmp_path / "t.spt"
     save_table(random_table(6), path)
     path.write_bytes(path.read_bytes() + bytes(4))
-    with pytest.raises(DataError, match="^4 bytes follow the CRC$"):
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: 4 bytes follow the CRC$"):
         load_table(path)
 
 
