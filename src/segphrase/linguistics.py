@@ -25,6 +25,7 @@ from .imaging import (
 )
 from .latent import box_overlap, cut, pairwise_weights
 from .mrf import MrfProblem, min_cut_infer
+from .relations import cosines
 from .spt import SegmentPhraseTable, normalize_phrase
 
 
@@ -143,12 +144,12 @@ def message_pass(masks: list[WeightedMask], table: EmbeddingTable) -> list[Weigh
     """One simultaneous rescoring round over the fully-connected mask pool.
 
     Each mask's new score is the similarity-weighted sum of all old scores,
-    including its own (self similarity 1). Similarity is the cosine of the
-    phrases' composite vectors; negative similarities are clamped to zero so
-    out-of-context phrases dampen rather than flip. Raises a DataError
-    when a composite's norm overflows, and a NumericalError when a pool of
-    two or more masks has a zero-norm composite vector or a rescored score
-    overflows.
+    including its own (self similarity 1). Similarity is relations.cosines
+    of the phrases' unit composites, with no BLAS call; negative ones are
+    clamped to zero so out-of-context phrases dampen rather than flip.
+    Raises a DataError when a composite's norm overflows, and a
+    NumericalError when a pool of two or more masks has a zero-norm
+    composite vector or a rescored score overflows.
     """
     if not masks:
         raise ValueError("message_pass needs at least one mask")
@@ -165,10 +166,10 @@ def message_pass(masks: list[WeightedMask], table: EmbeddingTable) -> list[Weigh
             phrase = masks[int(np.argmin(norms))].phrase
             raise NumericalError(f"zero-norm composite vector for {phrase!r}")
         unit = vecs / norms[:, None]
-        sim = np.maximum(unit @ unit.T, 0.0)
+        sim = np.maximum(cosines(unit, unit), 0.0)
         np.fill_diagonal(sim, 1.0)
     with np.errstate(over="ignore"):
-        new = sim @ np.array([m.score for m in masks])
+        new = (sim * np.array([m.score for m in masks])).sum(axis=1)
     if not np.isfinite(new).all():
         raise NumericalError("rescored mask scores overflow")
     return [WeightedMask(m.phrase, m.mask, float(s)) for m, s in zip(masks, new)]

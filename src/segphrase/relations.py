@@ -6,11 +6,11 @@ Directed similarity is the mean over one side's exemplars of the best
 cosine match on the other side; its antisymmetrized difference is the
 entailment score. An op's requested pairs are scored together, grouped
 by the two phrases' exemplar counts: each group's cosine blocks are one
-stacked matrix product per bounded block of pairs, and every score keeps
-the bits of scoring its pair alone. Graph-level decisions maximize total
-selected edge score minus a sparsity penalty subject to
-W_xy + W_yz - W_xz <= 1 over all ordered triples of distinct nodes
-(Berant, Dagan & Goldberger, ACL 2011), solved exactly by depth-first
+stacked elementwise product per bounded block of pairs, and every score
+keeps the bits of scoring its pair alone, on any BLAS. Graph-level
+decisions maximize total selected edge score minus a sparsity penalty
+subject to W_xy + W_yz - W_xz <= 1 over all ordered triples of distinct
+nodes (Berant, Dagan & Goldberger, ACL 2011), solved exactly by depth-first
 branch and bound on small graphs or greedily with transitive closing.
 Both solvers read the n x n score matrix and write the n x n decision
 matrix W. The exact search assigns W's entries in place and checks each
@@ -54,24 +54,30 @@ class PhraseExemplars:
     descriptors: np.ndarray  # (m, L)
 
     def __post_init__(self):
-        # row-major, as score_matrix's stacked copies are, so that a pair
-        # scored alone and in a block makes the same BLAS call
-        self.descriptors = np.atleast_2d(np.ascontiguousarray(self.descriptors, dtype=np.float64))
+        self.descriptors = np.atleast_2d(np.asarray(self.descriptors, dtype=np.float64))
         if len(self.descriptors) == 0:
             raise ValueError("exemplar set must be non-empty")
 
     @cached_property
-    def norms(self) -> np.ndarray:
-        """Row norms of the descriptors, computed at the first pair scored;
-        a norm that overflows is a DataError naming the phrase, a zero norm
-        a NumericalError."""
+    def units(self) -> np.ndarray:
+        """The descriptors divided by their row norms, computed at the first
+        pair scored; a norm that overflows is a DataError naming the phrase,
+        a zero norm a NumericalError."""
         with np.errstate(over="ignore"):  # an overflowing norm is reported below
             norms = np.linalg.norm(self.descriptors, axis=1)
         if not np.isfinite(norms).all():
             raise DataError(f"exemplar descriptor of {self.phrase!r}: norm overflows")
         if (norms == 0).any():
             raise NumericalError(f"zero-norm exemplar descriptor for phrase {self.phrase!r}")
-        return norms
+        return self.descriptors / norms[:, None]
+
+
+def cosines(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Cosines (..., mx, my) of unit rows xs (..., mx, L) against ys
+    (..., my, L). Each is numpy's pairwise sum of one row-major elementwise
+    product of two rows, with no BLAS call: its bits depend on those two
+    rows alone, and cosines(ys, xs) is bitwise the transpose."""
+    return np.multiply(xs[..., :, None, :], ys[..., None, :, :], order="C").sum(axis=-1)
 
 
 def exemplar_descriptor(image: Image, pixel_mask: np.ndarray) -> np.ndarray:
@@ -118,31 +124,22 @@ def entail_score(x: PhraseExemplars, y: PhraseExemplars) -> float:
     cosine match among the other's: asymmetric by design, since a small,
     specific exemplar set can match into a broad one perfectly without
     the broad set matching back. The one-pair case of score_matrix's
-    stacked blocks, over views of the two descriptor arrays.
+    stacked blocks.
     """
-    return float(
-        _block_scores(x.descriptors[None], y.descriptors[None], x.norms[None], y.norms[None])[0]
-    )
+    return float(_block_scores(x.units[None], y.units[None])[0])
 
 
-def _block_scores(xs, ys, x_norms, y_norms) -> np.ndarray:
-    """Entailment scores of stacked pairs: xs (B, mx, L) against
-    ys (B, my, L), with their row norms (B, mx) and (B, my).
+def _block_scores(xs, ys) -> np.ndarray:
+    """Entailment scores of stacked pairs: unit rows xs (B, mx, L) against
+    ys (B, my, L).
 
     Both directions of a pair read one cosine block, x's rows against
-    y's; its transpose is bitwise the block y against x. numpy's stacked
-    matmul makes one BLAS call per slice at the slice's own shape, the
-    call a pair's own 2-D product makes (gemv when a side has one
-    exemplar). Maxima are exact, and a last-axis sum of length m is the
-    pairwise sum ndarray.sum() runs on a length-m array, so every score
-    has the bits of the one-pair formula. entail_score(x, x) passes two
-    views of one buffer, which numpy multiplies with syrk into an exactly
-    symmetric block: its score is exactly 0.0. (Two phrases viewing one
-    buffer reach score_matrix's blocks as copies, which OpenBLAS's gemm
-    also makes exactly symmetric.)
+    y's, bitwise the transposed block y against x (see cosines). Maxima
+    are exact, and a last-axis sum of length m is the pairwise sum
+    ndarray.sum() runs on a length-m array, so every score has the bits
+    of the one-pair formula, and a phrase scores exactly 0.0 on itself.
     """
-    c = np.matmul(xs, ys.transpose(0, 2, 1))
-    c /= x_norms[:, :, None] * y_norms[:, None, :]
+    c = cosines(xs, ys)
     mx, my = c.shape[1:]
     # each mean as np.mean computes it (sum, then divide by the count)
     return c.max(axis=2).sum(axis=1) / mx - c.max(axis=1).sum(axis=1) / my
@@ -152,7 +149,7 @@ def score_matrix(exemplars: list[PhraseExemplars], pairs) -> np.ndarray:
     """Entailment scores of the phrase-index pairs an op reads.
 
     Each unordered pair of distinct phrases is scored once, in order of
-    first request, and each phrase's norms are first read in that order,
+    first request, and each phrase's units are first read in that order,
     so the first bad phrase is the one reported. Pairs are grouped by
     their exemplar counts and scored in stacked blocks of at most
     _PAIR_BLOCK pairs, each score bitwise entail_score's (see
@@ -170,17 +167,16 @@ def score_matrix(exemplars: list[PhraseExemplars], pairs) -> np.ndarray:
             requested[i, j] = None
     flat = np.fromiter(chain.from_iterable(requested), np.intp, 2 * len(requested))
     rows, cols = flat.reshape(-1, 2).T
-    # per exemplar count m, the (phrases, m, L) descriptors and (phrases, m)
-    # norms of the phrases scored; each phrase's m and slot in them
-    stacks: dict[int, tuple[list, list]] = {}
+    # per exemplar count m, the (phrases, m, L) unit rows of the phrases
+    # scored; each phrase's m and slot in them
+    stacks: dict[int, list] = {}
     m, slot = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     for k in dict.fromkeys(chain.from_iterable(requested)):
-        ex = exemplars[k]
-        descriptors, norms = stacks.setdefault(len(ex.descriptors), ([], []))
-        norms.append(ex.norms)
-        m[k], slot[k] = len(ex.descriptors), len(descriptors)
-        descriptors.append(ex.descriptors)
-    stacks = {count: (np.stack(d), np.stack(v)) for count, (d, v) in stacks.items()}
+        units = exemplars[k].units
+        stack = stacks.setdefault(len(units), [])
+        m[k], slot[k] = len(units), len(stack)
+        stack.append(units)
+    stacks = {count: np.stack(stack) for count, stack in stacks.items()}
 
     # pairs grouped by (mx, my), in blocks of at most _PAIR_BLOCK pairs
     s = np.empty(len(rows))
@@ -189,9 +185,8 @@ def score_matrix(exemplars: list[PhraseExemplars], pairs) -> np.ndarray:
     for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         for start in range(0, len(group), _PAIR_BLOCK):
             block = group[start : start + _PAIR_BLOCK]
-            (xd, xn), (yd, yn) = stacks[m[rows[block[0]]]], stacks[m[cols[block[0]]]]
-            a, b = slot[rows[block]], slot[cols[block]]
-            s[block] = _block_scores(xd[a], yd[b], xn[a], yn[b])
+            xs, ys = stacks[m[rows[block[0]]]], stacks[m[cols[block[0]]]]
+            s[block] = _block_scores(xs[slot[rows[block]]], ys[slot[cols[block]]])
 
     scores = np.full((n, n), np.nan)
     np.fill_diagonal(scores, 0.0)

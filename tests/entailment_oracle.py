@@ -3,8 +3,9 @@ similarities, each from its own cosine block with the norms recomputed,
 and the score matrix as one such score per requested pair;
 the original edge-selection solvers over numbered edge variables,
 triple-index lists and closure sets; and the triple-loop violation
-count. Kept as first written, except that the greedy solver sums a
-move's net gain in the program's order, so tests can check
+count. Kept as first written, except that each cosine sums one
+elementwise product of two unit rows, and the greedy solver sums a
+move's net gain, in the program's order, so tests can check
 `segphrase.relations` against them bit for bit and decision for
 decision. Also the test-only views of the program's answers: a decision
 matrix's objective and the paraphrase decision of one pair.
@@ -24,7 +25,8 @@ def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nb = np.linalg.norm(b, axis=1)
     if (na == 0).any() or (nb == 0).any():
         raise NumericalError("zero-norm exemplar descriptor")
-    return (a @ b.T) / np.outer(na, nb)
+    ua, ub = a / na[:, None], b / nb[:, None]
+    return np.array([[(u * v).sum() for v in ub] for u in ua])
 
 
 def directed_similarity(a, b) -> float:

@@ -1,5 +1,9 @@
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,15 +114,56 @@ def test_entail_score_matches_the_two_block_formula_bitwise():
         assert bits(entail_score(y, x)) == bits(oracle.entail_score(y, x))
 
 
-def test_matmul_transpose_is_bitwise_the_transposed_product():
-    # entail_score reads y's direction from the transpose of x's block,
-    # which needs b @ a.T == (a @ b.T).T bit for bit from this BLAS
+def test_cosines_entry_depends_on_its_two_rows_alone():
+    # whatever the stack, its shape, the layout or the argument order
     rng = np.random.default_rng(15)
-    for _ in range(500):
+    for _ in range(300):
         dim = int(rng.integers(1, 130))
-        a = rng.random((int(rng.integers(1, 20)), dim))
-        b = rng.random((int(rng.integers(1, 20)), dim))
-        assert np.array_equal((b @ a.T).view(np.uint64), (a @ b.T).T.view(np.uint64))
+        b, mx, my = (int(v) for v in rng.integers(1, 12, 3))
+        xs, ys = rng.random((b, mx, dim)), rng.random((b, my, dim))
+        if rng.random() < 0.5:
+            xs = np.asfortranarray(xs)
+        c = relations.cosines(xs, ys)
+        assert c.shape == (b, mx, my)
+        swapped = relations.cosines(ys, xs).transpose(0, 2, 1)
+        assert np.array_equal(c.view(np.uint64), swapped.view(np.uint64))
+        k, i, j = int(rng.integers(b)), int(rng.integers(mx)), int(rng.integers(my))
+        assert bits(c[k, i, j]) == bits((xs[k, i] * ys[k, j]).sum())
+        assert bits(c[k, i, j]) == bits(relations.cosines(xs[k], ys[k])[i, j])
+
+
+_KERNEL_SCRIPT = """
+import numpy as np
+from segphrase.linguistics import EmbeddingTable, WeightedMask, message_pass
+from segphrase.relations import PhraseExemplars, entail_score, score_matrix
+rng = np.random.default_rng(26)
+counts = [1, 2, 5, 5, 8, 9, 13]
+ex = [PhraseExemplars(f"p{i}", rng.random((m, 60)) + 0.05) for i, m in enumerate(counts)]
+pairs = [(i, j) for i in range(len(ex)) for j in range(len(ex))]
+print(score_matrix(ex, pairs).tobytes().hex())
+print(np.array([entail_score(ex[2], ex[5]), entail_score(ex[5], ex[2])]).tobytes().hex())
+table = EmbeddingTable(60, {w: rng.standard_normal(60) for w in "abcdefgh"})
+pool = [("a b", 0.9), ("c", 0.4), ("d e f", 0.7), ("g", 0.2), ("h a", 1.3), ("b c d", 0.6)]
+masks = [WeightedMask(p, np.zeros(1, np.uint8), s) for p, s in pool]
+print(np.array([m.score for m in message_pass(masks, table)]).tobytes().hex())
+"""
+
+
+def test_scores_and_rescoring_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernel per process; where the BLAS
+    # is not OpenBLAS it is ignored, and every run is the default one
+    env = {**os.environ, "PYTHONPATH": str(Path(relations.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("OPENBLAS_CORETYPE", None)
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _KERNEL_SCRIPT], capture_output=True, text=True, check=True,
+            timeout=120, env=env if kernel is None else {**env, "OPENBLAS_CORETYPE": kernel},
+        ).stdout
+        for kernel in (None, "Haswell", "Sandybridge", "Prescott")
+    ]
+    assert outputs[0].count("\n") == 3
+    assert outputs == [outputs[0]] * 4
 
 
 def test_entail_antisymmetric_exactly():
@@ -497,8 +542,8 @@ def test_score_matrix_scores_each_pair_once_and_mirrors_bitwise():
 
 @pytest.mark.parametrize("block", [2, relations._PAIR_BLOCK])
 def test_score_matrix_matches_per_pair_oracle_bitwise(block, monkeypatch):
-    # m = 1 takes numpy's gemv path, m >= 8 the unrolled pairwise sums;
-    # pair lists repeat, reverse and self-pair, phrases share buffers, and
+    # m = 1 gives one-row blocks and maxima over one entry, m >= 8 the
+    # unrolled pairwise sums of a score's maxima; pair lists repeat, reverse and self-pair, phrases share buffers, and
     # block 2 splits every group into several stacked blocks
     monkeypatch.setattr(relations, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(16)
@@ -533,7 +578,7 @@ def test_score_matrix_matches_per_pair_oracle_bitwise(block, monkeypatch):
 @pytest.mark.parametrize("bad", ["zero", "overflow"])
 def test_score_matrix_reports_the_first_bad_phrase_in_pair_order(bad):
     # the first bad phrase the per-pair loop would reach: self pairs read
-    # no norms, a pair already scored reads none again
+    # no unit rows, a pair already scored reads none again
     rng = np.random.default_rng(17)
     row = np.zeros(4) if bad == "zero" else np.full(4, 1e200)
     error, message = (
