@@ -2,10 +2,11 @@
 
 All randomness flows from --seed; identical inputs and seed produce
 byte-identical artifacts on one BLAS kernel, and relations CSVs and
-curves and segment's stdout on every kernel. Trained tables, and hence
-masks, are per kernel: the mixture fits' E- and M-steps are matrix
-products. Exit codes: 0 success, 1 usage, 2 data error, 3 numerical
-failure. One parser serves every main call in a process.
+curves and segment's stdout on every kernel. Trained tables and segment
+masks, even from one table, are per kernel: the mixture fits' E- and
+M-steps and the densities segment's cuts read are matrix products.
+Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
+One parser serves every main call in a process.
 """
 
 from __future__ import annotations

@@ -157,8 +157,9 @@ def _cut_free(unary, edges, weights, fixed) -> np.ndarray:
     return labels
 
 
-def cut(model: SegmentationModel, graph: SuperpixelGraph, clamp_bg=None) -> np.ndarray:
-    """Exact MAP labeling under the model, `clamp_bg` superpixels fixed to 0.
+def cut(model: SegmentationModel, graph: SuperpixelGraph, box=None) -> np.ndarray:
+    """Exact MAP labeling under the model; with a half-open pixel `box`,
+    superpixels with no pixel in it are fixed to 0 (GrabCut's box clamp).
 
     Mixture densities are evaluated for the free superpixels only; with
     every superpixel fixed the result is all background and no cut runs.
@@ -168,10 +169,7 @@ def cut(model: SegmentationModel, graph: SuperpixelGraph, clamp_bg=None) -> np.n
             f"graph feature dimension {graph.features.shape[1]} does not match "
             f"the model's {model.dim}"
         )
-    if clamp_bg is None:
-        fixed = np.zeros(graph.n, dtype=bool)
-    else:
-        fixed = np.asarray(clamp_bg, dtype=bool)
+    fixed = np.zeros(graph.n, dtype=bool) if box is None else box_overlap(graph, box) == 0.0
     features = graph.features[~fixed]
     # negative log-densities as (cost-of-0, cost-of-1) rows; a loaded
     # model's finite but extreme numbers can overflow them to inf or nan
@@ -282,4 +280,4 @@ def _em_run(instances, config, shrink) -> SegmentationModel:
 
 def segment_instance(model: SegmentationModel, inst: TrainingInstance) -> np.ndarray:
     """Relabeling pass with the instance's outside-box superpixels fixed to 0."""
-    return cut(model, inst.graph, inst.sp_in_box == 0.0)
+    return cut(model, inst.graph, inst.box)

@@ -23,9 +23,9 @@ from .imaging import (
     extract_features,
     labels_to_mask,
 )
-from .latent import box_overlap, cut, pairwise_weights
+from .latent import cut, pairwise_weights
 from .mrf import MrfProblem, min_cut_infer
-from .relations import cosines
+from .relations import cosines, unit_rows
 from .spt import SegmentPhraseTable, normalize_phrase
 
 
@@ -147,25 +147,17 @@ def message_pass(masks: list[WeightedMask], table: EmbeddingTable) -> list[Weigh
     including its own (self similarity 1). Similarity is relations.cosines
     of the phrases' unit composites, with no BLAS call; negative ones are
     clamped to zero so out-of-context phrases dampen rather than flip.
-    Raises a DataError when a composite's norm overflows, and a
-    NumericalError when a pool of two or more masks has a zero-norm
-    composite vector or a rescored score overflows.
+    A pool of two or more masks reads its composites through
+    relations.unit_rows, with its errors; a rescored score that overflows
+    is a NumericalError.
     """
     if not masks:
         raise ValueError("message_pass needs at least one mask")
-    with np.errstate(over="ignore"):  # an overflowing composite is reported below
+    with np.errstate(over="ignore"):  # unit_rows reports an overflowing composite
         vecs = np.array([phrase_vector(table, m.phrase)[0] for m in masks])
-        norms = np.linalg.norm(vecs, axis=1)
-    n = len(masks)
-    sim = np.eye(n)
-    if n > 1:
-        if not np.isfinite(norms).all():
-            phrase = masks[int(np.argmin(np.isfinite(norms)))].phrase
-            raise DataError(f"composite vector of {phrase!r}: norm overflows")
-        if (norms == 0.0).any():
-            phrase = masks[int(np.argmin(norms))].phrase
-            raise NumericalError(f"zero-norm composite vector for {phrase!r}")
-        unit = vecs / norms[:, None]
+    sim = np.eye(len(masks))
+    if len(masks) > 1:
+        unit = unit_rows(vecs, "composite vector", [m.phrase for m in masks])
         sim = np.maximum(cosines(unit, unit), 0.0)
         np.fill_diagonal(sim, 1.0)
     with np.errstate(over="ignore"):
@@ -285,7 +277,7 @@ def semantic_segment(
         if not hits:
             raise DataError(f"phrase {det.phrase!r} not in table")
         model = hits[0][1]  # lowest component id
-        labeling = cut(model, graph, box_overlap(graph, det.box) == 0.0)
+        labeling = cut(model, graph, det.box)
         masks.append(WeightedMask(det.phrase, labeling, det.score))
 
     rescored = message_pass(masks, embeddings)

@@ -60,16 +60,23 @@ class PhraseExemplars:
 
     @cached_property
     def units(self) -> np.ndarray:
-        """The descriptors divided by their row norms, computed at the first
-        pair scored; a norm that overflows is a DataError naming the phrase,
-        a zero norm a NumericalError."""
-        with np.errstate(over="ignore"):  # an overflowing norm is reported below
-            norms = np.linalg.norm(self.descriptors, axis=1)
-        if not np.isfinite(norms).all():
-            raise DataError(f"exemplar descriptor of {self.phrase!r}: norm overflows")
-        if (norms == 0).any():
-            raise NumericalError(f"zero-norm exemplar descriptor for phrase {self.phrase!r}")
-        return self.descriptors / norms[:, None]
+        """unit_rows of the descriptors, computed at the first pair scored."""
+        names = [self.phrase] * len(self.descriptors)
+        return unit_rows(self.descriptors, "exemplar descriptor", names)
+
+
+def unit_rows(rows: np.ndarray, what: str, names) -> np.ndarray:
+    """The rows (n, L) divided by their norms. Of the rows, names[i] naming
+    row i, the first whose norm overflows is a DataError; failing that, the
+    first with a zero norm is a NumericalError."""
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norms = np.linalg.norm(rows, axis=1)
+    overflows = ~np.isfinite(norms)
+    if overflows.any():
+        raise DataError(f"{what} of {names[overflows.argmax()]!r}: norm overflows")
+    if (norms == 0.0).any():
+        raise NumericalError(f"zero-norm {what} for {names[norms.argmin()]!r}")
+    return rows / norms[:, None]
 
 
 def cosines(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -1035,7 +1035,7 @@ def _bad_phrase_table(path, bad):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad, code, message", [
-    ("zero", 3, "numerical failure: zero-norm exemplar descriptor for phrase 'w'"),
+    ("zero", 3, "numerical failure: zero-norm exemplar descriptor for 'w'"),
     ("overflow", 2, "data error: exemplar descriptor of 'w': norm overflows"),
 ])
 def test_first_bad_phrase_in_pair_order_is_reported(bad, code, message, tmp_path, capsys):

@@ -21,6 +21,7 @@ from segphrase.latent import (
     em_learn,
     init_labels,
     make_instance,
+    pairwise_weights,
     segment_instance,
 )
 from segphrase.mrf import MrfProblem, energy, min_cut_infer
@@ -318,11 +319,11 @@ def test_fixed_node_stays_background_against_huge_costs():
     model = _far_background_model(graph)
     fixed = box_overlap(graph, (0, 0, 8, 16)) == 0.0
     assert fixed.any() and not fixed.all()
-    assert np.array_equal(cut(model, graph, fixed), ~fixed)
+    assert np.array_equal(cut(model, graph, (0, 0, 8, 16)), ~fixed)
     assert _soft_clamped_cut(model, graph, fixed)[fixed].any()
 
 
-def test_every_node_fixed_skips_the_cut(monkeypatch):
+def _assert_box_fixes_everything(monkeypatch, box):
     img = Image(16, 16, 1, np.random.default_rng(2).random((16, 16, 1)))
     graph = extract_features(img, compute_superpixels(img, 12))
 
@@ -330,8 +331,57 @@ def test_every_node_fixed_skips_the_cut(monkeypatch):
         raise AssertionError(f"cut of size {problem.n} built")
 
     monkeypatch.setattr(latent, "min_cut_infer", no_cut)
-    labels = cut(_far_background_model(graph), graph, np.ones(graph.n, dtype=bool))
+    labels = cut(_far_background_model(graph), graph, box)
     assert labels.dtype == np.int8 and not labels.any()
+
+
+def test_every_node_fixed_skips_the_cut(monkeypatch):
+    _assert_box_fixes_everything(monkeypatch, (4, 4, 4, 12))  # empty box
+
+
+@pytest.mark.parametrize(
+    "box", [(16, 0, 24, 16), (0, 16, 16, 40), (-8, -8, 0, 0), (-8, 20, 30, 30)]
+)
+def test_box_wholly_outside_the_image_fixes_everything(monkeypatch, box):
+    _assert_box_fixes_everything(monkeypatch, box)
+
+
+@pytest.fixture(scope="module")
+def scene_model():
+    inst = scene_instance(make_scene(SceneConfig(seed=30)))
+    return inst.graph, em_learn([inst], Config(gmm_k=2, seed=30))
+
+
+@pytest.mark.parametrize("box", [(0, 0, 64, 64), (-5, -9, 70, 200)])
+def test_box_covering_the_image_is_the_unclamped_cut(scene_model, box):
+    graph, model = scene_model
+    full = cut(model, graph)
+    assert full.any() and not full.all()
+    assert np.array_equal(cut(model, graph, box), full)
+
+
+def _overlap_clamped_cut(model, graph, box):
+    """The rule cut reads a box by: superpixels with no pixel in the box
+    are fixed to 0, and densities are evaluated for the free ones only."""
+    fixed = box_overlap(graph, box) == 0.0
+    features = graph.features[~fixed]
+    unary = np.column_stack([
+        -gmm.log_density_many(model.theta_bg, features),
+        -gmm.log_density_many(model.theta_fg, features),
+    ])
+    return _cut_free(unary, graph.edges, pairwise_weights(graph, model.lam), fixed)
+
+
+@pytest.mark.parametrize(
+    "box", [(-20, 10, 40, 50), (30, -7, 90, 40), (12, 20, 64, 100), (-3, -3, 30, 30)]
+)
+def test_box_partly_outside_the_image_clamps_by_overlap(scene_model, box):
+    graph, model = scene_model
+    fixed = box_overlap(graph, box) == 0.0
+    assert fixed.any() and not fixed.all()
+    labels = cut(model, graph, box)
+    assert labels.any() and not labels[fixed].any()
+    assert np.array_equal(labels, _overlap_clamped_cut(model, graph, box))
 
 
 @pytest.mark.parametrize("seed", [30, 31])

@@ -14,7 +14,7 @@ from segphrase.imaging import (
     compute_superpixels,
     extract_features,
 )
-from segphrase.latent import box_overlap, cut, em_learn, make_instance
+from segphrase.latent import cut, em_learn, make_instance
 from segphrase.linguistics import (
     Detection,
     EmbeddingTable,
@@ -380,7 +380,7 @@ def test_single_detection_equals_restricted_cut(trained_setup):
     det = Detection("round object", scene.box, 1.0)
     res = semantic_segment(scene.image, [det], table, emb, Config())
     model = table.query("round object")[0][1]
-    direct = cut(model, res.graph, box_overlap(res.graph, scene.box) == 0.0)
+    direct = cut(model, res.graph, scene.box)
     assert np.array_equal(res.labels, direct)
     assert len(res.report) == 1
     assert seg_metrics(res.mask, scene.gt_mask).jaccard >= 0.9

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segphrase import relations
+from segphrase import linguistics, relations
 from segphrase.cli import main
 from segphrase.errors import DataError, NumericalError
 from segphrase.evaluation import SceneConfig, make_scene
@@ -81,10 +81,63 @@ def test_zero_norm_descriptor_rejected():
     b = exemplars("b", [np.ones(3)])
     assert entail_score(b, b) == 0.0
     for x, y in ((a, b), (b, a)):
-        with pytest.raises(NumericalError, match=r"^zero-norm exemplar descriptor for phrase 'a'$"):
+        with pytest.raises(NumericalError, match=r"^zero-norm exemplar descriptor for 'a'$"):
             entail_score(x, y)
     with pytest.raises(NumericalError, match=r"^zero-norm exemplar descriptor$"):
         directed_similarity(a, b)
+
+
+def _units_read_by_exemplars(rows, names, monkeypatch):
+    # one phrase's descriptors: every row is named by the phrase
+    return PhraseExemplars(names[0], rows).units
+
+
+def _units_read_by_message_pass(rows, names, monkeypatch):
+    # one one-word phrase per row, so the composites are the rows
+    seen = []
+
+    def spy(xs, ys):
+        seen.append(xs)
+        return relations.cosines(xs, ys)
+
+    monkeypatch.setattr(linguistics, "cosines", spy)
+    table = linguistics.EmbeddingTable(rows.shape[1], dict(zip(names, rows)))
+    linguistics.message_pass([linguistics.WeightedMask(w, np.zeros(1), 1.0) for w in names], table)
+    return seen[0]
+
+
+@pytest.mark.parametrize("caller, what, names", [
+    (_units_read_by_exemplars, "exemplar descriptor", lambda n: ["p"] * n),
+    (_units_read_by_message_pass, "composite vector", lambda n: [f"w{i}" for i in range(n)]),
+], ids=["exemplars", "message_pass"])
+def test_unit_rows_names_the_first_bad_row_and_divides_by_the_norm(
+    caller, what, names, monkeypatch
+):
+    # an overflowing norm anywhere is reported before a zero norm anywhere
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        n, dim = int(rng.integers(2, 8)), int(rng.integers(1, 40))
+        rows = rng.standard_normal((n, dim))
+        kinds = rng.choice(["ok", "zero", "overflow"], size=n, p=[0.6, 0.2, 0.2]).tolist()
+        for i, kind in enumerate(kinds):
+            if kind == "zero":
+                rows[i] = 0.0
+            elif kind == "overflow":
+                rows[i] = 1e200 * rng.choice([-1.0, 1.0], size=dim)
+        label = names(n)
+        if "overflow" in kinds:
+            bad = label[kinds.index("overflow")]
+            error, message = DataError, f"{what} of {bad!r}: norm overflows"
+        elif "zero" in kinds:
+            bad = label[kinds.index("zero")]
+            error, message = NumericalError, f"zero-norm {what} for {bad!r}"
+        else:
+            want = rows / np.linalg.norm(rows, axis=1)[:, None]
+            got = caller(rows, label, monkeypatch)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            continue
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            caller(rows, label, monkeypatch)
 
 
 # -- entailment score --------------------------------------------------------------
@@ -582,7 +635,7 @@ def test_score_matrix_reports_the_first_bad_phrase_in_pair_order(bad):
     rng = np.random.default_rng(17)
     row = np.zeros(4) if bad == "zero" else np.full(4, 1e200)
     error, message = (
-        (NumericalError, "zero-norm exemplar descriptor for phrase {}")
+        (NumericalError, "zero-norm exemplar descriptor for {}")
         if bad == "zero" else (DataError, "exemplar descriptor of {}: norm overflows")
     )
     for _ in range(100):
