@@ -15,11 +15,17 @@ branch and bound on small graphs or greedily with transitive closing.
 Both solvers read the n x n score matrix and write the n x n decision
 matrix W. The exact search assigns W's entries in place and checks each
 against the triples it completes with row and column bitmasks held as
-Python ints. The greedy closing keeps a reflexive reach matrix and a
-mask of the entries still open: a move adds the open entries of one
-outer product of a reach column and row, and a move that would add no
-open entry of nonnegative gain is rejected from bitmasks alone, without
-summing its gains.
+Python ints. The greedy closing keeps a reflexive reach matrix: a move
+x -> y adds the open entries of the block of x and everything entailing
+it by y and everything it entails, its gains read from that block, rows
+and columns ascending, which is the array an n x n outer-product mask
+selects, so the sum has the same bits. The greedy walks the candidates
+one at a time, summing each move not yet reached. After n candidates
+without an accepted move it screens all remaining ones at once by
+matrix products through the reach matrix, and visits only those the
+screen passes until the next accepted move. The screen has an error
+bound that holds for any order of summation, so it rejects only moves
+whose own sum is negative, and the decisions do not depend on the BLAS.
 """
 
 from __future__ import annotations
@@ -226,13 +232,21 @@ def solve_entailment_graph(scores, lam: float, mode: str) -> np.ndarray:
     optimum, ties resolved to the row-major-lexicographically smallest
     matrix. Limited to 6 nodes. greedy: adds edges by descending score
     together with their transitive closure whenever the net gain is
-    nonnegative; always feasible, not necessarily optimal.
+    nonnegative; always feasible, not necessarily optimal. A move's net
+    gain is numpy's sum of its open gains in row-major order, read from
+    the block of its sources by its targets. After a run of candidates
+    without an accepted move, the remaining ones are screened all at once
+    by matrix products whose error bound skips only moves that sum to a
+    negative gain, so the screen changes no decision. Scores must be
+    finite and lam a nonnegative number.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
     if scores.shape != (n, n):
         raise ValueError("scores must be square")
-    if lam < 0:
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    if not lam >= 0:
         raise ValueError("sparsity penalty must be nonnegative")
     if mode == "greedy":
         return _solve_greedy(scores, lam)
@@ -308,52 +322,82 @@ def _solve_exact(scores, lam) -> np.ndarray:
     return decisions
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _quiet_run(n):
+    """Candidates the greedy walks one at a time after its last accepted
+    move before it screens all the remaining ones at once; a function of
+    its own so that tests can force the bulk screen on or off. Of the
+    rules timed in BENCH_relations_greedy.json, n stays near the fastest
+    from 40 to 400 nodes, where a constant 8 screens too often."""
+    return n
 
 
 def _solve_greedy(scores, lam) -> np.ndarray:
     n = len(scores)
     off = ~np.eye(n, dtype=bool)
     gain = scores - lam
+    flat_gain = gain.ravel()
     # reach = decisions plus the diagonal: column x is x and everything
-    # entailing it, row y is y and everything it entails. It is held as
-    # an array, for the gain sums, and as bitmasks: bit r of col[x] is
-    # reach[r, x], bit c of row[y] is reach[y, c].
+    # entailing it, row y is y and everything it entails
     reach = np.eye(n, dtype=bool)
-    col = [1 << i for i in range(n)]
-    row = col.copy()
-    # bit b of hope[a]: (a, b) is open (off the diagonal, not decided 1)
-    # with a nonnegative gain; a move that adds none of these adds only
-    # negative gains, so its sum is negative (or nan) and it is rejected
-    hope = [sum(1 << b for b in np.flatnonzero(r).tolist()) for r in (gain >= 0) & off]
-    hopeful = sum(1 << a for a in range(n) if hope[a])  # rows with any hope
-    xs, ys = np.nonzero(off)
+    flat_reach = reach.ravel()
+    candidates = np.flatnonzero(off)
     # score descending, row-major on ties
-    order = np.argsort(-scores[off], kind="stable")
-    for x, y in zip(xs[order].tolist(), ys[order].tolist()):
-        if row[x] >> y & 1:
+    candidates = candidates[np.argsort(-scores.ravel()[candidates], kind="stable")]
+    walk = candidates.tolist()
+    # the screen's error bound holds while no sum of gains can overflow;
+    # past that the walk alone decides
+    bounded = np.abs(gain).max(initial=0.0) < 2.0**1000 / max(n * n, 1)
+    quiet_run = _quiet_run(n) if bounded else len(walk)
+    slack = (n + 1) ** 2 * 2.0**-52
+
+    def move(c) -> bool:
+        """Close x -> y, c = x * n + y, if the gains of the entries it
+        opens sum to >= 0: x and everything entailing it then entail y
+        and everything it entails."""
+        x, y = divmod(c, n)
+        sources, targets = reach[:, x].nonzero()[0], reach[y].nonzero()[0]
+        # the open entries of the sources x targets block, row-major: the
+        # array the outer product's mask selects, so the sum has its bits
+        block = ((sources * n)[:, None] + targets).ravel()
+        block = block[~flat_reach[block]]
+        if not flat_gain[block].sum() >= 0:
+            return False
+        flat_reach[block] = True
+        return True
+
+    i, stop = 0, quiet_run  # candidates before stop are walked one at a time
+    while i < len(walk):
+        if i < stop:
+            c = walk[i]
+            i += 1
+            if not flat_reach[c] and move(c):
+                stop = i + quiet_run
             continue
-        # x and everything entailing it now entail y and everything it entails
-        sources, targets = col[x], row[y]
-        if not any(hope[a] & targets for a in _bits(sources & hopeful)):
-            continue
-        add = np.outer(reach[:, x], reach[y])
-        add &= ~reach  # the open entries: not decided 1, off the diagonal
-        if not gain[add].sum() >= 0:
-            continue
-        reach |= add
-        for a in _bits(sources):
-            row[a] |= targets
-            hope[a] &= ~targets
-            if not hope[a]:
-                hopeful &= ~(1 << a)
-        for b in _bits(targets):
-            col[b] |= sources
+        # Screen the remaining candidates at once. net[x, y] and mass[x, y]
+        # are the sum and the absolute sum of the open gains move(x, y)
+        # would add: r G r with r the 0/1 matrix reach.T and G the open
+        # gains (or their absolute values). Every term is exact, and n terms
+        # added in any order, as any BLAS adds them, err by at most
+        # e_n = n u / (1 - n u) of their absolute sum (u = 2**-53). So net
+        # is within (2 e_n + e_n**2) mass of the exact sum, and move's sum of
+        # at most n * n terms within e_(n * n) mass of it: a candidate with
+        # net < -slack * mass, slack = 2 (n + 1)**2 u covering both with
+        # room, sums to a negative gain, and move would reject it. A
+        # rejected move changes nothing, so the screen holds until the
+        # next accepted one.
+        rest = candidates[i:]
+        r = reach.T.astype(np.float64)
+        g = np.where(reach, 0.0, gain)
+        net = (r @ g @ r).ravel()[rest]
+        mass = (r @ np.abs(g) @ r).ravel()[rest]
+        passing = ~flat_reach[rest] & ~(net < -slack * mass)
+        for k in np.flatnonzero(passing).tolist():
+            if move(walk[i + k]):
+                i += k + 1
+                stop = i + quiet_run
+                break
+        else:
+            break
     return (reach & off).astype(np.int8)
 
 

@@ -7,8 +7,11 @@ count. Kept as first written, except that each cosine sums one
 elementwise product of two unit rows, and the greedy solver sums a
 move's net gain, in the program's order, so tests can check
 `segphrase.relations` against them bit for bit and decision for
-decision. Also the test-only views of the program's answers: a decision
-matrix's objective and the paraphrase decision of one pair.
+decision. Also the greedy as a bitmask walk over every candidate with an
+n x n outer-product mask per move, fast enough for a few hundred nodes,
+kept as first written; and the test-only views of the program's
+answers: a decision matrix's objective and the paraphrase decision of
+one pair.
 """
 
 from __future__ import annotations
@@ -189,6 +192,56 @@ def _solve_greedy(scores, lam) -> np.ndarray:
             for a, b in additions:
                 decisions[a, b] = 1
     return decisions
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def walk_greedy(scores, lam) -> np.ndarray:
+    """The greedy solver as a walk that tests every candidate in turn."""
+    n = len(scores)
+    off = ~np.eye(n, dtype=bool)
+    gain = scores - lam
+    # reach = decisions plus the diagonal: column x is x and everything
+    # entailing it, row y is y and everything it entails. It is held as
+    # an array, for the gain sums, and as bitmasks: bit r of col[x] is
+    # reach[r, x], bit c of row[y] is reach[y, c].
+    reach = np.eye(n, dtype=bool)
+    col = [1 << i for i in range(n)]
+    row = col.copy()
+    # bit b of hope[a]: (a, b) is open (off the diagonal, not decided 1)
+    # with a nonnegative gain; a move that adds none of these adds only
+    # negative gains, so its sum is negative (or nan) and it is rejected
+    hope = [sum(1 << b for b in np.flatnonzero(r).tolist()) for r in (gain >= 0) & off]
+    hopeful = sum(1 << a for a in range(n) if hope[a])  # rows with any hope
+    xs, ys = np.nonzero(off)
+    # score descending, row-major on ties
+    order = np.argsort(-scores[off], kind="stable")
+    for x, y in zip(xs[order].tolist(), ys[order].tolist()):
+        if row[x] >> y & 1:
+            continue
+        # x and everything entailing it now entail y and everything it entails
+        sources, targets = col[x], row[y]
+        if not any(hope[a] & targets for a in _bits(sources & hopeful)):
+            continue
+        add = np.outer(reach[:, x], reach[y])
+        add &= ~reach  # the open entries: not decided 1, off the diagonal
+        if not gain[add].sum() >= 0:
+            continue
+        reach |= add
+        for a in _bits(sources):
+            row[a] |= targets
+            hope[a] &= ~targets
+            if not hope[a]:
+                hopeful &= ~(1 << a)
+        for b in _bits(targets):
+            col[b] |= sources
+    return (reach & off).astype(np.int8)
 
 
 def transitivity_violations(decisions) -> int:

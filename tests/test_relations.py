@@ -188,7 +188,9 @@ def test_cosines_entry_depends_on_its_two_rows_alone():
 _KERNEL_SCRIPT = """
 import numpy as np
 from segphrase.linguistics import EmbeddingTable, WeightedMask, message_pass
-from segphrase.relations import PhraseExemplars, entail_score, score_matrix
+from segphrase.relations import (
+    PhraseExemplars, entail_score, score_matrix, solve_entailment_graph,
+)
 rng = np.random.default_rng(26)
 counts = [1, 2, 5, 5, 8, 9, 13]
 ex = [PhraseExemplars(f"p{i}", rng.random((m, 60)) + 0.05) for i, m in enumerate(counts)]
@@ -199,6 +201,9 @@ table = EmbeddingTable(60, {w: rng.standard_normal(60) for w in "abcdefgh"})
 pool = [("a b", 0.9), ("c", 0.4), ("d e f", 0.7), ("g", 0.2), ("h a", 1.3), ("b c d", 0.6)]
 masks = [WeightedMask(p, np.zeros(1, np.uint8), s) for p, s in pool]
 print(np.array([m.score for m in message_pass(masks, table)]).tobytes().hex())
+for n in (60, 200):  # the greedy screens its candidates by matrix products
+    s = np.where(rng.random((n, n)) < 0.1, rng.normal(0, 0.3, (n, n)), 0.0)
+    print(solve_entailment_graph(s - s.T, 0.05, "greedy").tobytes().hex())
 """
 
 
@@ -215,7 +220,7 @@ def test_scores_and_rescoring_do_not_depend_on_the_blas_kernel():
         ).stdout
         for kernel in (None, "Haswell", "Sandybridge", "Prescott")
     ]
-    assert outputs[0].count("\n") == 3
+    assert outputs[0].count("\n") == 5
     assert outputs == [outputs[0]] * 4
 
 
@@ -387,6 +392,19 @@ def test_greedy_closes_transitively():
     assert W[0, 1] and W[1, 2] and W[0, 2]
 
 
+_greedy_answers: dict = {}
+
+
+def oracle_greedy(scores, lam):
+    """The oracle's greedy decisions, kept per case: the runs with the bulk
+    screen forced repeat the oracle tests' cases, and the oracle is most
+    of their time."""
+    key = (scores.shape, scores.tobytes(), lam)
+    if key not in _greedy_answers:
+        _greedy_answers[key] = oracle.solve_entailment_graph(scores, lam, "greedy")
+    return _greedy_answers[key]
+
+
 def exact_cases(rng):
     """(scores, lam) on 0..6 nodes: antisymmetric, non-antisymmetric and
     tied integer-tenths scores, each also at lam = 0."""
@@ -418,7 +436,7 @@ def test_greedy_matches_oracle_on_sparse_graphs():
         for scores in (s, antisymmetric(rng, n)):
             lam = float(rng.uniform(0, 0.3))
             W = solve_entailment_graph(scores, lam, "greedy")
-            want = oracle.solve_entailment_graph(scores, lam, "greedy")
+            want = oracle_greedy(scores, lam)
             assert W.dtype == want.dtype and np.array_equal(W, want), (scores, lam)
 
 
@@ -436,7 +454,7 @@ def test_greedy_matches_oracle_on_tied_scores_up_to_70_nodes(lam):
         # rounded to tenths, many moves tie on score and on net gain
         for scores in (np.round(s, 1) for s in cases):
             W = solve_entailment_graph(scores, lam, "greedy")
-            want = oracle.solve_entailment_graph(scores, lam, "greedy")
+            want = oracle_greedy(scores, lam)
             assert W.dtype == want.dtype and np.array_equal(W, want), (scores, lam)
 
 
@@ -460,6 +478,76 @@ def test_greedy_takes_a_move_of_zero_net_gain():
     W = solve_entailment_graph(s, 0.25, "greedy")
     assert W[0, 1] and W[1, 2] and W[0, 2] and W.sum() == 3
     assert np.array_equal(W, oracle.solve_entailment_graph(s, 0.25, "greedy"))
+
+
+@pytest.fixture(params=["bulk", "walk"])
+def screen(request, monkeypatch):
+    """The bulk screen forced on from the first candidate, or never run."""
+    quiet_run = (lambda n: 0) if request.param == "bulk" else (lambda n: n * n)
+    monkeypatch.setattr(relations, "_quiet_run", quiet_run)
+
+
+def test_greedy_matches_oracle_with_the_bulk_screen_forced(screen):
+    # the screen only skips moves the walk would reject, so neither
+    # extreme of the quiet-run rule moves a decision
+    test_greedy_feasible_and_bounded_by_exact()
+    test_greedy_closes_transitively()
+    test_greedy_matches_oracle_on_sparse_graphs()
+    for lam in (0.0, 0.05, 0.1, 0.3):
+        test_greedy_matches_oracle_on_tied_scores_up_to_70_nodes(lam)
+    test_greedy_takes_a_move_of_zero_net_gain()
+
+
+def test_greedy_edge_cases(screen):
+    two = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    huge = np.full((4, 4), 1.5e308) * np.array([1.0, -1.0, 1.0, -1.0])
+    cases = [
+        (np.zeros((0, 0)), 0.1, np.zeros((0, 0))),
+        (np.zeros((1, 1)), 0.0, [[0]]),
+        (two, 0.1, [[0, 1], [0, 0]]),
+        (two, 0.5, [[0, 1], [0, 0]]),  # a zero gain is taken
+        (two, 0.6, [[0, 0], [0, 0]]),
+        (np.full((2, 2), 0.3), 0.1, [[0, 1], [1, 0]]),
+        (-np.abs(antisymmetric(np.random.default_rng(9), 8)), 0.0, np.zeros((8, 8))),
+        (np.zeros((8, 8)), 0.05, np.zeros((8, 8))),
+        (np.zeros((8, 8)), 0.0, 1 - np.eye(8)),  # every move adds gains of 0
+    ]
+    for scores, lam, want in cases:
+        W = solve_entailment_graph(scores, lam, "greedy")
+        assert W.dtype == np.int8 and np.array_equal(W, want), (scores, lam)
+        assert np.array_equal(W, oracle.solve_entailment_graph(scores, lam, "greedy"))
+    with np.errstate(over="ignore"):  # the moves' own sums overflow
+        W = solve_entailment_graph(huge, 0.0, "greedy")
+        assert np.array_equal(W, oracle.walk_greedy(huge, 0.0))
+        assert np.array_equal(W, oracle.solve_entailment_graph(huge, 0.0, "greedy"))
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_greedy_matches_the_bitmask_walk_on_hundreds_of_nodes(n):
+    rng = np.random.default_rng([18, n])
+    sparse = np.where(rng.random((n, n)) < 0.1, rng.normal(0, 0.3, (n, n)), 0.0)
+    antisym = sparse - sparse.T
+    tenths = np.round(rng.normal(0, 0.5, (n, n)), 1)
+    for scores, lam in ((antisym, 0.05), (np.round(antisym, 1), 0.1), (tenths, 0.1)):
+        W = solve_entailment_graph(scores, lam, "greedy")
+        assert W.dtype == np.int8 and np.array_equal(W, oracle.walk_greedy(scores, lam))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_solver_rejects_non_finite_scores(mode, value):
+    s = antisymmetric(np.random.default_rng(8), 5)
+    s[3, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        solve_entailment_graph(s, 0.1, mode)
+
+
+@pytest.mark.parametrize("lam", [np.nan, -0.1, -np.inf])
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_solver_rejects_a_nan_or_negative_penalty(mode, lam):
+    s = antisymmetric(np.random.default_rng(8), 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_entailment_graph(s, lam, mode)
 
 
 # -- paraphrase / relative similarity -------------------------------------------------
