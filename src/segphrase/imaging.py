@@ -27,8 +27,10 @@ FEATURE_DIM = 3 * HIST_BINS
 # normalized by the grid interval, intensities (range [0,1]) by this.
 _INTENSITY_SCALE = 0.2
 _KMEANS_ITERS = 10
-# window elements evaluated per block of seed-grid rows (at least one row)
-_KMEANS_BLOCK = 1 << 16
+# window entries evaluated per block of seed-grid rows (at least one row):
+# about 1.2 MB at 25 bytes an entry, so that with the band buffers a block
+# stays within a 2 MB L2 cache
+_KMEANS_BLOCK = 3 << 14
 # pixels of same-shape images that one superpixel run stacks (at least one
 # image): a k-means iteration or merge round costs about the same array
 # passes for a chunk as for one image, while its working set grows with it
@@ -251,22 +253,31 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     image's own, so every d2, centre and label is the one the image gets
     alone.
 
-    Every iteration evaluates the windows cropped to +-c pixels around
-    their anchors (`_window_pass`), c = `_crop(interval)`, one grid
-    interval as SLIC searches. The target is at most the pixel count, so
-    interval >= 1 and 1 <= c < reach. Let B_p be the smallest d2 the
-    cropped windows give pixel p. The crop drops a covering centre for p
-    only when its anchor is more than c pixels from p in x or y; then its
-    centre is too (the anchor is the centre rounded down), so its spatial
-    term exceeds (c / interval)**2. So when B_p is at most ((c -
-    _NEED_MARGIN) / interval)**2, the cropped windows found p's winner,
-    with the lowest index among equal d2: the margin dwarfs the rounding
-    of both bounds, and a computed d2 is at least its computed spatial
-    term (both terms are non-negative and rounding is monotone), so a
-    dropped centre can neither beat B_p nor tie with it. This holds for
-    any crop, which moves only work, never a label. Pixels above the
-    bound, and pixels no cropped window covers (B_p = inf), are decided
-    again against all the windows covering them (`_full_pass`).
+    Every iteration evaluates the windows cropped to a disc of radius c
+    (`_window_pass`), c = `_crop(interval)`, one grid interval as SLIC
+    searches: the offsets (oy, ox) from the anchor with m(oy)**2 +
+    m(ox)**2 <= c**2 (`_disc`), m(o) being the least distance along one
+    axis from a centre anywhere in its anchor pixel to the pixel o from
+    it. The target is at most the pixel count, so interval >= 1 and 1 <= c
+    < reach. Let B_p be the smallest d2 the cropped windows give pixel p.
+    The crop drops a covering centre for p only when p's offset from its
+    anchor lies outside the disc; then p is more than c pixels from the
+    centre (the anchor is the centre rounded down, so the centre lies in
+    [anchor, anchor + 1) on each axis), and its spatial term exceeds (c /
+    interval)**2. So when B_p is at most ((c - _NEED_MARGIN) /
+    interval)**2, the cropped windows found p's winner, with the lowest
+    index among equal d2: the margin dwarfs the rounding of both bounds,
+    and a computed d2 is at least its computed spatial term (both terms
+    are non-negative and rounding is monotone), so a dropped centre can
+    neither beat B_p nor tie with it. This holds for any crop, which moves
+    only work, never a label. Pixels above the bound, and pixels no
+    cropped window covers (B_p = inf), are decided again against all the
+    windows covering them (`_full_pass`).
+
+    The windows are evaluated in blocks of whole seed-grid rows of at
+    most _KMEANS_BLOCK entries (at least one row), sized so that a
+    block's buffers fit a 2 MB per-core L2 cache; the blocks move no
+    label either.
     """
     m, h, w = intensity.shape
     interval = math.sqrt(w * h / target_count)
@@ -294,10 +305,12 @@ def _kmeans_assign(intensity: np.ndarray, target_count: int) -> np.ndarray:
     # each image padded by reach on every side, so no window leaves its image
     padded = np.pad(intensity, ((0, 0), (reach, reach), (reach, reach))).ravel()
     # the window entries of a block of whole seed-grid rows (d2, gathered
-    # values, gather indices, tie flags), kept for every iteration
-    full = (2 * crop + 1) ** 2
-    most = min(m * rows, max(1, _KMEANS_BLOCK // (cols * full))) * cols * full
-    work = np.empty(most), np.empty(most), np.empty(most, dtype=np.intp), np.empty(most, dtype=bool)
+    # values, gather indices, tie flags) and, per block width, each entry's
+    # centre, kept for every iteration
+    kept = len(_disc(crop)[0])
+    most = min(m * rows, max(1, _KMEANS_BLOCK // (cols * kept))) * cols * kept
+    work = (np.empty(most), np.empty(most), np.empty(most, dtype=np.intp), np.empty(most, dtype=bool),
+            {})
     for it in range(_KMEANS_ITERS):
         if it:
             # x/y sums are sums of integers, hence exact; the intensity
@@ -321,25 +334,40 @@ def _crop(interval):
     return round(interval)
 
 
+def _disc(crop):
+    """Window offsets (rows, cols) of the square +-crop, as indices 0 ..
+    2 * crop into it, row-major: those with m(oy)**2 + m(ox)**2 <= crop**2,
+    where m(o) = o - 1 for o >= 1 and -o otherwise, the least distance
+    along one axis from a centre in [anchor, anchor + 1) to the pixel o
+    from its anchor. A dropped offset is at least sqrt(crop**2 + 1) from
+    the centre.
+    """
+    o = np.arange(-crop, crop + 1)
+    least = np.where(o >= 1, o - 1, -o)
+    return np.nonzero(least[:, None] ** 2 + least ** 2 <= crop * crop)
+
+
 def _window_pass(padded, shape, centers, cols, scale2, reach, crop, work):
-    """Each pixel's winner among the windows cropped to +-crop pixels, and
-    its d2 (-1 and inf where none covers it), both of shape (m * h, w):
-    the m images' rasters one after another.
+    """Each pixel's winner among the windows cropped to `_disc(crop)`,
+    and its d2 (-1 and inf where none covers it), both of shape (m * h,
+    w): the m images' rasters one after another.
 
     The rule does not depend on the order the centres are visited, so
     blocks of whole seed-grid rows, of one image or of several, are
-    evaluated at once, as many rows as the `work` buffers hold. `padded`
-    is the stack of images each padded by reach, raveled: a canvas of m
-    slabs of h + 2 * reach rows, pixel (y, x) of image j at slab row y +
-    reach, column x + reach. So every window lies inside its own image's
-    slab, and the slab's offset enters only the gather indices: d2 is the
-    same float expression, in the image's own coordinates, as a
-    one-centre-at-a-time loop, so each d2 is bit-equal. A block's
-    entries run (dy, dx, centre), so the inner loops run over the block's
-    centres. A band buffer over the block's canvas rows keeps per pixel
-    the smallest d2 (`np.minimum.at`), then the lowest centre among the
-    entries equal to it. Blocks merge in ascending index with a strict
-    `<`, so a tie stays with the earlier, lower-index block.
+    evaluated at once, as many rows as the `work` buffers hold (sized by
+    `_KMEANS_BLOCK`). `padded` is the stack of images each padded by
+    reach, raveled: a canvas of m slabs of h + 2 * reach rows, pixel (y,
+    x) of image j at slab row y + reach, column x + reach. So every window
+    lies inside its own image's slab, and the slab's offset enters only
+    the gather indices. The spatial term is two row gathers, by the disc's
+    rows and columns, of separable (offset, centre) tables of dy*dy and
+    dx*dx: d2 is the same float expression, in the image's own
+    coordinates, as a one-centre-at-a-time loop, so each d2 is bit-equal.
+    A block's entries run (disc offset, centre), so the inner loops run
+    over the block's centres. A band buffer over the block's canvas rows
+    keeps per pixel the smallest d2 (`np.minimum.at`), then the lowest
+    centre among the entries equal to it. Blocks merge in ascending index
+    with a strict `<`, so a tie stays with the earlier, lower-index block.
     """
     m, h, w = shape
     center_x, center_y, center_i = centers
@@ -356,24 +384,27 @@ def _window_pass(padded, shape, centers, cols, scale2, reach, crop, work):
     assign = np.full((m * h, w), -1, dtype=np.int32)
     dist = np.full((m * h, w), np.inf)
     side = 2 * crop + 1
-    full = side * side
-    d2_buf, win_buf, idx_buf, tie_buf = work
-    block_rows = len(d2_buf) // (cols * full)
+    disc_y, disc_x = _disc(crop)
+    kept = len(disc_y)
+    d2_buf, win_buf, idx_buf, tie_buf, lanes = work
+    block_rows = len(d2_buf) // (cols * kept)
     starts = np.arange(0, rows, block_rows) * cols
     y_lo = np.minimum.reduceat(anchor_y, starts)
     y_hi = np.maximum.reduceat(anchor_y, starts)
     # a block's band: canvas rows y_lo + reach - crop .. y_hi + reach + crop
     n_band = y_hi - y_lo + side
     band_d2 = np.empty(int(n_band.max()) * pw)
-    band_at = np.empty(int(n_band.max()) * pw, dtype=np.intp)
+    band_at = np.empty(int(n_band.max()) * pw, dtype=np.int32)
     offs = np.arange(-crop, crop + 1)[:, None]
-    square = (np.arange(side)[:, None] * pw + np.arange(side))[:, :, None]
+    disc = (disc_y * pw + disc_x)[:, None]
     for k0, lo, rows_in_band in zip(starts.tolist(), y_lo.tolist(), n_band.tolist()):
         k1 = min(n, k0 + block_rows * cols)
         nk = k1 - k0
         by, bx = base_y[k0:k1], base_x[k0:k1]
-        windows = (side, side, nk)
-        size = nk * full
+        size = kept * nk
+        d2 = d2_buf[:size].reshape(kept, nk)
+        win = win_buf[:size].reshape(kept, nk)
+        idx = idx_buf[:size].reshape(kept, nk)
         # the same expression as `_d2`, made separable and in place
         dx = (bx + offs).astype(np.float64)
         dx -= center_x[k0:k1]
@@ -381,31 +412,30 @@ def _window_pass(padded, shape, centers, cols, scale2, reach, crop, work):
         dy = (by + offs).astype(np.float64)
         dy -= center_y[k0:k1]
         dy *= dy
-        d2 = d2_buf[:size].reshape(windows)
-        np.add(dy[:, None, :], dx[None, :, :], out=d2)
+        # every index is in range: "clip" only spares take's buffered copy
+        np.take(dy, disc_y, axis=0, out=d2, mode="clip")
+        d2 += np.take(dx, disc_x, axis=0, out=win, mode="clip")
         d2 /= scale2
         top = lo + reach - crop
-        idx = idx_buf[:size].reshape(windows)
-        np.add((anchor_y[k0:k1] - lo) * pw + bx + reach - crop, square, out=idx)
-        di = win_buf[:size].reshape(windows)
-        # every index is in range: "clip" only spares take's buffered copy
-        np.take(padded[top * pw:], idx, out=di, mode="clip")
+        np.add((anchor_y[k0:k1] - lo) * pw + bx + reach - crop, disc, out=idx)
+        di = np.take(padded[top * pw:], idx, out=win, mode="clip")
         di -= center_i[k0:k1]
         di /= _INTENSITY_SCALE
         di *= di
         d2 += di
         # per band pixel the smallest d2, then the lowest centre holding
-        # it: entry e belongs to centre k0 + e % nk
+        # it: entry (e, c) belongs to centre k0 + c, which `lanes` holds
+        # per block width, raveled, so no entry's centre costs a remainder
         bd = band_d2[:rows_in_band * pw]
         at = band_at[:rows_in_band * pw]
         bd.fill(np.inf)
         at.fill(nk)
-        idx, d2 = idx.ravel(), d2.ravel()
-        np.minimum.at(bd, idx, d2)
-        np.take(bd, idx, out=win_buf[:size], mode="clip")
-        tie = np.equal(d2, win_buf[:size], out=tie_buf[:size])
-        hit = np.flatnonzero(tie)
-        np.minimum.at(at, idx[hit], hit % nk)
+        np.minimum.at(bd, idx_buf[:size], d2_buf[:size])
+        np.take(bd, idx, out=win, mode="clip")
+        hit = np.flatnonzero(np.equal(d2, win, out=tie_buf[:size].reshape(kept, nk)))
+        if nk not in lanes:
+            lanes[nk] = np.tile(np.arange(nk, dtype=np.int32), kept)
+        np.minimum.at(at, idx_buf[hit], lanes[nk][hit])
         at += k0
         # merge each image's rows of the band, lower-index blocks keeping ties
         bd, at = bd.reshape(rows_in_band, pw), at.reshape(rows_in_band, pw)
@@ -730,15 +760,15 @@ def histograms(values: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
     """
     channels = values.shape[1]
     binned = np.minimum((values * HIST_BINS).astype(np.int64), HIST_BINS - 1)
-    base = labels * FEATURE_DIM
-    hist = np.zeros(n * FEATURE_DIM)
-    for ch in range(3):
-        hist += np.bincount(base + ch * HIST_BINS + binned[:, ch % channels],
-                            minlength=n * FEATURE_DIM)
-    hist = hist.reshape(n, 3, HIST_BINS)
+    base = labels * (channels * HIST_BINS)
+    hist = np.zeros(n * channels * HIST_BINS)
+    for ch in range(channels):
+        hist += np.bincount(base + ch * HIST_BINS + binned[:, ch], minlength=len(hist))
+    hist = hist.reshape(n, channels, HIST_BINS)
     block_sums = hist.sum(axis=2, keepdims=True)
     np.divide(hist, block_sums, out=hist, where=block_sums > 0)
-    return hist.reshape(n, FEATURE_DIM)
+    # a grayscale block is counted once and copied into the three slots
+    return np.repeat(hist, 3 // channels, axis=1).reshape(n, FEATURE_DIM)
 
 
 def extract_features(img: Image, smap: SuperpixelMap) -> SuperpixelGraph:

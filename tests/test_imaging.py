@@ -22,6 +22,7 @@ from segphrase.imaging import (
     load_image,
     save_image,
 )
+import superpixel_oracle
 from superpixel_oracle import _enforce_connectivity as oracle_connectivity
 from superpixel_oracle import compute_superpixels as oracle_superpixels
 
@@ -502,6 +503,109 @@ def test_proven_threshold_is_strict_in_a_chunk(w, h, target, monkeypatch):
     assert all(args[0].tolist() == [0, 1, h * w, h * w + 1] for args, _ in redos)
 
 
+def _least(o):
+    """Least distance along one axis from a centre anywhere in its anchor
+    pixel to the pixel o from that anchor."""
+    return o - 1 if o >= 1 else -o
+
+
+@pytest.mark.parametrize("crop", range(1, 13))
+def test_disc_is_the_set_the_crop_proof_allows(crop):
+    rows, cols = imaging._disc(crop)
+    square = range(-crop, crop + 1)
+    allowed = [(oy + crop, ox + crop) for oy in square for ox in square
+               if _least(oy) ** 2 + _least(ox) ** 2 <= crop * crop]
+    assert list(zip(rows.tolist(), cols.tolist())) == allowed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_entries_outside_the_disc_are_beyond_proven(seed):
+    # every (pixel, centre) pair of a covering window that the disc drops,
+    # in its corners or beyond the crop, has a computed d2 above the bound
+    # below which a cropped winner is kept, so the disc moves no label
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        interval = float(rng.choice([1.0, rng.uniform(1, 3), rng.uniform(3, 12)]))
+        reach = math.ceil(2 * interval)
+        crop = int(rng.integers(1, reach)) if rng.random() < 0.5 else imaging._crop(interval)
+        proven = ((crop - imaging._NEED_MARGIN) / interval) ** 2
+        anchor = reach + 50
+        # centres anywhere in the anchor pixel, both of its edges included
+        x, y = (float(rng.choice([anchor, np.nextafter(anchor + 1, 0), anchor + rng.random()]))
+                for _ in "xy")
+        assert (int(x), int(y)) == (anchor, anchor)
+        level = rng.random()
+        centers = tuple(np.array([v]) for v in (x, y, level))
+        kept = set(zip(*(a.tolist() for a in imaging._disc(crop))))
+        oy, ox = (a.ravel() - reach for a in np.mgrid[0:2 * reach + 1, 0:2 * reach + 1])
+        dropped = np.array([(a + crop, b + crop) not in kept for a, b in zip(oy, ox)])
+        oy, ox = oy[dropped], ox[dropped]
+        # the same intensity as the centre, or any other
+        values = np.where(rng.random(len(oy)) < 0.5, level, rng.random(len(oy)))
+        pixels = ((anchor + ox).astype(float)[:, None], (anchor + oy).astype(float)[:, None],
+                  values[:, None])
+        d2 = imaging._d2(pixels, centers, np.zeros((1, 1), dtype=np.intp), interval * interval)
+        assert dropped.any() and (d2 > proven).all()
+
+
+def _oracle_assignment(img, target):
+    """The oracle's k-means assignment of one image, before connectivity."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(superpixel_oracle, "_enforce_connectivity",
+                      lambda assign, *rest: (seen.append(assign.copy()), (assign, 0))[1])
+        oracle_superpixels(img, target)
+    return seen[0]
+
+
+@pytest.fixture(scope="module")
+def block_stack():
+    """Three 64 px images, a noisy train scene, a uniform one (exact ties)
+    and a three-level one, with the oracle's assignment of each."""
+    rng = np.random.default_rng(29)
+    scene = make_scene(SceneConfig(size=64, noise=0.12, fg_texture=0.62, bg_texture=0.25,
+                                   seed=4)).image.intensity()
+    images = np.stack([scene, np.full((64, 64), 0.3), np.round(rng.random((64, 64)) * 2) / 4])
+    return images, [_oracle_assignment(Image(64, 64, 1, a[:, :, None]), 200) for a in images]
+
+
+@pytest.mark.parametrize("crop", ["default", 1])
+@pytest.mark.parametrize("block", ["one-row", "default", "whole-stack"])
+def test_labels_do_not_depend_on_the_block_bound(block, crop, block_stack, monkeypatch):
+    # the block bound moves only work: one seed row a block, blocks that
+    # straddle image boundaries, or the whole stack in one block give the
+    # oracle's assignment; a crop of 1 has most pixels decided again, in
+    # several `_full_pass` steps
+    images, want = block_stack
+    m, h, w = images.shape
+    target = 200
+    interval = math.sqrt(h * w / target)
+    if crop != "default":
+        monkeypatch.setattr(imaging, "_crop", lambda interval: crop)
+    rows, cols, _ = _kmeans_grid(w, h, target)
+    kept = len(imaging._disc(imaging._crop(interval))[0])
+    bound = {"one-row": cols * kept, "default": imaging._KMEANS_BLOCK,
+             "whole-stack": (m * rows + 1) * cols * kept}[block]
+    monkeypatch.setattr(imaging, "_KMEANS_BLOCK", bound)
+    block_rows = max(1, bound // (cols * kept))
+    straddles = any(s // rows != (min(s + block_rows, m * rows) - 1) // rows
+                    for s in range(0, m * rows, block_rows))
+    assert straddles == (block != "one-row")
+    redos = _spy(monkeypatch, "_full_pass")
+    # `_full_pass` evaluates one `_d2` a step (and one for uncovered pixels)
+    steps = []
+    real_d2 = imaging._d2
+    monkeypatch.setattr(imaging, "_d2", lambda *args: (steps.append(1), real_d2(*args))[1])
+    got = imaging._kmeans_assign(images, target)
+    for j in range(m):
+        assert np.array_equal(got[j] - j * rows * cols, want[j])
+    redone = [len(args[0]) for args, _ in redos]
+    if crop == 1:
+        assert min(redone) > 0.5 * m * h * w and len(steps) > 2 * imaging._KMEANS_ITERS
+    else:
+        assert any(redone)
+
+
 def _assert_maps_same_as_oracle(images, target, monkeypatch):
     """`superpixel_maps` of the list equals the oracle image by image;
     returns the number of images each k-means run stacked."""
@@ -563,18 +667,18 @@ def test_superpixel_maps_peak_memory_follows_the_chunk_budget():
     # k-means' intensity stack, pixel coordinates, padded copy, band
     # buffers, and this and the previous iteration's assignment and
     # distance (72), or the connectivity pass's runs, components and pair
-    # keys. Bytes a window entry of one block, at most 64: its d2,
-    # gathered value, index and tie flag (25), and per tie its position,
-    # pixel and centre (24). The maps keep 4 bytes a pixel.
+    # keys. Bytes a window entry of the disc in one block, at most 64: its
+    # d2, gathered value, index and tie flag (25), its centre in the
+    # tables of at most two block widths (8), and per tie its position,
+    # pixel and centre (20). The maps keep 4 bytes a pixel.
     h = w = 64
     target = 200
     images = [make_scene(SceneConfig(size=64, noise=0.12, fg_texture=0.62, bg_texture=0.25,
                                      seed=seed)).image for seed in range(16)]
     per_chunk = max(1, imaging._CHUNK_PIXELS // (h * w))
     rows, cols, reach = _kmeans_grid(w, h, target)
-    side = 2 * imaging._crop(math.sqrt(w * h / target)) + 1
-    entries = min(per_chunk * rows * cols * side * side,
-                  max(imaging._KMEANS_BLOCK, cols * side * side))
+    kept = len(imaging._disc(imaging._crop(math.sqrt(w * h / target)))[0])
+    entries = min(per_chunk * rows * cols * kept, max(imaging._KMEANS_BLOCK, cols * kept))
     padded = per_chunk * (h + 2 * reach) * (w + 2 * reach)
     bound = 4 * len(images) * h * w + 96 * padded + 64 * entries
     tracemalloc.start()
